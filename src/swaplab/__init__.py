@@ -8,6 +8,7 @@ from .linalg import (  # noqa: E402
     DimensionError,
     KindError,
     NumericalError,
+    Spectrum,
     commutator_norm,
     hermitian_exponential,
     overlap,
@@ -23,6 +24,7 @@ from .measurement import (  # noqa: E402
     evolve,
     interaction_hamiltonian,
     make_pointer_grid,
+    pointer_spectrum,
     readout,
     ready_state,
     translation_map,

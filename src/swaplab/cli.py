@@ -23,7 +23,7 @@ import numpy as np
 from .config import ConfigError, RunConfig, parse_config, to_scenario_config
 from .linalg import ComplexVector, NumericalError
 from .measurement import evolve, ready_state, system_basis_state
-from .reporting import emit_distribution_csv, emit_report
+from .reporting import emit_distribution_csv, emit_report, failed_checks
 from .scenario import (
     build_diagonal_model,
     qubit_setup,
@@ -148,6 +148,9 @@ def main(argv=None) -> int:
             text = emit_report(report, config)
             filename = "report.json"
             passed = report.passed
+            if not passed:
+                for line in failed_checks(report, config.tol):
+                    print(line, file=sys.stderr)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

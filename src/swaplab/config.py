@@ -7,8 +7,10 @@ with a field-named message, so bad configs fail before any operator is built.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
 
+from .measurement import MAX_TOTAL_DIM
 from .reporting import render_json
 from .scenario import ScenarioConfig
 
@@ -21,6 +23,7 @@ SCENARIOS = (
 )
 GRID_SCENARIOS = ("prince-pauper", "multiworld", "certify-lemma1")
 SCALING_SCENARIOS = ("classical-level", "certify-lemma2")
+REAL_FIELDS = ("delta", "g", "T", "hbar", "lambda1", "lambda2", "tol")
 DIMENSION_CAP = 40_000
 LAMBDA_MAX = 1.0  # the qubit scenarios measure outcomes +-1
 
@@ -57,6 +60,12 @@ class RunConfig:
     def _validate(self):
         if self.scenario not in SCENARIOS:
             raise ConfigError(f"scenario: must be one of {SCENARIOS}, got {self.scenario!r}")
+        # NaN passes every comparison guard below, so finiteness comes first;
+        # command-line overrides reach this check as well as parsed files
+        for name in REAL_FIELDS:
+            _require_finite(name, getattr(self, name))
+        for i, t in enumerate(self.sample_times):
+            _require_finite(f"sample_times[{i}]", t)
         if self.M < 1:
             raise ConfigError("M must be >= 1")
         if self.delta <= 0:
@@ -88,7 +97,13 @@ class RunConfig:
                     f"wraparound guard violated: g*T*lambda_max = {travel} exceeds "
                     f"M*delta/2 = {limit}"
                 )
-            total = (2 * (2 * self.M + 1)) ** self.k
+            factor_dim = 2 * (2 * self.M + 1)
+            if factor_dim > MAX_TOTAL_DIM:
+                raise ConfigError(
+                    f"M: per-measurement dimension {factor_dim} exceeds the dense cap "
+                    f"{MAX_TOTAL_DIM}"
+                )
+            total = factor_dim**self.k
             if total > DIMENSION_CAP:
                 raise ConfigError(
                     f"total dimension {total} exceeds the dense cap {DIMENSION_CAP}"
@@ -105,6 +120,11 @@ class RunConfig:
                 )
 
 
+def _require_finite(key, value):
+    if not math.isfinite(value):
+        raise ConfigError(f"{key}: expected a finite number, got {value!r}")
+
+
 def _read_int(key, value):
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{key}: expected an integer, got {value!r}")
@@ -114,7 +134,10 @@ def _read_int(key, value):
 def _read_real(key, value):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{key}: expected a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(f"{key}: integer too large for a float") from None
 
 
 def _read_bool(key, value):
@@ -157,7 +180,7 @@ def parse_config(text: str) -> RunConfig:
     """Parse and validate a JSON run configuration, filling defaults."""
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a decode error, or an integer past the digit limit
         raise ConfigError(f"invalid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError("the top level must be a JSON object")

@@ -28,19 +28,36 @@ from .linalg import (
     DenseOperator,
     DimensionError,
     KindError,
+    Spectrum,
     frobenius_norm,
     unitarity_defect,
 )
 
 
+def _probe(dim: int) -> np.ndarray:
+    # fixed generic unit vector: a chirp with a ramped modulus, so no entry
+    # vanishes, no two entries are equal and every DFT mode is populated
+    index = np.arange(dim)
+    raw = (1.0 + index / dim) * np.exp(1j * np.sqrt(2.0) * index**2)
+    return raw / np.linalg.norm(raw)
+
+
 @dataclass(frozen=True)
 class EvolutionTriple:
-    """Hamiltonian + unit initial state + sampled times, with hbar."""
+    """Hamiltonian + unit initial state + sampled times, with hbar.
+
+    States are evolved through ``spectrum``. A spectrum passed in is checked
+    against the Hamiltonian on one probe vector, so a triple never evolves
+    under an operator other than the one it reports; without one, the
+    spectrum is derived from the Hamiltonian by dense diagonalization on
+    first use.
+    """
 
     hamiltonian: DenseOperator
     initial_state: ComplexVector
     sample_times: tuple
     hbar: float = 1.0
+    spectrum: Spectrum = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "sample_times", tuple(float(t) for t in self.sample_times))
@@ -60,6 +77,18 @@ class EvolutionTriple:
             raise ValueError("sample_times must be sorted")
         if self.hbar <= 0:
             raise ValueError(f"hbar must be positive, got {self.hbar}")
+        if self.spectrum is not None:
+            self._check_spectrum()
+
+    def _check_spectrum(self) -> None:
+        probe = _probe(self.dim)
+        entries = self.hamiltonian.entries
+        mismatch = float(np.linalg.norm(entries @ probe - self.spectrum.apply(probe)))
+        if mismatch > HERM_TOL * frobenius_norm(entries):
+            raise KindError(
+                f"spectrum does not represent the triple's Hamiltonian: |H v - spectrum(v)| = "
+                f"{mismatch:.3e}"
+            )
 
     @property
     def dim(self) -> int:
@@ -67,12 +96,10 @@ class EvolutionTriple:
 
     def states_at(self, times) -> list:
         """Evolved states exp(-i H t / hbar) |initial> at the given times."""
-        eigenvalues, eigenvectors = np.linalg.eigh(self.hamiltonian.entries)
-        coefficients = eigenvectors.conj().T @ self.initial_state.amplitudes
-        return [
-            ComplexVector(eigenvectors @ (np.exp(-1j * eigenvalues * t / self.hbar) * coefficients))
-            for t in times
-        ]
+        if self.spectrum is None:
+            object.__setattr__(self, "spectrum", Spectrum.from_hermitian(self.hamiltonian.entries))
+        initial = self.initial_state.amplitudes
+        return [ComplexVector(self.spectrum.evolve(initial, t, self.hbar)) for t in times]
 
     def states(self) -> list:
         return self.states_at(self.sample_times)

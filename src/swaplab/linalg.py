@@ -171,8 +171,75 @@ def tensor_product(a, b):
     )
 
 
+def _unchanged(amplitudes: np.ndarray) -> np.ndarray:
+    return amplitudes
+
+
+class Spectrum:
+    """A Hermitian operator in its eigenbasis: H = W^dag diag(weights) W.
+
+    ``to_eigen`` applies W and ``from_eigen`` applies W^dag along the leading
+    axis of an amplitude array, so a matrix is mapped column by column. Every
+    time evolution in the package goes through ``evolve``; the basis maps are
+    chosen by the constructor that knows the operator's structure.
+    """
+
+    __slots__ = ("weights", "to_eigen", "from_eigen")
+
+    def __init__(self, weights, to_eigen, from_eigen):
+        values = np.array(weights, dtype=float)
+        if values.ndim != 1 or values.size == 0:
+            raise DimensionError(f"expected a nonempty 1-d weight array, got shape {values.shape}")
+        self.weights = _freeze(values)
+        self.to_eigen = to_eigen
+        self.from_eigen = from_eigen
+
+    @classmethod
+    def diagonal(cls, weights) -> "Spectrum":
+        """An operator that is already diagonal in the working basis."""
+        return cls(weights, _unchanged, _unchanged)
+
+    @classmethod
+    def from_hermitian(cls, entries) -> "Spectrum":
+        """Dense eigendecomposition of an arbitrary Hermitian matrix."""
+        entries = np.asarray(entries)
+        try:
+            eigenvalues, eigenvectors = np.linalg.eigh(entries)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(
+                "eigendecomposition failed: "
+                f"dim={entries.shape[0]}, |H|_F={frobenius_norm(entries):.3e}, "
+                f"max|entry|={float(np.abs(entries).max()):.3e}"
+            ) from exc
+        adjoint = eigenvectors.conj().T
+        return cls(eigenvalues, adjoint.__matmul__, eigenvectors.__matmul__)
+
+    @property
+    def dim(self) -> int:
+        return self.weights.size
+
+    def _scale(self, factors: np.ndarray, amplitudes) -> np.ndarray:
+        amplitudes = np.asarray(amplitudes, dtype=complex)
+        if amplitudes.shape[0] != self.dim:
+            raise DimensionError(f"amplitude dim {amplitudes.shape[0]} != spectrum dim {self.dim}")
+        coefficients = self.to_eigen(amplitudes)
+        factors = factors.reshape(factors.shape + (1,) * (coefficients.ndim - 1))
+        return self.from_eigen(factors * coefficients)
+
+    def apply(self, amplitudes) -> np.ndarray:
+        """H applied to a vector, or to each column of a matrix."""
+        return self._scale(self.weights, amplitudes)
+
+    def evolve(self, amplitudes, t: float, hbar: float = 1.0) -> np.ndarray:
+        """exp(-i H t / hbar) applied to a vector, or to each column of a matrix."""
+        return self._scale(np.exp(-1j * self.weights * t / hbar), amplitudes)
+
+
 def hermitian_exponential(hermitian: DenseOperator, angle: float) -> DenseOperator:
-    """exp(-i * angle * H) for Hermitian H, via eigendecomposition."""
+    """exp(-i * angle * H) for Hermitian H, via eigendecomposition.
+
+    The dense reference that the spectral evolution is tested against.
+    """
     if hermitian.kind != HERMITIAN:
         raise KindError(
             f"hermitian_exponential needs a hermitian-tagged operator, got {hermitian.kind!r}"
@@ -181,16 +248,7 @@ def hermitian_exponential(hermitian: DenseOperator, angle: float) -> DenseOperat
     defect = frobenius_norm(entries - entries.conj().T)
     if defect > HERM_TOL * frobenius_norm(entries):
         raise KindError(f"operator is not numerically hermitian: defect {defect:.3e}")
-    try:
-        eigenvalues, eigenvectors = np.linalg.eigh(entries)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(
-            "eigendecomposition failed: "
-            f"dim={hermitian.dim}, |H|_F={frobenius_norm(entries):.3e}, "
-            f"max|entry|={float(np.abs(entries).max()):.3e}"
-        ) from exc
-    phases = np.exp(-1j * float(angle) * eigenvalues)
-    result = (eigenvectors * phases) @ eigenvectors.conj().T
+    result = Spectrum.from_hermitian(entries).evolve(np.eye(hermitian.dim), float(angle))
     return DenseOperator(result, UNITARY)
 
 

@@ -11,6 +11,9 @@ Conventions:
   * momentum eigenvector components are exp(i*p*zeta/hbar)/sqrt(N)
   * hbar appears uniformly, translations are exp(-i p_Z tau / hbar)
   * free Hamiltonians are identically zero; only the measurement coupling acts
+  * time evolution goes through ``pointer_spectrum``: H is diagonal in the
+    system eigenbasis x the DFT momentum basis, so evolving is an FFT along
+    the pointer axis, a phase and an inverse FFT
 """
 
 from __future__ import annotations
@@ -21,11 +24,12 @@ import numpy as np
 
 from .linalg import (
     HERMITIAN,
+    UNITARY,
     ComplexVector,
     DenseOperator,
     DimensionError,
+    Spectrum,
     basis_vector,
-    hermitian_exponential,
     tensor_product,
 )
 
@@ -195,25 +199,83 @@ def interaction_hamiltonian(setup: MeasurementSetup, max_dim: int = MAX_TOTAL_DI
     return DenseOperator(-setup.coupling * product.entries, HERMITIAN)
 
 
+def _pointer_axis(transform, amplitudes: np.ndarray, n_points: int) -> np.ndarray:
+    # centred transform along the pointer index of a (system x pointer) array,
+    # column by column: ifftshift, transform, fftshift. For odd N both shifts
+    # are the rotations below; slicing does them without np.roll's overhead.
+    half = n_points // 2
+    blocks = amplitudes.reshape(-1, n_points, *amplitudes.shape[1:])
+    shifted = np.concatenate((blocks[:, half:], blocks[:, :half]), axis=1)
+    out = transform(shifted, axis=1, norm="ortho")
+    return np.concatenate((out[:, half + 1 :], out[:, : half + 1]), axis=1).reshape(
+        amplitudes.shape
+    )
+
+
+def _fourier_spectrum(weights: np.ndarray, n_points: int) -> Spectrum:
+    """Spectrum diagonal in the pointer momentum basis, with pointer-fastest
+    weights; the basis map is the centred orthonormal DFT, equal to
+    ``PointerGrid.fourier`` applied to every pointer block."""
+    return Spectrum(
+        weights,
+        lambda amplitudes: _pointer_axis(np.fft.fft, amplitudes, n_points),
+        lambda amplitudes: _pointer_axis(np.fft.ifft, amplitudes, n_points),
+    )
+
+
+def pointer_spectrum(setup: MeasurementSetup) -> Spectrum:
+    """H = -coupling * (A x p_Z) with weights -coupling * lambda_s * p_j."""
+    observable = np.repeat(setup.observable.eigenvalues, setup.observable.degeneracy)
+    weights = -setup.coupling * np.outer(observable, setup.grid.momenta)
+    return _fourier_spectrum(weights.reshape(-1), setup.grid.n_points)
+
+
+def _block_circulant(spectrum: Spectrum, n_points: int, t: float, hbar: float) -> np.ndarray:
+    # every pointer block of exp(-i H t / hbar) is circulant: evolve the first
+    # basis vector of each block once and read the block off its first column
+    blocks = spectrum.dim // n_points
+    starts = np.zeros((blocks, n_points), dtype=complex)
+    starts[:, 0] = 1.0
+    columns = spectrum.evolve(starts.reshape(-1), t, hbar).reshape(blocks, n_points)
+    index = np.arange(n_points)
+    circulant = columns[:, (index[:, None] - index[None, :]) % n_points]
+    entries = np.zeros((blocks, n_points, blocks, n_points), dtype=complex)
+    entries[np.arange(blocks), :, np.arange(blocks), :] = circulant
+    return entries.reshape(spectrum.dim, spectrum.dim)
+
+
 def translation_map(grid: PointerGrid, steps: int) -> DenseOperator:
     """exp(-i p_Z (steps*spacing) / hbar): exact cyclic shift by `steps`."""
-    return hermitian_exponential(grid.momentum_operator, steps * grid.spacing / grid.hbar)
+    spectrum = _fourier_spectrum(grid.momenta, grid.n_points)
+    shift = _block_circulant(spectrum, grid.n_points, steps * grid.spacing, grid.hbar)
+    return DenseOperator(shift, UNITARY)
 
 
-def propagator(setup: MeasurementSetup, t: float) -> DenseOperator:
-    """Evolution operator exp(-i H t / hbar) for t inside the coupling window."""
+def _require_window(setup: MeasurementSetup, t: float) -> None:
     if not 0 <= t <= setup.duration:
         raise ValueError(
             f"time {t} outside [0, {setup.duration}]: the coupling is only defined there"
         )
-    return hermitian_exponential(interaction_hamiltonian(setup), t / setup.hbar)
+
+
+def evolution_matrix(setup: MeasurementSetup, t: float) -> np.ndarray:
+    """Entries of exp(-i H t / hbar), assembled block by block from the
+    pointer spectrum without a unitarity check."""
+    return _block_circulant(pointer_spectrum(setup), setup.grid.n_points, t, setup.hbar)
+
+
+def propagator(setup: MeasurementSetup, t: float) -> DenseOperator:
+    """Evolution operator exp(-i H t / hbar) for t inside the coupling window."""
+    _require_window(setup, t)
+    return DenseOperator(evolution_matrix(setup, t), UNITARY)
 
 
 def evolve(setup: MeasurementSetup, state: ComplexVector, t: float) -> ComplexVector:
     """Premeasurement evolution: each branch's pointer moves by -coupling*t*lambda."""
     if state.dim != setup.total_dim:
         raise DimensionError(f"state dim {state.dim} != setup dim {setup.total_dim}")
-    return propagator(setup, t) @ state
+    _require_window(setup, t)
+    return ComplexVector(pointer_spectrum(setup).evolve(state.amplitudes, t, setup.hbar))
 
 
 def readout(

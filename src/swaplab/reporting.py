@@ -99,38 +99,77 @@ def _config_doc(config):
     return asdict(config)
 
 
+#: certificate fields holding residuals that a passing run keeps within tol
+RESIDUAL_FIELDS = (
+    "commutator_residual",
+    "unitarity_defect",
+    "swap_residual",
+    "intertwining_residual",
+    "cross_construction_distance",
+    "state_residuals",
+    "state_residual",
+    "hamiltonian_residual",
+)
+
+
+def _certificate_docs(report) -> list:
+    if isinstance(report, ScenarioReport):
+        certificates = [_swap_doc(c) for c in report.swap_certificates]
+        certificates += [_iso_doc(r) for r in report.isomorphism_reports]
+        return certificates + [_pair_doc(p) for p in report.pairs]
+    if isinstance(report, SwapCertificate):
+        return [_swap_doc(report)]
+    if isinstance(report, IsomorphismReport):
+        return [_iso_doc(report)]
+    raise TypeError(f"cannot emit a report for {type(report).__name__}")
+
+
+def failed_checks(report, tol: float) -> list:
+    """One line per certificate residual field above ``tol``:
+    ``<type> <field> <residual> > tol <tol> (margin <residual - tol>)``.
+    A list-valued field is named once, with its largest entry. A pair whose
+    worlds no reference observable tells apart gets a line of its own."""
+    lines = []
+    for doc in _certificate_docs(report):
+        if doc.get("distinct") is False:
+            lines.append(
+                f"{doc['type']} {doc['world_a']} vs {doc['world_b']} "
+                f"distinct false: no reference gap exceeds tol {tol:.3g}"
+            )
+        for name in RESIDUAL_FIELDS:
+            value = doc.get(name)
+            if isinstance(value, (list, tuple)):
+                value = max(value)
+            if value is not None and not value <= tol:
+                lines.append(
+                    f"{doc['type']} {name} {value:.3g} > tol {tol:.3g} (margin {value - tol:.3g})"
+                )
+    return lines
+
+
 def emit_report(report, config=None) -> str:
     """Serialize a scenario report, swap certificate, or isomorphism report.
 
     The document carries `meta` (config echo, version), `certificates`,
     `distinctness`, `worlds`, and the aggregate `pass` flag.
     """
+    certificates = _certificate_docs(report)
     if isinstance(report, ScenarioReport):
-        certificates = [_swap_doc(c) for c in report.swap_certificates]
-        certificates += [_iso_doc(r) for r in report.isomorphism_reports]
-        certificates += [_pair_doc(p) for p in report.pairs]
         distinctness = [_distinctness_entry(p) for p in report.pairs]
         worlds = [_world_doc(w) for w in report.readouts]
-        passed = report.passed
-    elif isinstance(report, SwapCertificate):
-        certificates = [_swap_doc(report)]
-        distinctness = []
-        worlds = []
-        passed = report.passed
     elif isinstance(report, IsomorphismReport):
-        certificates = [_iso_doc(report)]
         distinctness = [asdict(w) for w in report.distinctness]
         worlds = []
-        passed = report.passed
     else:
-        raise TypeError(f"cannot emit a report for {type(report).__name__}")
+        distinctness = []
+        worlds = []
 
     document = {
         "meta": {"generator": "swaplab", "version": __version__, "config": _config_doc(config)},
         "worlds": worlds,
         "certificates": certificates,
         "distinctness": distinctness,
-        "pass": passed,
+        "pass": report.passed,
     }
     return render_json(document) + "\n"
 

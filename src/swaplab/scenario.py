@@ -40,6 +40,7 @@ from .linalg import (
     HERMITIAN,
     ComplexVector,
     DenseOperator,
+    Spectrum,
     frobenius_norm,
     identity,
     tensor_product,
@@ -51,6 +52,7 @@ from .measurement import (
     ObservableSpec,
     interaction_hamiltonian,
     make_pointer_grid,
+    pointer_spectrum,
     readout,
     ready_state,
     system_basis_state,
@@ -196,8 +198,9 @@ def run_prince_pauper(config: ScenarioConfig) -> ScenarioReport:
     observable = setup.observable
     plus0 = ready_state(setup, system_basis_state(observable, 0))
     minus0 = ready_state(setup, system_basis_state(observable, 1))
-    triple_plus = EvolutionTriple(hamiltonian, plus0, config.sample_times, config.hbar)
-    triple_minus = EvolutionTriple(hamiltonian, minus0, config.sample_times, config.hbar)
+    spectrum = pointer_spectrum(setup)
+    triple_plus = EvolutionTriple(hamiltonian, plus0, config.sample_times, config.hbar, spectrum)
+    triple_minus = EvolutionTriple(hamiltonian, minus0, config.sample_times, config.hbar, spectrum)
 
     swap = parity_swap(setup)
     iso = check_isomorphism(
@@ -244,11 +247,17 @@ def run_prince_pauper(config: ScenarioConfig) -> ScenarioReport:
     )
 
 
-def _apply_factor_swaps(state: np.ndarray, inverse_perm: np.ndarray, factors, k: int, dim: int):
-    tensor = state.reshape((dim,) * k)
-    for axis in factors:
-        tensor = np.take(tensor, inverse_perm, axis=axis)
-    return tensor.reshape(-1)
+def _factor_swap_residual(state_a, state_b, inverse_perm, factors, buffers) -> float:
+    """|(per-factor swaps on `factors`) state_a - state_b|, computed in two
+    preallocated product-space buffers: a fresh product-size array per pair and
+    time is large enough to go through mmap and page-fault on every call."""
+    tensor = state_a.reshape(buffers[0].shape)
+    for n, axis in enumerate(factors):
+        # the permutation indices are always in range; mode="clip" lets take
+        # write straight into `out`, where the default mode copies through a buffer
+        tensor = np.take(tensor, inverse_perm, axis=axis, out=buffers[n % 2], mode="clip")
+    spare = buffers[len(factors) % 2].reshape(-1)
+    return float(np.linalg.norm(np.subtract(tensor.reshape(-1), state_b, out=spare)))
 
 
 def run_multiworld(config: ScenarioConfig, qubit_count: int = None) -> ScenarioReport:
@@ -271,13 +280,12 @@ def run_multiworld(config: ScenarioConfig, qubit_count: int = None) -> ScenarioR
     conjugated = hamiltonian.entries[np.ix_(inverse_perm, inverse_perm)]
     factor_deviation = frobenius_norm(conjugated - hamiltonian.entries)
 
-    eigenvalues, eigenvectors = np.linalg.eigh(hamiltonian.entries)
+    spectrum = pointer_spectrum(setup)
     observable = setup.observable
 
     def evolved(sign: int, t: float) -> np.ndarray:
         initial = ready_state(setup, system_basis_state(observable, sign)).amplitudes
-        coefficients = eigenvectors.conj().T @ initial
-        return eigenvectors @ (np.exp(-1j * eigenvalues * t / config.hbar) * coefficients)
+        return spectrum.evolve(initial, t, config.hbar)
 
     times = config.sample_times
     factor_states = {(sign, ti): evolved(sign, t) for sign in (0, 1) for ti, t in enumerate(times)}
@@ -301,6 +309,7 @@ def run_multiworld(config: ScenarioConfig, qubit_count: int = None) -> ScenarioR
         for pattern in patterns
     ]
 
+    buffers = [np.empty((factor_dim,) * k, dtype=complex) for _ in range(2)]
     pairs = []
     n_worlds = len(patterns)
     matrix = [[0.0] * n_worlds for _ in range(n_worlds)]
@@ -308,10 +317,10 @@ def run_multiworld(config: ScenarioConfig, qubit_count: int = None) -> ScenarioR
         differing = [f for f in range(k) if patterns[i][f] != patterns[j][f]]
         state_residual = 0.0
         for ti in range(len(times)):
-            mapped = _apply_factor_swaps(full_states[i][ti], inverse_perm, differing, k, factor_dim)
-            state_residual = max(
-                state_residual, float(np.linalg.norm(mapped - full_states[j][ti]))
+            residual = _factor_swap_residual(
+                full_states[i][ti], full_states[j][ti], inverse_perm, differing, buffers
             )
+            state_residual = max(state_residual, residual)
         hamiltonian_residual = float(
             factor_deviation * np.sqrt(len(differing) * factor_dim ** (k - 1))
         )
@@ -433,8 +442,9 @@ def run_classical_level(
     swap = scaling_swap(model)
     image = swap @ start
     hamiltonian = model.hamiltonian()
-    triple_from = EvolutionTriple(hamiltonian, start, config.sample_times, config.hbar)
-    triple_to = EvolutionTriple(hamiltonian, image, config.sample_times, config.hbar)
+    spectrum = Spectrum.diagonal(model.diagonal_weights())
+    triple_from = EvolutionTriple(hamiltonian, start, config.sample_times, config.hbar, spectrum)
+    triple_to = EvolutionTriple(hamiltonian, image, config.sample_times, config.hbar, spectrum)
     iso = check_isomorphism(swap, triple_from, triple_to, config.tolerance, config.phase_insensitive)
 
     final_from = triple_from.states_at((config.duration,))[0]

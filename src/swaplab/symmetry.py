@@ -37,6 +37,7 @@ from .linalg import (
 )
 from .measurement import (
     MeasurementSetup,
+    evolution_matrix,
     interaction_hamiltonian,
     ready_state,
     system_basis_state,
@@ -153,15 +154,9 @@ def certify_lemma1(
     commutator_residual = commutator / hnorm if hnorm > 0 else commutator
     defect = unitarity_defect(candidate)
 
-    eigenvalues, eigenvectors = np.linalg.eigh(hamiltonian.entries)
-
-    def evolution(t):
-        phases = np.exp(-1j * eigenvalues * t / setup.hbar)
-        return (eigenvectors * phases) @ eigenvectors.conj().T
-
     observable = setup.observable
     negation = observable.negation_index()
-    final = evolution(setup.duration)
+    final = evolution_matrix(setup, setup.duration)
     swap_residual = 0.0
     for i in range(observable.n_eigenvalues):
         for a in range(observable.degeneracy):
@@ -173,7 +168,7 @@ def certify_lemma1(
 
     intertwining_residual = 0.0
     for fraction in SAMPLE_FRACTIONS:
-        u = evolution(fraction * setup.duration)
+        u = evolution_matrix(setup, fraction * setup.duration)
         deviation = frobenius_norm(u @ candidate.entries - candidate.entries @ u)
         intertwining_residual = max(intertwining_residual, deviation)
 

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -119,6 +120,30 @@ class TestCliCommands:
         # an unreachable tolerance turns a healthy run into a certification failure
         config_path = write_config(tmp_path, {})
         assert main(["run", config_path, "--tol", "1e-30"]) == 3
+
+    def test_certification_failure_names_residuals(self, tmp_path, capsys):
+        config_path = write_config(tmp_path, {"tol": 1e-30})
+        out_dir = tmp_path / "out"
+        assert main(["run", config_path, "--out", str(out_dir)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == (out_dir / "report.json").read_text()
+        lines = captured.err.splitlines()
+        assert lines
+        for line in lines:
+            assert re.fullmatch(r"[a-z-]+ [a-z_]+ \S+ > tol 1e-30 \(margin \S+\)", line), line
+        assert any(line.startswith("swap-certificate intertwining_residual ") for line in lines)
+
+    def test_passing_run_is_silent_on_stderr(self, tmp_path, capsys):
+        assert main(["run", write_config(tmp_path, {})]) == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize(
+        "payload, flags",
+        [({"delta": float("nan")}, []), ({}, ["--tol", "nan"]), ({"M": 1100}, [])],
+    )
+    def test_guard_violations_exit_2(self, tmp_path, capsys, payload, flags):
+        assert main(["run", write_config(tmp_path, payload), *flags]) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         config_path = write_config(tmp_path, {"M": 0})

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -84,6 +85,37 @@ class TestValidation:
         # k = 3 with a huge grid exceeds the dense cap
         with pytest.raises(ConfigError, match="cap"):
             parse_config('{"scenario": "multiworld", "k": 3, "M": 40, "delta": 0.25, "g": 1, "T": 1}')
+
+
+    @pytest.mark.parametrize(
+        "field, text",
+        [
+            ("delta", '{"delta": NaN}'),
+            ("tol", '{"tol": NaN}'),
+            ("tol", '{"tol": Infinity}'),
+            ("g", '{"g": -Infinity}'),
+            ("g", '{"g": 1e400}'),
+            ("sample_times[1]", '{"sample_times": [0.0, NaN, 1.0]}'),
+            ("sample_times[2]", '{"sample_times": [0.0, 0.5, Infinity]}'),
+        ],
+    )
+    def test_non_finite_numbers_rejected(self, field, text):
+        with pytest.raises(ConfigError, match=re.escape(f"{field}: expected a finite number")):
+            parse_config(text)
+
+    def test_integer_too_large_for_a_float(self):
+        with pytest.raises(ConfigError, match="T: integer too large"):
+            parse_config('{"T": ' + "9" * 400 + "}")
+
+    def test_integer_beyond_the_digit_limit(self):
+        with pytest.raises(ConfigError):
+            parse_config('{"M": ' + "9" * 5000 + "}")
+
+    def test_grid_cap_matches_the_dense_cap(self):
+        # 2 * (2 * 1100 + 1) = 4402 exceeds MAX_TOTAL_DIM; 1023 gives 4094 and parses
+        with pytest.raises(ConfigError, match="M: per-measurement dimension 4402"):
+            parse_config('{"M": 1100}')
+        assert parse_config('{"M": 1023}').M == 1023
 
 
 class TestRoundTrip:
