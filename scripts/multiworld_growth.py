@@ -10,7 +10,8 @@ import argparse
 import sys
 import time
 
-from swaplab.scenario import ScenarioConfig, run_multiworld
+from swaplab.config import RunConfig
+from swaplab.scenario import run_multiworld
 
 
 def main() -> int:
@@ -24,9 +25,7 @@ def main() -> int:
           f"{'min gap':>8} {'time':>8}")
     all_passed = True
     for k in range(1, args.max_k + 1):
-        config = ScenarioConfig(
-            pointer_half_width=args.half_width, pointer_spacing=args.spacing, qubit_count=k
-        )
+        config = RunConfig(scenario="multiworld", M=args.half_width, delta=args.spacing, k=k)
         start = time.perf_counter()
         result = run_multiworld(config)
         elapsed = time.perf_counter() - start

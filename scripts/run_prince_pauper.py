@@ -10,7 +10,7 @@ apart.
 import argparse
 import sys
 
-from swaplab.config import RunConfig, serialize_config, to_scenario_config
+from swaplab.config import RunConfig, serialize_config
 from swaplab.reporting import emit_report
 from swaplab.scenario import run_prince_pauper
 
@@ -25,7 +25,7 @@ def main() -> int:
     config = RunConfig(g=args.coupling, tol=args.tol)
     if args.print_config:
         print(serialize_config(config), end="")
-    result = run_prince_pauper(to_scenario_config(config))
+    result = run_prince_pauper(config)
     print(emit_report(result, config), end="")
     return 0 if result.passed else 3
 

@@ -48,7 +48,6 @@ from .isomorphism import (  # noqa: E402
     distinctness_witness,
 )
 from .scenario import (  # noqa: E402
-    ScenarioConfig,
     ScenarioReport,
     run_classical_level,
     run_multiworld,

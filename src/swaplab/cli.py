@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, RunConfig, parse_config, to_scenario_config
+from .config import ConfigError, RunConfig, parse_config
 from .linalg import ComplexVector, NumericalError
 from .measurement import evolve, ready_state, system_basis_state
 from .reporting import emit_distribution_csv, emit_report, failed_checks
@@ -83,37 +83,39 @@ def _load_config(args) -> RunConfig:
         overrides["seed"] = args.seed
     if getattr(args, "target", None) is not None:
         overrides["scenario"] = f"certify-{args.target}"
+    if args.command == "export-distribution":
+        # the export builds one pointer setup whatever the scenario, so the
+        # config must also pass the single-pointer guards
+        overrides["scenario"] = "certify-lemma1"
     if overrides:
         config = replace(config, **overrides)
     return config
 
 
 def _dispatch_run(config: RunConfig):
-    scenario_config = to_scenario_config(config)
     kind = config.scenario
     if kind == "prince-pauper":
-        return run_prince_pauper(scenario_config)
+        return run_prince_pauper(config)
     if kind == "multiworld":
-        return run_multiworld(scenario_config)
+        return run_multiworld(config)
     if kind == "classical-level":
-        return run_classical_level(scenario_config)
-    tolerances = SwapTolerances.uniform(scenario_config.tolerance)
+        return run_classical_level(config)
+    tolerances = SwapTolerances.uniform(config.tol)
     if kind == "certify-lemma1":
-        return certify_lemma1(qubit_setup(scenario_config), tolerances=tolerances)
-    model = build_diagonal_model(scenario_config)
+        return certify_lemma1(qubit_setup(config), tolerances=tolerances)
     return certify_lemma2(
-        model,
-        scenario_config.eigenvalue_from,
-        scenario_config.eigenvalue_to,
+        build_diagonal_model(config),
+        config.lambda1,
+        config.lambda2,
         tolerances=tolerances,
-        sample_times=scenario_config.sample_times,
+        sample_times=config.sample_times,
     )
 
 
 def _export_distribution(config: RunConfig, time: float, world: str) -> str:
     if not 0 <= time <= config.T:
         raise ConfigError(f"--time must lie in [0, {config.T}], got {time}")
-    setup = qubit_setup(to_scenario_config(config))
+    setup = qubit_setup(config)
     if world == "plus":
         system = system_basis_state(setup.observable, 0)
     elif world == "minus":

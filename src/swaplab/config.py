@@ -1,18 +1,21 @@
 """JSON run configuration: schema, guards, canonical serialization.
 
-Every guard owned by a downstream module is re-validated here at parse time
-with a field-named message, so bad configs fail before any operator is built.
+``RunConfig`` is the one config type: every runner reads its fields directly,
+and every guard lives in ``RunConfig._validate``, so a config that violates
+one fails at parse time with a field-named message, before any operator is
+built.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import asdict, dataclass
 
 from .measurement import MAX_TOTAL_DIM
 from .reporting import render_json
-from .scenario import ScenarioConfig
+from .scenario import MODEL_DEGENERACY, QUBIT_EIGENVALUES
 
 SCENARIOS = (
     "prince-pauper",
@@ -24,8 +27,11 @@ SCENARIOS = (
 GRID_SCENARIOS = ("prince-pauper", "multiworld", "certify-lemma1")
 SCALING_SCENARIOS = ("classical-level", "certify-lemma2")
 REAL_FIELDS = ("delta", "g", "T", "hbar", "lambda1", "lambda2", "tol")
+#: dense entries of a multiworld product state, (2(2M+1))^k
 DIMENSION_CAP = 40_000
-LAMBDA_MAX = 1.0  # the qubit scenarios measure outcomes +-1
+#: multiworld materializes every product state, so k stays at desk scale
+MAX_QUBITS = 3
+LAMBDA_MAX = max(abs(value) for value in QUBIT_EIGENVALUES)
 
 
 class ConfigError(ValueError):
@@ -74,10 +80,10 @@ class RunConfig:
             raise ConfigError(f"g must be nonnegative, got {self.g}")
         if self.T <= 0:
             raise ConfigError(f"T must be positive, got {self.T}")
-        if self.hbar <= 0:
-            raise ConfigError(f"hbar must be positive, got {self.hbar}")
-        if not 1 <= self.k <= 3:
-            raise ConfigError(f"k must be between 1 and 3 at desk scale, got {self.k}")
+        if self.hbar < sys.float_info.min:  # every phase divides by hbar
+            raise ConfigError(f"hbar must be positive and not subnormal, got {self.hbar}")
+        if not 1 <= self.k <= MAX_QUBITS:
+            raise ConfigError(f"k must be between 1 and {MAX_QUBITS} at desk scale, got {self.k}")
         if self.ratio_exponent_range < 1:
             raise ConfigError("ratio_exponent_range must be >= 1")
         if self.tol <= 0:
@@ -90,34 +96,79 @@ class RunConfig:
         if any(not 0 <= t <= self.T for t in times):
             raise ConfigError(f"sample_times must lie in [0, {self.T}]")
         if self.scenario in GRID_SCENARIOS:
-            travel = self.g * self.T * LAMBDA_MAX
-            limit = self.M * self.delta / 2
-            if travel > limit:
-                raise ConfigError(
-                    f"wraparound guard violated: g*T*lambda_max = {travel} exceeds "
-                    f"M*delta/2 = {limit}"
-                )
-            factor_dim = 2 * (2 * self.M + 1)
-            if factor_dim > MAX_TOTAL_DIM:
-                raise ConfigError(
-                    f"M: per-measurement dimension {factor_dim} exceeds the dense cap "
-                    f"{MAX_TOTAL_DIM}"
-                )
-            total = factor_dim**self.k
-            if total > DIMENSION_CAP:
-                raise ConfigError(
-                    f"total dimension {total} exceeds the dense cap {DIMENSION_CAP}"
-                )
+            self._validate_pointer()
         if self.scenario in SCALING_SCENARIOS:
-            if self.lambda1 == 0:
-                raise ConfigError("lambda1 must be nonzero (null outcomes cannot be rescaled)")
-            if self.lambda2 == 0:
-                raise ConfigError("lambda2 must be nonzero (null outcomes cannot be rescaled)")
-            if self.lambda2 / self.lambda1 <= 0:
+            self._validate_ladder()
+
+    def _validate_pointer(self):
+        if self.scenario == "prince-pauper" and self.k != 1:
+            raise ConfigError(f"k: the single-measurement scenario needs k = 1, got {self.k}")
+        travel = self.g * self.T * LAMBDA_MAX
+        limit = self.M * self.delta / 2
+        if travel > limit:
+            raise ConfigError(
+                f"wraparound guard violated: g*T*lambda_max = {travel} exceeds "
+                f"M*delta/2 = {limit}"
+            )
+        factor_dim = 2 * (2 * self.M + 1)
+        if factor_dim > MAX_TOTAL_DIM:
+            raise ConfigError(
+                f"M: per-measurement dimension {factor_dim} exceeds the dense cap "
+                f"{MAX_TOTAL_DIM}"
+            )
+        if self.scenario == "multiworld" and factor_dim**self.k > DIMENSION_CAP:
+            raise ConfigError(
+                f"total dimension {factor_dim**self.k} exceeds the dense cap {DIMENSION_CAP}"
+            )
+
+    def _validate_ladder(self):
+        if self.lambda1 == 0:
+            raise ConfigError("lambda1 must be nonzero (null outcomes cannot be rescaled)")
+        if self.lambda2 == 0:
+            raise ConfigError("lambda2 must be nonzero (null outcomes cannot be rescaled)")
+        ratio = self.lambda2 / self.lambda1
+        if not _is_normal(ratio):
+            raise ConfigError(
+                f"outcome ratio lambda2/lambda1 = {ratio!r} is not a finite nonzero float"
+            )
+        if ratio < 0:
+            raise ConfigError(
+                "outcome ratio lambda2/lambda1 must be positive; opposite-sign pairs "
+                "are handled by the sign-flip swap"
+            )
+        r = self.ratio_exponent_range
+        dim = 4 * MODEL_DEGENERACY * (2 * r + 1) ** 2
+        if dim > MAX_TOTAL_DIM:
+            raise ConfigError(
+                f"ratio_exponent_range: model dimension {dim} exceeds the dense cap "
+                f"{MAX_TOTAL_DIM}"
+            )
+        # the ladder holds |lambda1| * ratio^e for e in [-r, r]; its diagonal
+        # weights are g*|lambda1| * ratio^e and its phases weight * t / hbar
+        scale = self.g * abs(self.lambda1)
+        for exponent in range(-r, r + 1):
+            try:
+                power = ratio**exponent
+            except OverflowError:
+                power = math.inf
+            eigenvalue = abs(self.lambda1) * power
+            if not (_is_normal(power) and _is_normal(eigenvalue)):
                 raise ConfigError(
-                    "outcome ratio lambda2/lambda1 must be positive; opposite-sign pairs "
-                    "are handled by the sign-flip swap"
+                    f"ratio_exponent_range: ladder eigenvalue |lambda1| * ratio^{exponent} "
+                    f"= {eigenvalue!r} is not a finite nonzero float"
                 )
+            weight = scale * power
+            phase = weight * self.T / self.hbar
+            if not (_is_normal(weight) or self.g == 0) or not math.isfinite(phase):
+                raise ConfigError(
+                    f"ratio_exponent_range: diagonal weight g*|lambda1| * ratio^{exponent} "
+                    f"= {weight!r} or its phase over T/hbar is not a finite nonzero float"
+                )
+
+
+def _is_normal(value: float) -> bool:
+    """Finite, and too large in magnitude to be zero or subnormal."""
+    return sys.float_info.min <= abs(value) <= sys.float_info.max
 
 
 def _require_finite(key, value):
@@ -198,21 +249,3 @@ def serialize_config(config: RunConfig) -> str:
     doc["sample_times"] = list(config.sample_times)
     return render_json(doc) + "\n"
 
-
-def to_scenario_config(config: RunConfig) -> ScenarioConfig:
-    return ScenarioConfig(
-        pointer_half_width=config.M,
-        pointer_spacing=config.delta,
-        coupling=config.g,
-        duration=config.T,
-        hbar=config.hbar,
-        qubit_count=config.k,
-        tolerance=config.tol,
-        sample_times=config.sample_times,
-        phase_insensitive=config.phase_insensitive,
-        seed=config.seed,
-        eigenvalue_from=config.lambda1,
-        eigenvalue_to=config.lambda2,
-        exponent_range=config.ratio_exponent_range,
-        dimension_cap=DIMENSION_CAP,
-    )

@@ -121,8 +121,6 @@ class IsomorphismReport:
     sample_times: tuple
     state_residuals: tuple
     hamiltonian_residual: float
-    basis_transport_ok: bool | None
-    distinctness: tuple
     tolerance: float
     passed: bool
 
@@ -169,8 +167,6 @@ def check_isomorphism(
         sample_times=triple_a.sample_times,
         state_residuals=tuple(residuals),
         hamiltonian_residual=float(hamiltonian_residual),
-        basis_transport_ok=None,
-        distinctness=(),
         tolerance=tolerance,
         passed=passed,
     )

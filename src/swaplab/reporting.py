@@ -91,14 +91,6 @@ def _world_doc(world) -> dict:
     }
 
 
-def _config_doc(config):
-    if config is None:
-        return None
-    if isinstance(config, dict):
-        return config
-    return asdict(config)
-
-
 #: certificate fields holding residuals that a passing run keeps within tol
 RESIDUAL_FIELDS = (
     "commutator_residual",
@@ -119,8 +111,6 @@ def _certificate_docs(report) -> list:
         return certificates + [_pair_doc(p) for p in report.pairs]
     if isinstance(report, SwapCertificate):
         return [_swap_doc(report)]
-    if isinstance(report, IsomorphismReport):
-        return [_iso_doc(report)]
     raise TypeError(f"cannot emit a report for {type(report).__name__}")
 
 
@@ -147,8 +137,8 @@ def failed_checks(report, tol: float) -> list:
     return lines
 
 
-def emit_report(report, config=None) -> str:
-    """Serialize a scenario report, swap certificate, or isomorphism report.
+def emit_report(report, config) -> str:
+    """Serialize a scenario report or a swap certificate.
 
     The document carries `meta` (config echo, version), `certificates`,
     `distinctness`, `worlds`, and the aggregate `pass` flag.
@@ -157,15 +147,12 @@ def emit_report(report, config=None) -> str:
     if isinstance(report, ScenarioReport):
         distinctness = [_distinctness_entry(p) for p in report.pairs]
         worlds = [_world_doc(w) for w in report.readouts]
-    elif isinstance(report, IsomorphismReport):
-        distinctness = [asdict(w) for w in report.distinctness]
-        worlds = []
     else:
         distinctness = []
         worlds = []
 
     document = {
-        "meta": {"generator": "swaplab", "version": __version__, "config": _config_doc(config)},
+        "meta": {"generator": "swaplab", "version": __version__, "config": asdict(config)},
         "worlds": worlds,
         "certificates": certificates,
         "distinctness": distinctness,

@@ -25,6 +25,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import reduce
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -69,74 +70,13 @@ from .symmetry import (
     scaling_swap,
 )
 
+if TYPE_CHECKING:  # config imports this module, so the type is named in annotations only
+    from .config import RunConfig
+
 #: the measured qubits have outcomes +-1
 QUBIT_EIGENVALUES = (1.0, -1.0)
-LAMBDA_MAX = 1.0
-
-
-@dataclass(frozen=True)
-class ScenarioConfig:
-    """Per-qubit measurement parameters plus run-level knobs."""
-
-    pointer_half_width: int = 8
-    pointer_spacing: float = 0.25
-    coupling: float = 1.0
-    duration: float = 1.0
-    hbar: float = 1.0
-    qubit_count: int = 1
-    tolerance: float = 1e-10
-    sample_times: tuple = None
-    phase_insensitive: bool = False
-    seed: int = 0
-    eigenvalue_from: float = 1.0
-    eigenvalue_to: float = 2.0
-    exponent_range: int = 4
-    model_degeneracy: int = 2
-    dimension_cap: int = 40_000
-
-    def __post_init__(self):
-        if self.sample_times is None:
-            quarter = self.duration / 4
-            times = tuple(i * quarter for i in range(5))
-        else:
-            times = tuple(float(t) for t in self.sample_times)
-        object.__setattr__(self, "sample_times", times)
-        if self.pointer_half_width < 1:
-            raise ValueError("pointer_half_width must be >= 1")
-        if self.pointer_spacing <= 0:
-            raise ValueError("pointer_spacing must be positive")
-        if self.coupling < 0:
-            raise ValueError("coupling must be nonnegative")
-        if self.duration <= 0:
-            raise ValueError("duration must be positive")
-        if self.hbar <= 0:
-            raise ValueError("hbar must be positive")
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
-        if not 1 <= self.qubit_count <= 3:
-            raise ValueError(f"qubit_count must be between 1 and 3 at desk scale, got {self.qubit_count}")
-        if self.exponent_range < 1:
-            raise ValueError("exponent_range must be >= 1")
-        if self.model_degeneracy < 1:
-            raise ValueError("model_degeneracy must be >= 1")
-        if len(times) == 0 or any(b < a for a, b in zip(times, times[1:])):
-            raise ValueError("sample_times must be a nonempty sorted sequence")
-        if any(not 0 <= t <= self.duration for t in times):
-            raise ValueError(f"sample_times must lie in [0, {self.duration}]")
-        travel = self.coupling * self.duration * LAMBDA_MAX
-        limit = self.pointer_half_width * self.pointer_spacing / 2
-        if travel > limit:
-            raise ValueError(
-                f"pointer wraparound guard violated: coupling*duration*lambda_max = {travel} "
-                f"exceeds half_width*spacing/2 = {limit}"
-            )
-        total = self.factor_dim**self.qubit_count
-        if total > self.dimension_cap:
-            raise ValueError(f"total dimension {total} exceeds the cap {self.dimension_cap}")
-
-    @property
-    def factor_dim(self) -> int:
-        return 2 * (2 * self.pointer_half_width + 1)
+#: degeneracy labels per eigenvalue of the classical-level ladder model
+MODEL_DEGENERACY = 2
 
 
 @dataclass(frozen=True)
@@ -172,11 +112,9 @@ class ScenarioReport:
     passed: bool
 
 
-def qubit_setup(config: ScenarioConfig) -> MeasurementSetup:
-    grid = make_pointer_grid(config.pointer_half_width, config.pointer_spacing, config.hbar)
-    return MeasurementSetup(
-        ObservableSpec(QUBIT_EIGENVALUES), grid, config.coupling, config.duration
-    )
+def qubit_setup(config: RunConfig) -> MeasurementSetup:
+    grid = make_pointer_grid(config.M, config.delta, config.hbar)
+    return MeasurementSetup(ObservableSpec(QUBIT_EIGENVALUES), grid, config.g, config.T)
 
 
 def reference_observables(setup: MeasurementSetup) -> tuple:
@@ -186,12 +124,10 @@ def reference_observables(setup: MeasurementSetup) -> tuple:
     return (("pointer_position", pointer), ("system_observable", system))
 
 
-def run_prince_pauper(config: ScenarioConfig) -> ScenarioReport:
+def run_prince_pauper(config: RunConfig) -> ScenarioReport:
     """Single qubit: both outcome worlds share the triple, differ observably."""
-    if config.qubit_count != 1:
-        raise ValueError("the single-measurement scenario needs qubit_count = 1")
     setup = qubit_setup(config)
-    tolerances = SwapTolerances.uniform(config.tolerance)
+    tolerances = SwapTolerances.uniform(config.tol)
     certificate = certify_lemma1(setup, tolerances=tolerances)
 
     hamiltonian = interaction_hamiltonian(setup)
@@ -204,14 +140,14 @@ def run_prince_pauper(config: ScenarioConfig) -> ScenarioReport:
 
     swap = parity_swap(setup)
     iso = check_isomorphism(
-        swap, triple_plus, triple_minus, config.tolerance, config.phase_insensitive
+        swap, triple_plus, triple_minus, config.tol, config.phase_insensitive
     )
     initial_residual = vector_distance(swap @ plus0, minus0)
 
-    final_plus = triple_plus.states_at((config.duration,))[0]
-    final_minus = triple_minus.states_at((config.duration,))[0]
+    final_plus = triple_plus.states_at((config.T,))[0]
+    final_minus = triple_minus.states_at((config.T,))[0]
     witnesses = distinctness_witness(
-        final_plus, final_minus, reference_observables(setup), config.tolerance
+        final_plus, final_minus, reference_observables(setup), config.tol
     )
     distinct = is_distinct(witnesses)
     gaps = {w.observable: w.gap for w in witnesses}
@@ -233,7 +169,7 @@ def run_prince_pauper(config: ScenarioConfig) -> ScenarioReport:
         WorldReadout("-", (readout(final_minus, setup),)),
     )
     passed = (
-        certificate.passed and iso.passed and distinct and initial_residual <= config.tolerance
+        certificate.passed and iso.passed and distinct and initial_residual <= config.tol
     )
     return ScenarioReport(
         scenario="prince-pauper",
@@ -260,17 +196,12 @@ def _factor_swap_residual(state_a, state_b, inverse_perm, factors, buffers) -> f
     return float(np.linalg.norm(np.subtract(tensor.reshape(-1), state_b, out=spare)))
 
 
-def run_multiworld(config: ScenarioConfig, qubit_count: int = None) -> ScenarioReport:
+def run_multiworld(config: RunConfig) -> ScenarioReport:
     """k independent simultaneous measurements: 2^k isomorphic, distinct worlds."""
-    k = config.qubit_count if qubit_count is None else qubit_count
-    if not 1 <= k <= 3:
-        raise ValueError(f"qubit_count must be between 1 and 3 at desk scale, got {k}")
+    k = config.k
     setup = qubit_setup(config)
     factor_dim = setup.total_dim
-    if factor_dim**k > config.dimension_cap:
-        raise ValueError(f"total dimension {factor_dim**k} exceeds the cap {config.dimension_cap}")
-
-    tolerance = config.tolerance
+    tolerance = config.tol
     certificate = certify_lemma1(setup, tolerances=SwapTolerances.uniform(tolerance))
 
     hamiltonian = interaction_hamiltonian(setup)
@@ -289,7 +220,7 @@ def run_multiworld(config: ScenarioConfig, qubit_count: int = None) -> ScenarioR
 
     times = config.sample_times
     factor_states = {(sign, ti): evolved(sign, t) for sign in (0, 1) for ti, t in enumerate(times)}
-    final_states = {sign: evolved(sign, config.duration) for sign in (0, 1)}
+    final_states = {sign: evolved(sign, config.T) for sign in (0, 1)}
 
     zeta = setup.grid.zeta
     lam = np.asarray(observable.eigenvalues)
@@ -405,34 +336,24 @@ def _model_momentum(model: GeometricDiagonalModel) -> DenseOperator:
     return DenseOperator(np.diag(values.astype(complex)), HERMITIAN)
 
 
-def build_diagonal_model(
-    config: ScenarioConfig, eigenvalue_from: float = None, eigenvalue_to: float = None
-) -> GeometricDiagonalModel:
+def build_diagonal_model(config: RunConfig) -> GeometricDiagonalModel:
     """Geometric ladder model containing both requested outcome eigenvalues."""
-    value_from = config.eigenvalue_from if eigenvalue_from is None else eigenvalue_from
-    value_to = config.eigenvalue_to if eigenvalue_to is None else eigenvalue_to
-    if value_from == 0 or value_to == 0:
-        raise ValueError("swap endpoints must be nonzero eigenvalues")
-    ratio = 1.0 if value_from == value_to else value_to / value_from
     return GeometricDiagonalModel(
-        ratio=ratio,
-        exponent_min=-config.exponent_range,
-        exponent_max=config.exponent_range,
-        base_eigenvalue=abs(value_from),
-        coupling=config.coupling,
-        degeneracy=config.model_degeneracy,
+        ratio=config.lambda2 / config.lambda1,
+        exponent_min=-config.ratio_exponent_range,
+        exponent_max=config.ratio_exponent_range,
+        base_eigenvalue=abs(config.lambda1),
+        coupling=config.g,
+        degeneracy=MODEL_DEGENERACY,
         hbar=config.hbar,
     )
 
 
-def run_classical_level(
-    config: ScenarioConfig, eigenvalue_from: float = None, eigenvalue_to: float = None
-) -> ScenarioReport:
+def run_classical_level(config: RunConfig) -> ScenarioReport:
     """Two macroscopically different readings connected by an H-preserving swap."""
-    value_from = config.eigenvalue_from if eigenvalue_from is None else eigenvalue_from
-    value_to = config.eigenvalue_to if eigenvalue_to is None else eigenvalue_to
-    model = build_diagonal_model(config, value_from, value_to)
-    tolerances = SwapTolerances.uniform(config.tolerance)
+    value_from, value_to = config.lambda1, config.lambda2
+    model = build_diagonal_model(config)
+    tolerances = SwapTolerances.uniform(config.tol)
     certificate = certify_lemma2(
         model, value_from, value_to, tolerances=tolerances, sample_times=config.sample_times
     )
@@ -445,15 +366,15 @@ def run_classical_level(
     spectrum = Spectrum.diagonal(model.diagonal_weights())
     triple_from = EvolutionTriple(hamiltonian, start, config.sample_times, config.hbar, spectrum)
     triple_to = EvolutionTriple(hamiltonian, image, config.sample_times, config.hbar, spectrum)
-    iso = check_isomorphism(swap, triple_from, triple_to, config.tolerance, config.phase_insensitive)
+    iso = check_isomorphism(swap, triple_from, triple_to, config.tol, config.phase_insensitive)
 
-    final_from = triple_from.states_at((config.duration,))[0]
-    final_to = triple_to.states_at((config.duration,))[0]
+    final_from = triple_from.states_at((config.T,))[0]
+    final_to = triple_to.states_at((config.T,))[0]
     observables = (
         ("system_observable", _model_observable(model)),
         ("pointer_momentum", _model_momentum(model)),
     )
-    witnesses = distinctness_witness(final_from, final_to, observables, config.tolerance)
+    witnesses = distinctness_witness(final_from, final_to, observables, config.tol)
     distinct = is_distinct(witnesses)
     max_gap = max(w.gap for w in witnesses)
     gaps = {w.observable: w.gap for w in witnesses}

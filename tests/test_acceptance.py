@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from swaplab.cli import main
-from swaplab.config import parse_config, to_scenario_config
+from swaplab.config import RunConfig, parse_config
 from swaplab.isomorphism import EvolutionTriple, check_isomorphism, distinctness_witness
 from swaplab.linalg import (
     HERMITIAN,
@@ -32,7 +32,7 @@ from swaplab.measurement import (
     system_basis_state,
     translation_map,
 )
-from swaplab.scenario import ScenarioConfig, run_multiworld, run_prince_pauper
+from swaplab.scenario import run_multiworld, run_prince_pauper
 from swaplab.symmetry import (
     GeometricDiagonalModel,
     certify_lemma1,
@@ -116,13 +116,13 @@ def test_criterion_3_same_triple_distinct_worlds():
 
 def test_criterion_4_multiworld_k3():
     start = time.perf_counter()
-    config = ScenarioConfig(qubit_count=3)
+    config = RunConfig(scenario="multiworld", k=3)
     result = run_multiworld(config)
     elapsed = time.perf_counter() - start
 
     assert len(result.world_labels) == 8
     assert len(result.pairs) == 28
-    expected_gap = 2 * config.coupling * config.duration
+    expected_gap = 2 * config.g * config.T
     for pair in result.pairs:
         assert pair.state_residual <= 1e-10
         assert pair.hamiltonian_residual <= 1e-10

@@ -3,9 +3,10 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from swaplab.cli import main
-from swaplab.config import parse_config, to_scenario_config
+from swaplab.config import SCENARIOS, parse_config
 from swaplab.measurement import evolve, ready_state, system_basis_state
 from swaplab.reporting import emit_distribution_csv, emit_report, render_json
 from swaplab.scenario import qubit_setup, run_prince_pauper
@@ -40,7 +41,7 @@ class TestRenderJson:
 class TestEmitReport:
     def test_schema_keys(self):
         config = parse_config("{}")
-        report = run_prince_pauper(to_scenario_config(config))
+        report = run_prince_pauper(config)
         doc = json.loads(emit_report(report, config))
         assert set(doc) == {"meta", "worlds", "certificates", "distinctness", "pass"}
         assert doc["pass"] is True
@@ -49,14 +50,13 @@ class TestEmitReport:
 
     def test_identical_reports_are_byte_identical(self):
         config = parse_config("{}")
-        scenario_config = to_scenario_config(config)
-        first = emit_report(run_prince_pauper(scenario_config), config)
-        second = emit_report(run_prince_pauper(scenario_config), config)
+        first = emit_report(run_prince_pauper(config), config)
+        second = emit_report(run_prince_pauper(config), config)
         assert first == second
 
     def test_zero_probability_branch_serialized_as_null(self):
         config = parse_config("{}")
-        report = run_prince_pauper(to_scenario_config(config))
+        report = run_prince_pauper(config)
         text = emit_report(report, config)
         assert '"pointer_mean": null' in text
         assert "NaN" not in text and "nan" not in text
@@ -64,7 +64,7 @@ class TestEmitReport:
 
 class TestDistributionCsv:
     def test_schema_and_normalization(self):
-        setup = qubit_setup(to_scenario_config(parse_config("{}")))
+        setup = qubit_setup(parse_config("{}"))
         state = ready_state(setup, system_basis_state(setup.observable, 0))
         text = emit_distribution_csv(state, setup)
         lines = text.strip().split("\n")
@@ -76,7 +76,7 @@ class TestDistributionCsv:
         assert total == pytest.approx(1.0, abs=1e-9)
 
     def test_mass_concentrates_at_translated_position(self):
-        setup = qubit_setup(to_scenario_config(parse_config("{}")))
+        setup = qubit_setup(parse_config("{}"))
         state = evolve(setup, ready_state(setup, system_basis_state(setup.observable, 0)), 1.0)
         text = emit_distribution_csv(state, setup)
         best = max(
@@ -88,7 +88,7 @@ class TestDistributionCsv:
         assert float(best[2]) == pytest.approx(1.0, abs=1e-9)
 
     def test_unnormalized_state_rejected(self):
-        setup = qubit_setup(to_scenario_config(parse_config("{}")))
+        setup = qubit_setup(parse_config("{}"))
         bad = ComplexVector(np.ones(setup.total_dim))
         with pytest.raises(ValueError):
             emit_distribution_csv(bad, setup)
@@ -139,11 +139,29 @@ class TestCliCommands:
 
     @pytest.mark.parametrize(
         "payload, flags",
-        [({"delta": float("nan")}, []), ({}, ["--tol", "nan"]), ({"M": 1100}, [])],
+        [
+            ({"delta": float("nan")}, []),
+            ({}, ["--tol", "nan"]),
+            ({"M": 1100}, []),
+            ({"scenario": "prince-pauper", "k": 2}, []),
+            # ratio^2 overflows a float, ratio^-2 underflows to zero
+            ({"scenario": "classical-level", "lambda2": 1e200, "ratio_exponent_range": 2}, []),
+            ({"scenario": "classical-level", "lambda1": 1e-300, "lambda2": 1e300}, []),
+            # model dim 8 * (2r + 1)^2 = 8712 exceeds the dense cap
+            ({"scenario": "classical-level", "ratio_exponent_range": 16}, []),
+            # a subnormal hbar turns the ladder's phase division into NaN
+            ({"scenario": "classical-level", "hbar": 1e-310}, []),
+        ],
     )
     def test_guard_violations_exit_2(self, tmp_path, capsys, payload, flags):
         assert main(["run", write_config(tmp_path, payload), *flags]) == 2
         assert capsys.readouterr().err.startswith("config error: ")
+
+    def test_export_applies_pointer_guards(self, tmp_path, capsys):
+        # the export builds a pointer grid whatever the config's scenario is
+        config_path = write_config(tmp_path, {"scenario": "classical-level", "M": 1100})
+        assert main(["export-distribution", config_path, "--time", "0.5"]) == 2
+        assert "per-measurement dimension 4402" in capsys.readouterr().err
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         config_path = write_config(tmp_path, {"M": 0})
@@ -187,3 +205,68 @@ class TestCliCommands:
     def test_export_time_outside_window(self, tmp_path):
         config_path = write_config(tmp_path, {})
         assert main(["export-distribution", config_path, "--time", "3.0"]) == 2
+
+
+EXTREME_LAMBDAS = (0.0, 1.0, -1.0, 2.0, 0.5, -3.0, 1e300, -1e300, 1e-300, -1e-300)
+
+commands = st.one_of(
+    st.just(("run",)),
+    st.sampled_from([("certify", "lemma1"), ("certify", "lemma2")]),
+    st.floats(0.0, 5.0).map(lambda t: ("export-distribution", "--time", repr(t))),
+)
+configs = st.fixed_dictionaries(
+    # an absent range would default to 4, whose ladder runs take 0.4 s each
+    {"scenario": st.sampled_from(SCENARIOS), "ratio_exponent_range": st.integers(1, 3)},
+    optional={
+        "M": st.integers(1, 12),
+        "delta": st.sampled_from([0.1, 0.25, 0.5, 1.0]),
+        "g": st.floats(0.0, 5.0),
+        "T": st.floats(0.0, 5.0),
+        "k": st.integers(1, 3),
+        "lambda1": st.sampled_from(EXTREME_LAMBDAS),
+        "lambda2": st.sampled_from(EXTREME_LAMBDAS),
+        "tol": st.sampled_from([1e-10, 1e-30]),
+        "phase_insensitive": st.booleans(),
+    },
+)
+
+
+@pytest.fixture(scope="module")
+def config_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("configs")
+
+
+def _example(expected, config, command=("run",)):
+    return example(command=command, config=config, expected=expected)
+
+
+@settings(max_examples=60, deadline=None)
+@given(command=commands, config=configs, expected=st.just(None))
+# configs that exited 4 or raised before every guard moved into RunConfig;
+# the ladder has no pointer, so the pointer guards must not reject the first three
+@_example(0, {"scenario": "classical-level", "T": 5})
+@_example(0, {"scenario": "certify-lemma2", "T": 5, "sample_times": [0, 1, 5]})
+@_example(0, {"scenario": "classical-level", "M": 200, "k": 3})
+@_example(2, {"scenario": "prince-pauper", "k": 2})
+@_example(2, {"scenario": "classical-level", "M": 1100}, ("export-distribution", "--time", "0.5"))
+@_example(2, {"scenario": "classical-level", "lambda2": 1e200, "ratio_exponent_range": 2})
+@_example(
+    2,
+    {"scenario": "classical-level", "lambda2": 1e200, "ratio_exponent_range": 2},
+    ("certify", "lemma2"),
+)
+@_example(2, {"scenario": "classical-level", "lambda1": 1e-300, "lambda2": 1e300})
+@_example(2, {"scenario": "classical-level", "ratio_exponent_range": 16})
+def test_every_config_exits_0_2_or_3(config_dir, command, config, expected):
+    """A config either runs to a verdict (0 or 3) or is rejected up front (2);
+    exit 4 is left for real numerical failures, and nothing escapes main."""
+    path = config_dir / "config.json"
+    path.write_text(json.dumps(config))
+    if command[0] == "export-distribution":
+        argv = [command[0], str(path), *command[1:]]
+    else:
+        argv = [*command, str(path)]
+    code = main(argv)
+    assert code in (0, 2, 3)
+    if expected is not None:
+        assert code == expected

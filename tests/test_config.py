@@ -4,13 +4,8 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from swaplab.config import (
-    ConfigError,
-    RunConfig,
-    parse_config,
-    serialize_config,
-    to_scenario_config,
-)
+from swaplab.config import ConfigError, RunConfig, parse_config, serialize_config
+from swaplab.scenario import build_diagonal_model, qubit_setup
 
 
 class TestDefaults:
@@ -147,16 +142,18 @@ class TestRoundTrip:
 
 class TestScenarioMapping:
     def test_fields_map_through(self):
-        config = parse_config('{"M": 6, "delta": 0.5, "g": 0.5, "T": 1.0, "k": 2, "tol": 1e-9}')
-        scenario = to_scenario_config(config)
-        assert scenario.pointer_half_width == 6
-        assert scenario.pointer_spacing == 0.5
-        assert scenario.coupling == 0.5
-        assert scenario.qubit_count == 2
-        assert scenario.tolerance == 1e-9
+        config = parse_config(
+            '{"scenario": "multiworld", "M": 6, "delta": 0.5, "g": 0.5, "T": 1.0, "k": 2}'
+        )
+        setup = qubit_setup(config)
+        assert setup.grid.half_width == 6
+        assert setup.grid.spacing == 0.5
+        assert setup.coupling == 0.5
+        assert setup.duration == 1.0
 
     def test_lambda_fields_map_through(self):
         config = parse_config('{"scenario": "classical-level", "lambda1": 1.0, "lambda2": 3.0}')
-        scenario = to_scenario_config(config)
-        assert scenario.eigenvalue_from == 1.0
-        assert scenario.eigenvalue_to == 3.0
+        model = build_diagonal_model(config)
+        assert model.base_eigenvalue == 1.0
+        assert model.ratio == 3.0
+        assert (model.exponent_min, model.exponent_max) == (-4, 4)
