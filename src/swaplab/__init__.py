@@ -37,7 +37,7 @@ from .symmetry import (  # noqa: E402
     certify_lemma2,
     parity_swap,
     parity_swap_momentum,
-    scaling_swap,
+    scaling_permutation,
 )
 from .isomorphism import (  # noqa: E402
     EvolutionTriple,

@@ -110,7 +110,23 @@ class RunConfig:
                 f"wraparound guard violated: g*T*lambda_max = {travel} exceeds "
                 f"M*delta/2 = {limit}"
             )
-        factor_dim = 2 * (2 * self.M + 1)
+        n_points = 2 * self.M + 1
+        factor_dim = 2 * n_points
+        # the largest position, momentum and diagonal weight must be normal
+        # floats (weights may be 0 when g = 0) whose squares, summed over a
+        # Frobenius norm's factor_dim entries, stay finite
+        largest = math.sqrt(sys.float_info.max / factor_dim)
+        momentum = 2 * math.pi * self.hbar * self.M / (n_points * self.delta)
+        for fields, quantity, value, may_vanish in (
+            ("delta", "pointer position M*delta", self.M * self.delta, False),
+            ("hbar, delta", "pointer momentum 2*pi*hbar*M/((2M+1)*delta)", momentum, False),
+            ("g", "diagonal weight g*lambda_max*p", self.g * LAMBDA_MAX * momentum, self.g == 0),
+        ):
+            if not (_is_normal(value) or may_vanish) or value > largest:
+                raise ConfigError(
+                    f"{fields}: {quantity} = {value!r} is not a normal float of "
+                    f"magnitude at most {largest:.3e}"
+                )
         if factor_dim > MAX_TOTAL_DIM:
             raise ConfigError(
                 f"M: per-measurement dimension {factor_dim} exceeds the dense cap "

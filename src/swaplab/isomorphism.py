@@ -4,6 +4,10 @@ A triple (Hilbert dimension, Hamiltonian, evolving unit state) determines the
 bare dynamical content of a closed system. Two triples are isomorphic when a
 unitary S carries one evolving state onto the other at every sampled time and
 conjugates one Hamiltonian into the other; the report records both residuals.
+The swaps checked here are basis permutations, given as index arrays (perm[j]
+is the image of basis ket j): S is applied by gather, S v = v[inverse] and
+S H S^dag = H[inverse][:, inverse], and an index array that is not a
+bijection is rejected as not unitary.
 
 Distinctness is operationalized against fixed, named reference observables:
 two states describe observably different situations exactly when some
@@ -30,7 +34,7 @@ from .linalg import (
     KindError,
     Spectrum,
     frobenius_norm,
-    unitarity_defect,
+    permutation_inverse,
 )
 
 
@@ -132,34 +136,31 @@ def _phase_minimized_distance(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def check_isomorphism(
-    swap: DenseOperator,
+    swap: np.ndarray,
     triple_a: EvolutionTriple,
     triple_b: EvolutionTriple,
     tolerance: float = 1e-10,
     phase_insensitive: bool = False,
 ) -> IsomorphismReport:
-    """Residuals of S|psi(t)> = |phi(t)> and S H S^-1 = H' at the sampled times."""
+    """Residuals of S|psi(t)> = |phi(t)> and S H S^-1 = H' at the sampled times,
+    for the swap S given as an index array; a non-bijection raises KindError."""
     if triple_a.dim != triple_b.dim:
         raise DimensionError(f"triple dims differ: {triple_a.dim} vs {triple_b.dim}")
-    if swap.dim != triple_a.dim:
-        raise DimensionError(f"swap dim {swap.dim} != triple dim {triple_a.dim}")
     if triple_a.sample_times != triple_b.sample_times:
         raise ValueError("the two triples must share their sample times")
-    defect = unitarity_defect(swap)
-    if defect > tolerance:
-        raise KindError(f"swap operator is not unitary: |S^dag S - I|_F = {defect:.3e}")
+    inverse = permutation_inverse(swap, triple_a.dim)
 
     states_a = triple_a.states()
     states_b = triple_b.states()
     residuals = []
     for state_a, state_b in zip(states_a, states_b):
-        mapped = swap.entries @ state_a.amplitudes
+        mapped = state_a.amplitudes[inverse]
         if phase_insensitive:
             residuals.append(_phase_minimized_distance(mapped, state_b.amplitudes))
         else:
             residuals.append(float(np.linalg.norm(mapped - state_b.amplitudes)))
 
-    conjugated = swap.entries @ triple_a.hamiltonian.entries @ swap.entries.conj().T
+    conjugated = triple_a.hamiltonian.entries[np.ix_(inverse, inverse)]
     hamiltonian_residual = frobenius_norm(conjugated - triple_b.hamiltonian.entries)
 
     passed = max(residuals) <= tolerance and hamiltonian_residual <= tolerance
@@ -173,15 +174,16 @@ def check_isomorphism(
 
 
 def basis_transport_check(
-    swap: DenseOperator,
+    swap: np.ndarray,
     basis,
     triple_a: EvolutionTriple,
     triple_b: EvolutionTriple,
     times,
     tolerance: float = 1e-10,
 ) -> bool:
-    """With beta_j = S alpha_j, verify <alpha_j|psi(t)> = <beta_j|phi(t)> for
-    all j and t, and <alpha_j|H|alpha_k> = <beta_j|H'|beta_k> for all j, k."""
+    """With beta_j = S alpha_j for the index-array swap S, verify
+    <alpha_j|psi(t)> = <beta_j|phi(t)> for all j and t, and
+    <alpha_j|H|alpha_k> = <beta_j|H'|beta_k> for all j, k."""
     matrix = np.column_stack([vector.amplitudes for vector in basis])
     if matrix.shape[0] != triple_a.dim:
         raise DimensionError("basis vectors must match the triple dimension")
@@ -190,7 +192,7 @@ def basis_transport_check(
     if ortho_defect > tolerance:
         raise ValueError(f"basis is not orthonormal: max deviation {ortho_defect:.3e}")
 
-    transported = swap.entries @ matrix
+    transported = matrix[permutation_inverse(swap, triple_a.dim)]
     states_a = triple_a.states_at(times)
     states_b = triple_b.states_at(times)
     for state_a, state_b in zip(states_a, states_b):

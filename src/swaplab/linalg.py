@@ -269,6 +269,24 @@ def unitarity_defect(operator: DenseOperator) -> float:
     return unitarity_defect_of(operator.entries)
 
 
+def permutation_inverse(perm, dim: int) -> np.ndarray:
+    """Inverse of a swap stored as an index array, perm[j] being the image of
+    basis ket j, so that the swap acts as (S v)[i] = v[inverse[i]]. S is
+    unitary exactly when perm is a bijection of range(dim), which one
+    ``np.bincount`` decides; anything else raises KindError."""
+    perm = np.asarray(perm)
+    integer = perm.shape == (dim,) and perm.dtype.kind in "iu"
+    if not (integer and 0 <= perm.min() and perm.max() < dim):
+        raise DimensionError(
+            f"swap must be {dim} integer indices in [0, {dim}), got {perm.dtype} {perm.shape}"
+        )
+    if np.bincount(perm, minlength=dim).max() > 1:
+        raise KindError("swap is not unitary: its index array is not a bijection")
+    inverse = np.empty_like(perm)
+    inverse[perm] = np.arange(dim)
+    return inverse
+
+
 def operator_distance(a: DenseOperator, b: DenseOperator) -> float:
     if a.dim != b.dim:
         raise DimensionError(f"operator dims differ: {a.dim} vs {b.dim}")

@@ -31,7 +31,6 @@ import numpy as np
 
 from .isomorphism import (
     EvolutionTriple,
-    IsomorphismReport,
     Witness,
     check_isomorphism,
     distinctness_witness,
@@ -44,11 +43,10 @@ from .linalg import (
     Spectrum,
     frobenius_norm,
     identity,
+    permutation_inverse,
     tensor_product,
-    vector_distance,
 )
 from .measurement import (
-    BranchReadout,
     MeasurementSetup,
     ObservableSpec,
     interaction_hamiltonian,
@@ -60,14 +58,12 @@ from .measurement import (
 )
 from .symmetry import (
     GeometricDiagonalModel,
-    SwapCertificate,
     SwapTolerances,
     certify_lemma1,
     certify_lemma2,
     locate_eigenvalue,
-    parity_permutation,
     parity_swap,
-    scaling_swap,
+    scaling_permutation,
 )
 
 if TYPE_CHECKING:  # config imports this module, so the type is named in annotations only
@@ -142,7 +138,8 @@ def run_prince_pauper(config: RunConfig) -> ScenarioReport:
     iso = check_isomorphism(
         swap, triple_plus, triple_minus, config.tol, config.phase_insensitive
     )
-    initial_residual = vector_distance(swap @ plus0, minus0)
+    inverse = permutation_inverse(swap, setup.total_dim)
+    initial_residual = float(np.linalg.norm(plus0.amplitudes[inverse] - minus0.amplitudes))
 
     final_plus = triple_plus.states_at((config.T,))[0]
     final_minus = triple_minus.states_at((config.T,))[0]
@@ -205,8 +202,7 @@ def run_multiworld(config: RunConfig) -> ScenarioReport:
     certificate = certify_lemma1(setup, tolerances=SwapTolerances.uniform(tolerance))
 
     hamiltonian = interaction_hamiltonian(setup)
-    perm = parity_permutation(setup)
-    inverse_perm = np.argsort(perm)
+    inverse_perm = permutation_inverse(parity_swap(setup), factor_dim)
     # exact permutation conjugation: (S H S^dag)[a, b] = H[inv(a), inv(b)]
     conjugated = hamiltonian.entries[np.ix_(inverse_perm, inverse_perm)]
     factor_deviation = frobenius_norm(conjugated - hamiltonian.entries)
@@ -303,36 +299,18 @@ def run_multiworld(config: RunConfig) -> ScenarioReport:
     )
 
 
-def _sector_state(model: GeometricDiagonalModel, sign_idx: int, m_idx: int, label: int) -> np.ndarray:
-    state = np.zeros(model.dim, dtype=complex)
-    for sign_p in range(2):
-        for kk in range(model.cycle_length):
-            state[model.basis_index(sign_idx, m_idx, label, sign_p, kk)] = 1.0
-    return state / np.linalg.norm(state)
-
-
 def _model_observable(model: GeometricDiagonalModel) -> DenseOperator:
-    values = np.empty(model.dim)
-    for sign_idx, sign in enumerate((1.0, -1.0)):
-        for m in range(model.cycle_length):
-            value = sign * model.base_eigenvalue * model.ratio ** (model.exponent_min + m)
-            for label in range(model.degeneracy):
-                for sign_p in range(2):
-                    for kk in range(model.cycle_length):
-                        values[model.basis_index(sign_idx, m, label, sign_p, kk)] = value
+    values = model.spread(np.reshape(model.a_eigenvalues(), (2, -1, 1, 1, 1)))
     return DenseOperator(np.diag(values.astype(complex)), HERMITIAN)
 
 
 def _model_momentum(model: GeometricDiagonalModel) -> DenseOperator:
-    values = np.empty(model.dim)
-    for sign_idx in range(2):
-        for m in range(model.cycle_length):
-            for label in range(model.degeneracy):
-                for sign_p, sig in enumerate((1.0, -1.0)):
-                    for kk in range(model.cycle_length):
-                        values[model.basis_index(sign_idx, m, label, sign_p, kk)] = (
-                            sig * model.base_momentum * model.ratio ** (model.exponent_min + kk)
-                        )
+    momenta = [
+        sign * model.base_momentum * model.ratio ** (model.exponent_min + k)
+        for sign in (1.0, -1.0)
+        for k in range(model.cycle_length)
+    ]
+    values = model.spread(np.reshape(momenta, (1, 1, 1, 2, -1)))
     return DenseOperator(np.diag(values.astype(complex)), HERMITIAN)
 
 
@@ -359,9 +337,9 @@ def run_classical_level(config: RunConfig) -> ScenarioReport:
     )
 
     sign_from, m_from = locate_eigenvalue(model, value_from)
-    start = ComplexVector(_sector_state(model, sign_from, m_from, 0))
-    swap = scaling_swap(model)
-    image = swap @ start
+    start = ComplexVector(model.sector_state(sign_from, m_from, 0))
+    swap = scaling_permutation(model)
+    image = ComplexVector(start.amplitudes[permutation_inverse(swap, model.dim)])
     hamiltonian = model.hamiltonian()
     spectrum = Spectrum.diagonal(model.diagonal_weights())
     triple_from = EvolutionTriple(hamiltonian, start, config.sample_times, config.hbar, spectrum)

@@ -1,14 +1,20 @@
-"""Outcome-swapping unitary symmetries of the measurement Hamiltonian.
+"""Outcome-swapping symmetries of the measurement Hamiltonian.
 
-Two families are built and certified:
+Every swap is a basis permutation and is stored as an integer index array:
+``perm[j]`` is the image of basis ket j, so the swap S acts on amplitudes as
+(S v)[i] = v[inverse[i]] and no dim x dim permutation matrix is built.
+Certificates compute their residuals by gather: S is unitary exactly when the
+index array is a bijection, (H S)[:, j] = H[:, perm[j]] and
+(S H)[i, :] = H[inverse[i], :]. Two families are built and certified:
 
 * the sign-flip swap (``parity_swap``): the basis permutation sending
-  (lambda, a, zeta) to (-lambda, a, -zeta), together with its momentum-basis
-  twin, which commutes with H = -g A x p_Z because parity flips the sign of
-  p_Z while the observable flips lambda;
-* the scaling swap (``scaling_swap``): on a geometric eigenvalue ladder it
-  shifts the observable exponent up and the momentum exponent down, preserving
-  each diagonal energy -g*lambda*p exactly.
+  (lambda, a, zeta) to (-lambda, a, -zeta). It commutes with H = -g A x p_Z
+  because parity flips the sign of p_Z while the observable flips lambda. Its
+  momentum-basis twin (``parity_swap_momentum``) is a dense operator built
+  independently in the momentum basis, (lambda, p) -> (-lambda, -p);
+* the scaling swap (``scaling_permutation``): on a geometric eigenvalue ladder
+  it shifts the observable exponent up and the momentum exponent down,
+  preserving each diagonal energy -g*lambda*p exactly.
 
 The scaling family is verified in the diagonal (eigenbasis) representation:
 scaling is not a bijection of a uniform grid, but the exponent shift with
@@ -30,13 +36,12 @@ from .linalg import (
     HERMITIAN,
     UNITARY,
     DenseOperator,
-    commutator_norm,
     frobenius_norm,
-    operator_distance,
-    unitarity_defect,
+    permutation_inverse,
 )
 from .measurement import (
     MeasurementSetup,
+    ObservableSpec,
     evolution_matrix,
     interaction_hamiltonian,
     ready_state,
@@ -75,54 +80,47 @@ class SwapCertificate:
     note: str = ""
 
 
-def _permutation_operator(perm: np.ndarray) -> DenseOperator:
-    n = perm.size
-    entries = np.zeros((n, n))
-    entries[perm, np.arange(n)] = 1.0
-    return DenseOperator(entries, UNITARY)
+def _commutator_residual(matrix: np.ndarray, perm: np.ndarray, inverse: np.ndarray) -> float:
+    """|M S - S M|_F for the swap S with index array ``perm``, by gather."""
+    return frobenius_norm(matrix[:, perm] - matrix[inverse, :])
 
 
-def parity_permutation(setup: MeasurementSetup) -> np.ndarray:
-    """Index map of (lambda, a, zeta_n) -> (-lambda, a, zeta_-n)."""
-    observable, grid = setup.observable, setup.grid
-    negation = observable.negation_index()
-    n = grid.n_points
-    d = observable.degeneracy
-    perm = np.empty(setup.total_dim, dtype=int)
-    for i in range(observable.n_eigenvalues):
-        for a in range(d):
-            src = (i * d + a) * n
-            dst = (negation[i] * d + a) * n
-            for gi in range(n):
-                perm[src + gi] = dst + (n - 1 - gi)
-    return perm
+def _system_negation(observable: ObservableSpec) -> np.ndarray:
+    """System index map (lambda, a) -> (-lambda, a)."""
+    labels = np.arange(observable.system_dim).reshape(observable.n_eigenvalues, -1)
+    return labels[observable.negation_index()].reshape(-1)
 
 
-def parity_swap(setup: MeasurementSetup) -> DenseOperator:
-    """Sign-flip swap in the position representation (an exact involution)."""
-    return _permutation_operator(parity_permutation(setup))
+def parity_swap(setup: MeasurementSetup) -> np.ndarray:
+    """Sign-flip swap (lambda, a, zeta_n) -> (-lambda, a, zeta_-n) as an index
+    array (an exact involution)."""
+    n = setup.grid.n_points
+    system = _system_negation(setup.observable)
+    return (system[:, None] * n + np.arange(n - 1, -1, -1)).reshape(-1)
+
+
+def _momentum_twin(setup: MeasurementSetup) -> np.ndarray:
+    # (lambda, p) -> (-lambda, -p) in the momentum basis, conjugated back to
+    # the position representation; dense, since F^dag R F carries rounding
+    sys_dim = setup.observable.system_dim
+    sys_perm = np.zeros((sys_dim, sys_dim))
+    sys_perm[_system_negation(setup.observable), np.arange(sys_dim)] = 1.0
+    grid = setup.grid
+    momentum_parity = np.eye(grid.n_points)[::-1]
+    pointer_part = grid.fourier.conj().T @ momentum_parity @ grid.fourier
+    return np.kron(sys_perm, pointer_part)
 
 
 def parity_swap_momentum(setup: MeasurementSetup) -> DenseOperator:
     """Sign-flip swap built in the momentum basis, (lambda, p) -> (-lambda, -p),
     conjugated back to the position representation."""
-    observable, grid = setup.observable, setup.grid
-    negation = observable.negation_index()
-    d = observable.degeneracy
-    sys_dim = observable.system_dim
-    sys_perm = np.zeros((sys_dim, sys_dim))
-    for i in range(observable.n_eigenvalues):
-        for a in range(d):
-            sys_perm[negation[i] * d + a, i * d + a] = 1.0
-    momentum_parity = np.eye(grid.n_points)[::-1]
-    pointer_part = grid.fourier.conj().T @ momentum_parity @ grid.fourier
-    return DenseOperator(np.kron(sys_perm, pointer_part), UNITARY)
+    return DenseOperator(_momentum_twin(setup), UNITARY)
 
 
-def corrupted_swap(setup: MeasurementSetup) -> DenseOperator:
+def corrupted_swap(setup: MeasurementSetup) -> np.ndarray:
     """Negative control: the parity swap with the transposition that carries the
     first evolved outcome branch removed (those two kets become fixed points)."""
-    perm = parity_permutation(setup).copy()
+    perm = parity_swap(setup)
     grid = setup.grid
     target = -setup.coupling * setup.duration * setup.observable.eigenvalues[0]
     grid_index = int(np.argmin(np.abs(grid.zeta - target)))
@@ -130,29 +128,29 @@ def corrupted_swap(setup: MeasurementSetup) -> DenseOperator:
     j = perm[i]
     perm[i] = i
     perm[j] = j
-    return _permutation_operator(perm)
+    return perm
 
 
 def certify_lemma1(
     setup: MeasurementSetup,
     tolerances: SwapTolerances = None,
-    swap: DenseOperator = None,
-    construction: str = None,
+    swap: np.ndarray = None,
 ) -> SwapCertificate:
-    """Certify the sign-flip swap: unitarity, commutation with H, intertwining
-    with the evolution at sampled times, outcome inversion on evolved ready
-    states, and agreement between the two constructions."""
+    """Certify a sign-flip swap given as an index array (the position-basis
+    parity swap by default): unitarity, commutation with H, intertwining with
+    the evolution at sampled times, outcome inversion on evolved ready states,
+    and agreement with the momentum-basis construction."""
     tolerances = tolerances or SwapTolerances()
-    if construction is None:
-        construction = "position-basis" if swap is None else "custom"
-    candidate = swap if swap is not None else parity_swap(setup)
-    momentum_twin = parity_swap_momentum(setup)
+    construction = "position-basis" if swap is None else "custom"
+    perm = parity_swap(setup) if swap is None else np.asarray(swap)
+    # raises unless perm is a bijection; a bijection's 0/1 matrix is exactly unitary
+    inverse = permutation_inverse(perm, setup.total_dim)
+    defect = 0.0
 
     hamiltonian = interaction_hamiltonian(setup)
     hnorm = frobenius_norm(hamiltonian.entries)
-    commutator = commutator_norm(hamiltonian, candidate)
+    commutator = _commutator_residual(hamiltonian.entries, perm, inverse)
     commutator_residual = commutator / hnorm if hnorm > 0 else commutator
-    defect = unitarity_defect(candidate)
 
     observable = setup.observable
     negation = observable.negation_index()
@@ -162,17 +160,19 @@ def certify_lemma1(
         for a in range(observable.degeneracy):
             source = ready_state(setup, system_basis_state(observable, i, a))
             mirror = ready_state(setup, system_basis_state(observable, int(negation[i]), a))
-            lhs = candidate.entries @ (final @ source.amplitudes)
+            lhs = (final @ source.amplitudes)[inverse]
             rhs = final @ mirror.amplitudes
             swap_residual = max(swap_residual, float(np.linalg.norm(lhs - rhs)))
 
     intertwining_residual = 0.0
     for fraction in SAMPLE_FRACTIONS:
         u = evolution_matrix(setup, fraction * setup.duration)
-        deviation = frobenius_norm(u @ candidate.entries - candidate.entries @ u)
-        intertwining_residual = max(intertwining_residual, deviation)
+        intertwining_residual = max(intertwining_residual, _commutator_residual(u, perm, inverse))
 
-    cross_distance = operator_distance(candidate, momentum_twin)
+    # |S - T|_F: subtract S's unit entries at (perm[j], j) from the twin T
+    deviation = _momentum_twin(setup)
+    deviation[perm, np.arange(perm.size)] -= 1.0
+    cross_distance = frobenius_norm(deviation)
     passed = (
         commutator_residual <= tolerances.commutator
         and defect <= tolerances.unitarity
@@ -236,21 +236,32 @@ class GeometricDiagonalModel:
         return self.exponent_max - self.exponent_min + 1
 
     @property
-    def n_system(self) -> int:
-        return 2 * self.cycle_length * self.degeneracy
-
-    @property
-    def n_pointer(self) -> int:
-        return 2 * self.cycle_length
+    def axes(self) -> tuple:
+        """Basis shape over (sign_sys, m, label, sign_p, k): system index
+        (sign_sys, m, label), pointer index (sign_p, k), in C order."""
+        return (2, self.cycle_length, self.degeneracy, 2, self.cycle_length)
 
     @property
     def dim(self) -> int:
-        return self.n_system * self.n_pointer
+        return 4 * self.cycle_length**2 * self.degeneracy
 
     def basis_index(self, sign_sys: int, m_index: int, label: int, sign_p: int, k_index: int) -> int:
-        system = (sign_sys * self.cycle_length + m_index) * self.degeneracy + label
-        pointer = sign_p * self.cycle_length + k_index
-        return system * self.n_pointer + pointer
+        return int(np.ravel_multi_index((sign_sys, m_index, label, sign_p, k_index), self.axes))
+
+    def basis_indices(self) -> np.ndarray:
+        """Every basis index, laid out over the axes."""
+        return np.arange(self.dim).reshape(self.axes)
+
+    def spread(self, values) -> np.ndarray:
+        """Flat basis array of `values` broadcast over the axes."""
+        return np.broadcast_to(values, self.axes).flatten()
+
+    def sector_state(self, sign_sys: int, m_index: int, label: int) -> np.ndarray:
+        """Unit vector spread evenly over one (sign, exponent, label) sector."""
+        state = np.zeros(self.axes, dtype=complex)
+        state[sign_sys, m_index, label] = 1.0
+        state = state.reshape(-1)
+        return state / np.linalg.norm(state)
 
     def a_eigenvalues(self) -> tuple:
         signs = (1.0, -1.0)
@@ -270,43 +281,27 @@ class GeometricDiagonalModel:
         length = self.cycle_length
         powers = self._power_table()
         scale = self.coupling * self.base_eigenvalue * self.base_momentum
-        weights = np.empty(self.dim)
-        for sign_sys, sig_s in enumerate((1.0, -1.0)):
-            for m in range(length):
-                for label in range(self.degeneracy):
-                    for sign_p, sig_p in enumerate((1.0, -1.0)):
-                        for k in range(length):
-                            reduced = (self.exponent_min + m + k) % length
-                            weights[self.basis_index(sign_sys, m, label, sign_p, k)] = (
-                                -scale * sig_s * sig_p * powers[reduced]
-                            )
-        return weights
+        signs = np.array([1.0, -1.0])
+        exponents = np.arange(length)
+        reduced = (self.exponent_min + exponents[:, None] + exponents[None, :]) % length
+        sig_s = signs.reshape(2, 1, 1, 1, 1)
+        sig_p = signs.reshape(1, 1, 1, 2, 1)
+        return self.spread(
+            -scale * sig_s * sig_p * powers[reduced].reshape(1, length, 1, 1, length)
+        )
 
     def hamiltonian(self) -> DenseOperator:
         return DenseOperator(np.diag(self.diagonal_weights().astype(complex)), HERMITIAN)
 
 
 def scaling_permutation(model: GeometricDiagonalModel) -> np.ndarray:
-    """Exponent shift (m, k) -> (m+1, k-1) with cyclic wrap; identity at ratio 1."""
+    """Scaling swap as an index array: the exponent shift (m, k) -> (m+1, k-1)
+    with cyclic wrap; the identity at ratio 1. Commutes with the diagonal
+    Hamiltonian exactly."""
+    index = model.basis_indices()
     if model.ratio == 1.0:
-        return np.arange(model.dim)
-    length = model.cycle_length
-    perm = np.empty(model.dim, dtype=int)
-    for sign_sys in range(2):
-        for m in range(length):
-            for label in range(model.degeneracy):
-                for sign_p in range(2):
-                    for k in range(length):
-                        src = model.basis_index(sign_sys, m, label, sign_p, k)
-                        perm[src] = model.basis_index(
-                            sign_sys, (m + 1) % length, label, sign_p, (k - 1) % length
-                        )
-    return perm
-
-
-def scaling_swap(model: GeometricDiagonalModel) -> DenseOperator:
-    """Outcome-rescaling swap; commutes with the diagonal Hamiltonian exactly."""
-    return _permutation_operator(scaling_permutation(model))
+        return index.reshape(-1)
+    return np.roll(index, (-1, 1), axis=(1, 4)).reshape(-1)
 
 
 NORMALIZATION_NOTE = (
@@ -318,11 +313,9 @@ NORMALIZATION_NOTE = (
 def locate_eigenvalue(model: GeometricDiagonalModel, value: float) -> tuple:
     if value == 0:
         raise ValueError("swap endpoints must be nonzero eigenvalues")
-    for sign_idx, sign in enumerate((1.0, -1.0)):
-        for m in range(model.cycle_length):
-            candidate = sign * model.base_eigenvalue * model.ratio ** (model.exponent_min + m)
-            if abs(candidate - value) <= 1e-9 * abs(value):
-                return sign_idx, m
+    for index, candidate in enumerate(model.a_eigenvalues()):
+        if abs(candidate - value) <= 1e-9 * abs(value):
+            return divmod(index, model.cycle_length)  # (sign index, exponent index)
     raise ValueError(f"{value} is not an eigenvalue of the geometric model")
 
 
@@ -359,45 +352,33 @@ def certify_lemma2(
             f"outcome ratio {requested_ratio} does not match the model ratio {model.ratio}"
         )
 
-    swap = scaling_swap(model)
     perm = scaling_permutation(model)
-    hamiltonian = model.hamiltonian()
-    hnorm = frobenius_norm(hamiltonian.entries)
-    commutator = commutator_norm(hamiltonian, swap)
-    commutator_residual = commutator / hnorm if hnorm > 0 else commutator
-    defect = unitarity_defect(swap)
-
-    length = model.cycle_length
+    # raises unless perm is a bijection; a bijection's 0/1 matrix is exactly unitary
+    inverse = permutation_inverse(perm, model.dim)
+    defect = 0.0
+    # H is diagonal, so H S - S H has one entry per column:
+    # weights[perm[j]] - weights[j] at (perm[j], j)
     weights = model.diagonal_weights()
-    mapping_exact = all(
-        perm[model.basis_index(sign_from, m_from, label, sign_p, k)]
-        == model.basis_index(sign_to, m_to, label, sign_p, (k - 1) % length)
-        for label in range(model.degeneracy)
-        for sign_p in range(2)
-        for k in range(length)
-    )
+    hnorm = frobenius_norm(weights)
+    commutator = frobenius_norm(weights[perm] - weights)
+    commutator_residual = commutator / hnorm if hnorm > 0 else commutator
+
+    index = model.basis_indices()
+    # index[sign_to, m_to, label, sign_p, k - 1], for every label, sign_p and k
+    targets = np.roll(index[sign_to, m_to], 1, axis=-1)
+    mapping_exact = np.array_equal(perm[index[sign_from, m_from]], targets)
 
     swap_residual = 0.0 if mapping_exact else 1.0
     intertwining_residual = 0.0
     for label in range(model.degeneracy):
-        source = np.zeros(model.dim, dtype=complex)
-        for sign_p in range(2):
-            for k in range(length):
-                source[model.basis_index(sign_from, m_from, label, sign_p, k)] = 1.0
-        source /= np.linalg.norm(source)
-        mapped = np.empty_like(source)
-        mapped[perm] = source
-        target_indices = [
-            model.basis_index(sign_to, m_to, label, sign_p, k)
-            for sign_p in range(2)
-            for k in range(length)
-        ]
+        source = model.sector_state(sign_from, m_from, label)
+        mapped = source[inverse]
+        target_indices = index[sign_to, m_to, label].reshape(-1)
         sector_deficit = abs(1.0 - float(np.linalg.norm(mapped[target_indices])))
         swap_residual = max(swap_residual, sector_deficit)
         for t in sample_times:
             phases = np.exp(-1j * weights * t / model.hbar)
-            evolved_then_swapped = np.empty_like(source)
-            evolved_then_swapped[perm] = phases * source
+            evolved_then_swapped = (phases * source)[inverse]
             swapped_then_evolved = phases * mapped
             intertwining_residual = max(
                 intertwining_residual,

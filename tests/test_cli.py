@@ -208,6 +208,11 @@ class TestCliCommands:
 
 
 EXTREME_LAMBDAS = (0.0, 1.0, -1.0, 2.0, 0.5, -3.0, 1e300, -1e300, 1e-300, -1e-300)
+#: desk-scale values, or a magnitude log-uniform in [1e-300, 1e300]
+POINTER_SCALES = st.one_of(
+    st.sampled_from([0.1, 0.25, 0.5, 1.0]),
+    st.floats(-300.0, 300.0).map(lambda exponent: 10.0**exponent),
+)
 
 commands = st.one_of(
     st.just(("run",)),
@@ -219,7 +224,8 @@ configs = st.fixed_dictionaries(
     {"scenario": st.sampled_from(SCENARIOS), "ratio_exponent_range": st.integers(1, 3)},
     optional={
         "M": st.integers(1, 12),
-        "delta": st.sampled_from([0.1, 0.25, 0.5, 1.0]),
+        "delta": POINTER_SCALES,
+        "hbar": POINTER_SCALES,
         "g": st.floats(0.0, 5.0),
         "T": st.floats(0.0, 5.0),
         "k": st.integers(1, 3),
@@ -257,6 +263,13 @@ def _example(expected, config, command=("run",)):
 )
 @_example(2, {"scenario": "classical-level", "lambda1": 1e-300, "lambda2": 1e300})
 @_example(2, {"scenario": "classical-level", "ratio_exponent_range": 16})
+# pointer scales whose Frobenius norms overflowed (exit 4), or whose position
+# norm overflowed and made a hermitian check vacuous (exit 0)
+@_example(2, {"scenario": "prince-pauper", "hbar": 1.7e308})
+@_example(2, {"scenario": "prince-pauper", "delta": 1e-200, "T": 1e-250})
+@_example(2, {"scenario": "multiworld", "k": 3, "hbar": 1e200})
+@_example(2, {"scenario": "certify-lemma1", "hbar": 1e300})
+@_example(2, {"scenario": "prince-pauper", "delta": 1e300})
 def test_every_config_exits_0_2_or_3(config_dir, command, config, expected):
     """A config either runs to a verdict (0 or 3) or is rejected up front (2);
     exit 4 is left for real numerical failures, and nothing escapes main."""

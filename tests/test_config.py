@@ -112,6 +112,25 @@ class TestValidation:
             parse_config('{"M": 1100}')
         assert parse_config('{"M": 1023}').M == 1023
 
+    @pytest.mark.parametrize(
+        "fields, config",
+        [
+            ("hbar, delta", {"hbar": 1.7e308}),
+            ("hbar, delta", {"delta": 1e-200, "T": 1e-250}),
+            ("hbar, delta", {"scenario": "multiworld", "k": 3, "hbar": 1e200}),
+            ("hbar, delta", {"scenario": "certify-lemma1", "hbar": 1e300}),
+            ("hbar, delta", {"hbar": 1e-300, "delta": 1e10}),  # subnormal momenta
+            ("delta", {"delta": 1e300}),
+            ("g", {"g": 1e153, "T": 1e-153}),
+        ],
+    )
+    def test_pointer_scale_guards_name_the_field(self, fields, config):
+        with pytest.raises(ConfigError, match=f"^{fields}: "):
+            parse_config(json.dumps(config))
+
+    def test_pointer_weights_may_vanish_without_coupling(self):
+        assert parse_config('{"g": 0}').g == 0.0
+
 
 class TestRoundTrip:
     def test_serialize_then_parse_is_identity(self):

@@ -41,6 +41,14 @@ def kron_oracle(a, b):
     return out
 
 
+def permutation_matrix(perm):
+    """Dense 0/1 swap operator of an index array: column j holds a 1 at row perm[j]."""
+    n = len(perm)
+    entries = np.zeros((n, n))
+    entries[perm, np.arange(n)] = 1.0
+    return DenseOperator(entries, UNITARY)
+
+
 def taylor_exponential_oracle(entries, angle, terms=20, squarings=20):
     """exp(-i*angle*H) via truncated Taylor series with 2**-squarings scaling."""
     dim = entries.shape[0]

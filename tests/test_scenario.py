@@ -7,12 +7,17 @@ from swaplab.config import ConfigError, RunConfig
 from swaplab.linalg import frobenius_norm, tensor_product, vector_distance
 from swaplab.measurement import interaction_hamiltonian, ready_state, system_basis_state
 from swaplab.scenario import (
+    _model_momentum,
+    _model_observable,
+    build_diagonal_model,
     qubit_setup,
     run_classical_level,
     run_multiworld,
     run_prince_pauper,
 )
-from swaplab.symmetry import parity_swap
+from swaplab.symmetry import GeometricDiagonalModel, parity_swap
+
+from test_linalg import permutation_matrix
 
 
 def small_config(**overrides):
@@ -73,7 +78,7 @@ class TestPrincePauper:
     def test_swap_fixes_initial_ready_state(self):
         config = RunConfig()
         setup = qubit_setup(config)
-        swap = parity_swap(setup)
+        swap = permutation_matrix(parity_swap(setup))
         plus = ready_state(setup, system_basis_state(setup.observable, 0))
         minus = ready_state(setup, system_basis_state(setup.observable, 1))
         assert vector_distance(swap @ plus, minus) == 0.0
@@ -129,7 +134,7 @@ class TestMultiworld:
         config = multiworld_config(2)
         setup = qubit_setup(config)
         h = interaction_hamiltonian(setup).entries
-        swap = parity_swap(setup).entries
+        swap = permutation_matrix(parity_swap(setup)).entries
         eye = np.eye(setup.total_dim)
         h_total = np.kron(h, eye) + np.kron(eye, h)
 
@@ -146,7 +151,7 @@ class TestMultiworld:
     def test_factored_state_residual_matches_dense_oracle(self):
         config = multiworld_config(2)
         setup = qubit_setup(config)
-        swap = parity_swap(setup).entries
+        swap = permutation_matrix(parity_swap(setup)).entries
         eye = np.eye(setup.total_dim)
 
         h = interaction_hamiltonian(setup)
@@ -180,7 +185,7 @@ class TestMultiworld:
     def test_swaps_commute_and_order_is_irrelevant(self):
         config = small_config()
         setup = qubit_setup(config)
-        swap = parity_swap(setup).entries
+        swap = permutation_matrix(parity_swap(setup)).entries
         eye = np.eye(setup.total_dim)
         first = np.kron(swap, eye)
         second = np.kron(eye, swap)
@@ -234,3 +239,48 @@ class TestWorldEnumeration:
         report = run_prince_pauper(RunConfig())
         assert report.isomorphism_reports[0].passed
         assert report.pairs[0].distinct
+
+
+# Loop constructions of the ladder's reference observables, kept as oracles.
+
+
+def model_observable_loops(model):
+    values = np.empty(model.dim)
+    for sign_idx, sign in enumerate((1.0, -1.0)):
+        for m in range(model.cycle_length):
+            value = sign * model.base_eigenvalue * model.ratio ** (model.exponent_min + m)
+            for label in range(model.degeneracy):
+                for sign_p in range(2):
+                    for kk in range(model.cycle_length):
+                        values[model.basis_index(sign_idx, m, label, sign_p, kk)] = value
+    return values
+
+
+def model_momentum_loops(model):
+    values = np.empty(model.dim)
+    for sign_idx in range(2):
+        for m in range(model.cycle_length):
+            for label in range(model.degeneracy):
+                for sign_p, sig in enumerate((1.0, -1.0)):
+                    for kk in range(model.cycle_length):
+                        values[model.basis_index(sign_idx, m, label, sign_p, kk)] = (
+                            sig * model.base_momentum * model.ratio ** (model.exponent_min + kk)
+                        )
+    return values
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        build_diagonal_model(RunConfig(scenario="classical-level")),
+        GeometricDiagonalModel(ratio=1.5, exponent_min=-2, exponent_max=2, degeneracy=3),
+        GeometricDiagonalModel(
+            ratio=0.3, exponent_min=-1, exponent_max=3, base_eigenvalue=0.7, base_momentum=1.3
+        ),
+    ],
+)
+def test_model_observables_match_loop_oracles(model):
+    observable = np.diagonal(_model_observable(model).entries)
+    momentum = np.diagonal(_model_momentum(model).entries)
+    assert np.array_equal(observable, model_observable_loops(model).astype(complex))
+    assert np.array_equal(momentum, model_momentum_loops(model).astype(complex))

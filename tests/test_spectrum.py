@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from swaplab.cli import main
+from swaplab import linalg
 from swaplab.isomorphism import EvolutionTriple
 from swaplab.linalg import (
     DimensionError,
@@ -155,7 +156,11 @@ def _no_eigh(*args, **kwargs):
     raise AssertionError("numpy.linalg.eigh called on a production path")
 
 
-@pytest.mark.parametrize(
+def _no_unitarity_check(*args, **kwargs):
+    raise AssertionError("dense unitarity check on a production path")
+
+
+PRODUCTION_JOBS = pytest.mark.parametrize(
     "words, extra, config",
     [
         (["run"], [], {"scenario": "prince-pauper"}),
@@ -166,8 +171,21 @@ def _no_eigh(*args, **kwargs):
         (["export-distribution"], ["--time", "0.37"], {}),
     ],
 )
+
+
+@PRODUCTION_JOBS
 def test_production_paths_make_no_eigh_call(tmp_path, monkeypatch, words, extra, config):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
     monkeypatch.setattr(np.linalg, "eigh", _no_eigh)
+    assert main([*words, str(path), *extra]) == 0
+
+
+@PRODUCTION_JOBS
+def test_production_paths_make_no_unitarity_check(tmp_path, monkeypatch, words, extra, config):
+    # swaps are index arrays and propagators are never tagged unitary in
+    # production, so no dim x dim U^dag U product is formed
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    monkeypatch.setattr(linalg, "unitarity_defect_of", _no_unitarity_check)
     assert main([*words, str(path), *extra]) == 0

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from swaplab.isomorphism import EvolutionTriple, check_isomorphism
 from swaplab.linalg import (
     commutator_norm,
     frobenius_norm,
@@ -12,25 +13,29 @@ from swaplab.linalg import (
 from swaplab.measurement import (
     MeasurementSetup,
     ObservableSpec,
+    evolution_matrix,
     interaction_hamiltonian,
     make_pointer_grid,
     pointer_basis_state,
+    pointer_spectrum,
     propagator,
     ready_state,
     system_basis_state,
 )
 from swaplab.symmetry import (
+    SAMPLE_FRACTIONS,
     GeometricDiagonalModel,
     SwapTolerances,
     certify_lemma1,
     certify_lemma2,
     corrupted_swap,
-    parity_permutation,
+    locate_eigenvalue,
     parity_swap,
     parity_swap_momentum,
     scaling_permutation,
-    scaling_swap,
 )
+
+from test_linalg import permutation_matrix
 
 
 def qubit_setup(half_width=8, spacing=0.25, coupling=1.0, duration=1.0):
@@ -49,32 +54,32 @@ class TestParitySwap:
     def test_defining_action(self):
         # (lambda=+1, zeta=+1) must go to (lambda=-1, zeta=-1)
         setup = qubit_setup(half_width=2, spacing=1.0)
-        swap = parity_swap(setup)
+        swap = permutation_matrix(parity_swap(setup))
         start = basis_ket(setup, 0, 0, setup.grid.center_index + 1)
         target = basis_ket(setup, 1, 0, setup.grid.center_index - 1)
         assert vector_distance(swap @ start, target) == 0.0
 
     def test_center_is_parity_fixed(self):
         setup = qubit_setup(half_width=2, spacing=1.0)
-        swap = parity_swap(setup)
+        swap = permutation_matrix(parity_swap(setup))
         start = basis_ket(setup, 0, 0, setup.grid.center_index)
         target = basis_ket(setup, 1, 0, setup.grid.center_index)
         assert vector_distance(swap @ start, target) == 0.0
 
     def test_involution_as_permutation(self):
         setup = qubit_setup(half_width=3)
-        perm = parity_permutation(setup)
+        perm = parity_swap(setup)
         assert np.array_equal(perm[perm], np.arange(setup.total_dim))
 
     def test_involution_as_matrix(self):
         setup = qubit_setup(half_width=3)
-        swap = parity_swap(setup)
+        swap = permutation_matrix(parity_swap(setup))
         assert np.array_equal((swap @ swap).entries, np.eye(setup.total_dim))
 
     def test_degeneracy_label_preserved(self):
         grid = make_pointer_grid(2, 0.5)
         setup = MeasurementSetup(ObservableSpec((1.0, -1.0), degeneracy=2), grid, 1.0, 1.0)
-        swap = parity_swap(setup)
+        swap = permutation_matrix(parity_swap(setup))
         start = basis_ket(setup, 0, 1, 0)
         target = basis_ket(setup, 1, 1, grid.n_points - 1)
         assert vector_distance(swap @ start, target) == 0.0
@@ -82,7 +87,7 @@ class TestParitySwap:
     def test_zero_eigenvalue_fixed_sector(self):
         grid = make_pointer_grid(2, 0.5)
         setup = MeasurementSetup(ObservableSpec((1.0, 0.0, -1.0)), grid, 1.0, 1.0)
-        swap = parity_swap(setup)
+        swap = permutation_matrix(parity_swap(setup))
         start = basis_ket(setup, 1, 0, grid.center_index + 2)
         target = basis_ket(setup, 1, 0, grid.center_index - 2)
         assert vector_distance(swap @ start, target) == 0.0
@@ -96,7 +101,8 @@ class TestParitySwap:
     def test_commutes_with_hamiltonian(self):
         setup = qubit_setup()
         h = interaction_hamiltonian(setup)
-        assert commutator_norm(h, parity_swap(setup)) <= 1e-12 * frobenius_norm(h.entries)
+        swap = permutation_matrix(parity_swap(setup))
+        assert commutator_norm(h, swap) <= 1e-12 * frobenius_norm(h.entries)
 
 
 class TestMomentumConstruction:
@@ -121,7 +127,8 @@ class TestMomentumConstruction:
 
     def test_matches_position_construction(self):
         setup = qubit_setup()
-        assert operator_distance(parity_swap(setup), parity_swap_momentum(setup)) <= 1e-10
+        swap = permutation_matrix(parity_swap(setup))
+        assert operator_distance(swap, parity_swap_momentum(setup)) <= 1e-10
 
 
 class TestCertifyLemma1:
@@ -145,16 +152,23 @@ class TestCertifyLemma1:
         assert certificate.swap_residual > 0.1
 
     def test_momentum_swap_certifies(self):
+        # the dense momentum twin's own lemma-1 residuals: certify_lemma1 takes
+        # index arrays only, and the twin is a dense operator
         setup = qubit_setup()
-        certificate = certify_lemma1(
-            setup, swap=parity_swap_momentum(setup), construction="momentum-basis"
-        )
-        assert certificate.passed
-        assert certificate.construction == "momentum-basis"
+        twin = parity_swap_momentum(setup)
+        h = interaction_hamiltonian(setup)
+        assert commutator_norm(h, twin) <= 1e-10 * frobenius_norm(h.entries)
+        u = propagator(setup, setup.duration)
+        plus = ready_state(setup, system_basis_state(setup.observable, 0))
+        minus = ready_state(setup, system_basis_state(setup.observable, 1))
+        assert vector_distance(twin @ (u @ plus), u @ minus) <= 1e-10
+        for fraction in (0.0, 0.25, 0.5, 0.75, 1.0):
+            u = propagator(setup, fraction * setup.duration)
+            assert frobenius_norm(u.entries @ twin.entries - twin.entries @ u.entries) <= 1e-10
 
     def test_intertwining_at_sampled_times(self):
         setup = qubit_setup()
-        swap = parity_swap(setup)
+        swap = permutation_matrix(parity_swap(setup))
         for fraction in (0.0, 0.25, 0.5, 0.75, 1.0):
             u = propagator(setup, fraction * setup.duration)
             assert frobenius_norm(u.entries @ swap.entries - swap.entries @ u.entries) <= 1e-10
@@ -165,7 +179,7 @@ class TestCertifyLemma1:
 
     def test_swap_maps_evolved_branches(self):
         setup = qubit_setup()
-        swap = parity_swap(setup)
+        swap = permutation_matrix(parity_swap(setup))
         u = propagator(setup, setup.duration)
         plus = ready_state(setup, system_basis_state(setup.observable, 0))
         minus = ready_state(setup, system_basis_state(setup.observable, 1))
@@ -224,7 +238,8 @@ class TestScalingSwap:
 
     def test_commutator_exactly_zero(self):
         model = diagonal_model(ratio=2.0, span=4)
-        assert commutator_norm(model.hamiltonian(), scaling_swap(model)) == 0.0
+        swap = permutation_matrix(scaling_permutation(model))
+        assert commutator_norm(model.hamiltonian(), swap) == 0.0
 
     def test_permutation_bijective(self):
         model = diagonal_model(ratio=1.5, span=3, degeneracy=2)
@@ -233,7 +248,7 @@ class TestScalingSwap:
 
     def test_swap_unitary(self):
         model = diagonal_model(span=2)
-        assert unitarity_defect(scaling_swap(model)) == 0.0
+        assert unitarity_defect(permutation_matrix(scaling_permutation(model))) == 0.0
 
 
 class TestCertifyLemma2:
@@ -273,3 +288,225 @@ class TestCertifyLemma2:
     def test_normalization_note_present(self):
         certificate = certify_lemma2(diagonal_model(), 1.0, 2.0)
         assert "orthonormal" in certificate.note
+
+
+# Loop constructions that the vectorized index maps replaced, kept as oracles.
+
+
+def parity_swap_loops(setup):
+    observable, grid = setup.observable, setup.grid
+    negation = observable.negation_index()
+    n = grid.n_points
+    d = observable.degeneracy
+    perm = np.empty(setup.total_dim, dtype=int)
+    for i in range(observable.n_eigenvalues):
+        for a in range(d):
+            src = (i * d + a) * n
+            dst = (negation[i] * d + a) * n
+            for gi in range(n):
+                perm[src + gi] = dst + (n - 1 - gi)
+    return perm
+
+
+def scaling_permutation_loops(model):
+    if model.ratio == 1.0:
+        return np.arange(model.dim)
+    length = model.cycle_length
+    perm = np.empty(model.dim, dtype=int)
+    for sign_sys in range(2):
+        for m in range(length):
+            for label in range(model.degeneracy):
+                for sign_p in range(2):
+                    for k in range(length):
+                        src = model.basis_index(sign_sys, m, label, sign_p, k)
+                        perm[src] = model.basis_index(
+                            sign_sys, (m + 1) % length, label, sign_p, (k - 1) % length
+                        )
+    return perm
+
+
+def diagonal_weights_loops(model):
+    length = model.cycle_length
+    powers = model._power_table()
+    scale = model.coupling * model.base_eigenvalue * model.base_momentum
+    weights = np.empty(model.dim)
+    for sign_sys, sig_s in enumerate((1.0, -1.0)):
+        for m in range(length):
+            for label in range(model.degeneracy):
+                for sign_p, sig_p in enumerate((1.0, -1.0)):
+                    for k in range(length):
+                        reduced = (model.exponent_min + m + k) % length
+                        weights[model.basis_index(sign_sys, m, label, sign_p, k)] = (
+                            -scale * sig_s * sig_p * powers[reduced]
+                        )
+    return weights
+
+
+def sector_state_loops(model, sign_idx, m_idx, label):
+    state = np.zeros(model.dim, dtype=complex)
+    for sign_p in range(2):
+        for kk in range(model.cycle_length):
+            state[model.basis_index(sign_idx, m_idx, label, sign_p, kk)] = 1.0
+    return state / np.linalg.norm(state)
+
+
+ORACLE_MODELS = (
+    GeometricDiagonalModel(ratio=2.0, exponent_min=-4, exponent_max=4),
+    GeometricDiagonalModel(ratio=1.5, exponent_min=-3, exponent_max=3, degeneracy=2),
+    GeometricDiagonalModel(
+        ratio=0.3, exponent_min=-1, exponent_max=3, base_eigenvalue=0.7,
+        base_momentum=1.3, coupling=0.9, degeneracy=3,
+    ),
+)
+
+
+class TestLoopOracles:
+    @pytest.mark.parametrize(
+        "degeneracy, eigenvalues", [(1, (1.0, -1.0)), (2, (1.0, -1.0)), (1, (2.0, 0.0, -2.0))]
+    )
+    def test_parity_swap(self, degeneracy, eigenvalues):
+        setup = MeasurementSetup(
+            ObservableSpec(eigenvalues, degeneracy), make_pointer_grid(4, 0.5), 1.0, 1.0
+        )
+        assert np.array_equal(parity_swap(setup), parity_swap_loops(setup))
+
+    @pytest.mark.parametrize("model", ORACLE_MODELS)
+    def test_scaling_permutation(self, model):
+        assert np.array_equal(scaling_permutation(model), scaling_permutation_loops(model))
+
+    @pytest.mark.parametrize("model", ORACLE_MODELS)
+    def test_diagonal_weights_bitwise(self, model):
+        weights = model.diagonal_weights()
+        assert weights.tobytes() == diagonal_weights_loops(model).tobytes()
+        assert np.array_equal(weights[scaling_permutation(model)], weights)
+
+    @pytest.mark.parametrize("model", ORACLE_MODELS)
+    def test_sector_states(self, model):
+        for sign in range(2):
+            for m in range(model.cycle_length):
+                for label in range(model.degeneracy):
+                    expected = sector_state_loops(model, sign, m, label)
+                    assert np.array_equal(model.sector_state(sign, m, label), expected)
+
+
+def dense_lemma1(setup, perm):
+    """certify_lemma1's residuals from dense permutation-matrix products."""
+    swap = permutation_matrix(perm)
+    s = swap.entries
+    h = interaction_hamiltonian(setup)
+    observable = setup.observable
+    negation = observable.negation_index()
+    final = evolution_matrix(setup, setup.duration)
+    swap_residual = 0.0
+    for i in range(observable.n_eigenvalues):
+        for a in range(observable.degeneracy):
+            source = ready_state(setup, system_basis_state(observable, i, a)).amplitudes
+            mirror = ready_state(
+                setup, system_basis_state(observable, int(negation[i]), a)
+            ).amplitudes
+            deviation = s @ (final @ source) - final @ mirror
+            swap_residual = max(swap_residual, float(np.linalg.norm(deviation)))
+    intertwining = 0.0
+    for fraction in SAMPLE_FRACTIONS:
+        u = evolution_matrix(setup, fraction * setup.duration)
+        intertwining = max(intertwining, frobenius_norm(u @ s - s @ u))
+    return {
+        "commutator_residual": commutator_norm(h, swap) / frobenius_norm(h.entries),
+        "unitarity_defect": unitarity_defect(swap),
+        "swap_residual": swap_residual,
+        "intertwining_residual": intertwining,
+        "cross_construction_distance": operator_distance(swap, parity_swap_momentum(setup)),
+    }
+
+
+def dense_lemma2(model, eigenvalue_from, eigenvalue_to, sample_times=(0.0, 0.5, 1.0)):
+    """certify_lemma2's residuals from dense permutation-matrix products and
+    the index loops it used to run."""
+    perm = scaling_permutation_loops(model)
+    swap = permutation_matrix(perm)
+    s = swap.entries
+    h = model.hamiltonian()
+    sign_from, m_from = locate_eigenvalue(model, eigenvalue_from)
+    sign_to, m_to = locate_eigenvalue(model, eigenvalue_to)
+    length = model.cycle_length
+    weights = diagonal_weights_loops(model)
+    mapping_exact = all(
+        perm[model.basis_index(sign_from, m_from, label, sign_p, k)]
+        == model.basis_index(sign_to, m_to, label, sign_p, (k - 1) % length)
+        for label in range(model.degeneracy)
+        for sign_p in range(2)
+        for k in range(length)
+    )
+    swap_residual = 0.0 if mapping_exact else 1.0
+    intertwining = 0.0
+    for label in range(model.degeneracy):
+        source = np.zeros(model.dim, dtype=complex)
+        for sign_p in range(2):
+            for k in range(length):
+                source[model.basis_index(sign_from, m_from, label, sign_p, k)] = 1.0
+        source /= np.linalg.norm(source)
+        mapped = s @ source
+        target_indices = [
+            model.basis_index(sign_to, m_to, label, sign_p, k)
+            for sign_p in range(2)
+            for k in range(length)
+        ]
+        swap_residual = max(
+            swap_residual, abs(1.0 - float(np.linalg.norm(mapped[target_indices])))
+        )
+        for t in sample_times:
+            phases = np.exp(-1j * weights * t / model.hbar)
+            deviation = s @ (phases * source) - phases * mapped
+            intertwining = max(intertwining, float(np.linalg.norm(deviation)))
+    return {
+        "commutator_residual": commutator_norm(h, swap) / frobenius_norm(h.entries),
+        "unitarity_defect": unitarity_defect(swap),
+        "swap_residual": swap_residual,
+        "intertwining_residual": intertwining,
+    }
+
+
+class TestDenseOracle:
+    """The gathers give the dense permutation-matrix values bitwise."""
+
+    @pytest.mark.parametrize("half_width", [1, 8, 50])
+    @pytest.mark.parametrize("kind", ["parity", "corrupted", "random"])
+    def test_lemma1_and_isomorphism(self, half_width, kind):
+        setup = qubit_setup(half_width=half_width, spacing=2.0 if half_width == 1 else 0.25)
+        # both swaps of the paper are involutions; a random permutation is not,
+        # so it tells a swap from its inverse
+        perm = {
+            "parity": parity_swap,
+            "corrupted": corrupted_swap,
+            "random": lambda s: np.random.default_rng(half_width).permutation(s.total_dim),
+        }[kind](setup)
+        certificate = certify_lemma1(setup, swap=perm)
+        for name, value in dense_lemma1(setup, perm).items():
+            assert getattr(certificate, name) == value, name
+
+        hamiltonian = interaction_hamiltonian(setup)
+        spectrum = pointer_spectrum(setup)
+        plus, minus = (
+            EvolutionTriple(
+                hamiltonian,
+                ready_state(setup, system_basis_state(setup.observable, sign)),
+                SAMPLE_FRACTIONS,
+                spectrum=spectrum,
+            )
+            for sign in (0, 1)
+        )
+        report = check_isomorphism(perm, plus, minus)
+        s = permutation_matrix(perm).entries
+        for residual, a, b in zip(report.state_residuals, plus.states(), minus.states()):
+            assert residual == float(np.linalg.norm(s @ a.amplitudes - b.amplitudes))
+        conjugated = s @ hamiltonian.entries @ s.conj().T
+        assert report.hamiltonian_residual == frobenius_norm(conjugated - hamiltonian.entries)
+
+    @pytest.mark.parametrize("span", [1, 3])
+    @pytest.mark.parametrize("degeneracy", [1, 2])
+    @pytest.mark.parametrize("pair", [(1.0, 2.0), (-0.5, -1.0)])
+    def test_lemma2(self, span, degeneracy, pair):
+        model = diagonal_model(ratio=2.0, span=span, degeneracy=degeneracy)
+        certificate = certify_lemma2(model, *pair)
+        for name, value in dense_lemma2(model, *pair).items():
+            assert getattr(certificate, name) == value, name
