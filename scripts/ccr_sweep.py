@@ -38,9 +38,10 @@ def main() -> int:
     args = parser.parse_args()
 
     trace_grid = make_pointer_grid(8, 0.25)
-    z = trace_grid.position_operator.entries
+    # Z = diag(zeta): Z p_Z scales the rows of p_Z and p_Z Z its columns
+    zeta = trace_grid.zeta
     p = trace_grid.momentum_operator.entries
-    print(f"trace of [Z, p_Z]           : {np.trace(z @ p - p @ z):.2e}")
+    print(f"trace of [Z, p_Z]           : {np.trace(zeta[:, None] * p - p * zeta):.2e}")
     print(f"trace of i*hbar*I (N = {trace_grid.n_points:3d}) : {1j * trace_grid.hbar * trace_grid.n_points:.2e}")
     print()
 

@@ -160,7 +160,9 @@ class RunConfig:
                 f"{MAX_TOTAL_DIM}"
             )
         # the ladder holds |lambda1| * ratio^e for e in [-r, r]; its diagonal
-        # weights are g*|lambda1| * ratio^e and its phases weight * t / hbar
+        # weights are g*|lambda1| * ratio^e, whose squares summed over the dim
+        # entries (|H|_F) must stay finite, and its phases weight * t / hbar
+        largest = math.sqrt(sys.float_info.max / dim)
         scale = self.g * abs(self.lambda1)
         for exponent in range(-r, r + 1):
             try:
@@ -175,10 +177,12 @@ class RunConfig:
                 )
             weight = scale * power
             phase = weight * self.T / self.hbar
-            if not (_is_normal(weight) or self.g == 0) or not math.isfinite(phase):
+            in_range = (_is_normal(weight) or self.g == 0) and weight <= largest
+            if not in_range or not math.isfinite(phase):
                 raise ConfigError(
-                    f"ratio_exponent_range: diagonal weight g*|lambda1| * ratio^{exponent} "
-                    f"= {weight!r} or its phase over T/hbar is not a finite nonzero float"
+                    f"g, lambda1, lambda2: diagonal weight g*|lambda1| * ratio^{exponent} = "
+                    f"{weight!r} is not a normal float of magnitude at most {largest:.3e} "
+                    "(0 when g = 0) with a finite phase over T/hbar"
                 )
 
 

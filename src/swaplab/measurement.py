@@ -18,7 +18,7 @@ Conventions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,7 +42,8 @@ ZERO_BRANCH_TOL = 1e-12
 
 @dataclass(eq=False)
 class PointerGrid:
-    """Discretized pointer space with derived position/momentum operators."""
+    """Discretized pointer space: positions ``zeta`` (the position operator's
+    diagonal), momenta, the DFT analysis map and the dense momentum operator."""
 
     half_width: int
     spacing: float
@@ -62,7 +63,6 @@ class PointerGrid:
         self.momenta = 2 * np.pi * self.hbar * index / (n * self.spacing)
         # analysis map (position -> momentum amplitudes); row j is <p_j|zeta>
         self.fourier = np.exp(-2j * np.pi * np.outer(index, index) / n) / np.sqrt(n)
-        self.position_operator = DenseOperator(np.diag(self.zeta.astype(complex)), HERMITIAN)
         momentum = self.fourier.conj().T @ np.diag(self.momenta) @ self.fourier
         self.momentum_operator = DenseOperator(momentum, HERMITIAN)
 
@@ -125,9 +125,9 @@ class ObservableSpec:
             raise DimensionError(f"degeneracy label {label} out of range")
         return eig_index * self.degeneracy + label
 
-    def operator(self) -> DenseOperator:
-        diag = DenseOperator(np.diag(np.asarray(self.eigenvalues, dtype=complex)), HERMITIAN)
-        return tensor_product(diag, DenseOperator(np.eye(self.degeneracy), HERMITIAN))
+    def values(self) -> np.ndarray:
+        """The observable's diagonal on the system basis, eigenvalue-major."""
+        return np.repeat(self.eigenvalues, self.degeneracy)
 
 
 @dataclass(eq=False)
@@ -138,15 +138,8 @@ class MeasurementSetup:
     grid: PointerGrid
     coupling: float
     duration: float
-    hbar: float = None
 
     def __post_init__(self):
-        if self.hbar is None:
-            self.hbar = self.grid.hbar
-        if self.hbar != self.grid.hbar:
-            raise ValueError(
-                f"hbar mismatch: setup has {self.hbar}, grid has {self.grid.hbar}"
-            )
         if self.coupling < 0:
             raise ValueError(f"coupling must be nonnegative, got {self.coupling}")
         if self.duration <= 0:
@@ -189,14 +182,22 @@ def ready_state(setup: MeasurementSetup, system_state: ComplexVector) -> Complex
     return tensor_product(system_state, ready_pointer(setup.grid))
 
 
-def interaction_hamiltonian(setup: MeasurementSetup, max_dim: int = MAX_TOTAL_DIM) -> DenseOperator:
-    """-coupling * (A x p_Z) on the (system x pointer) basis."""
-    if setup.total_dim > max_dim:
+def interaction_hamiltonian(setup: MeasurementSetup) -> DenseOperator:
+    """-coupling * (A x p_Z) on the (system x pointer) basis: A is diagonal,
+    so the system index s carries the block -coupling * (a_s * p_Z)."""
+    if setup.total_dim > MAX_TOTAL_DIM:
         raise DimensionError(
-            f"total dimension {setup.total_dim} exceeds the dense cap {max_dim}"
+            f"total dimension {setup.total_dim} exceeds the dense cap {MAX_TOTAL_DIM}"
         )
-    product = tensor_product(setup.observable.operator(), setup.grid.momentum_operator)
-    return DenseOperator(-setup.coupling * product.entries, HERMITIAN)
+    values = setup.observable.values()
+    momentum = setup.grid.momentum_operator.entries
+    n_points = setup.grid.n_points
+    blocks = np.zeros((values.size, n_points, values.size, n_points), dtype=complex)
+    blocks[np.arange(values.size), :, np.arange(values.size), :] = (
+        values[:, None, None] * momentum
+    )
+    entries = -setup.coupling * blocks.reshape(setup.total_dim, setup.total_dim)
+    return DenseOperator(entries, HERMITIAN)
 
 
 def _pointer_axis(transform, amplitudes: np.ndarray, n_points: int) -> np.ndarray:
@@ -225,8 +226,7 @@ def _fourier_spectrum(weights: np.ndarray, n_points: int) -> Spectrum:
 
 def pointer_spectrum(setup: MeasurementSetup) -> Spectrum:
     """H = -coupling * (A x p_Z) with weights -coupling * lambda_s * p_j."""
-    observable = np.repeat(setup.observable.eigenvalues, setup.observable.degeneracy)
-    weights = -setup.coupling * np.outer(observable, setup.grid.momenta)
+    weights = -setup.coupling * np.outer(setup.observable.values(), setup.grid.momenta)
     return _fourier_spectrum(weights.reshape(-1), setup.grid.n_points)
 
 
@@ -261,7 +261,7 @@ def _require_window(setup: MeasurementSetup, t: float) -> None:
 def evolution_matrix(setup: MeasurementSetup, t: float) -> np.ndarray:
     """Entries of exp(-i H t / hbar), assembled block by block from the
     pointer spectrum without a unitarity check."""
-    return _block_circulant(pointer_spectrum(setup), setup.grid.n_points, t, setup.hbar)
+    return _block_circulant(pointer_spectrum(setup), setup.grid.n_points, t, setup.grid.hbar)
 
 
 def propagator(setup: MeasurementSetup, t: float) -> DenseOperator:
@@ -275,7 +275,7 @@ def evolve(setup: MeasurementSetup, state: ComplexVector, t: float) -> ComplexVe
     if state.dim != setup.total_dim:
         raise DimensionError(f"state dim {state.dim} != setup dim {setup.total_dim}")
     _require_window(setup, t)
-    return ComplexVector(pointer_spectrum(setup).evolve(state.amplitudes, t, setup.hbar))
+    return ComplexVector(pointer_spectrum(setup).evolve(state.amplitudes, t, setup.grid.hbar))
 
 
 def readout(
@@ -323,8 +323,8 @@ def ccr_defect(grid: PointerGrid, state: ComplexVector = None) -> float:
         state = gaussian_pointer_state(grid, grid.n_points * grid.spacing / 10)
     if state.dim != grid.n_points:
         raise DimensionError(f"state dim {state.dim} != grid size {grid.n_points}")
-    z = grid.position_operator.entries
+    # the position operator is diag(zeta), so Z p and p Z scale rows and columns
     p = grid.momentum_operator.entries
-    commutator = z @ p - p @ z
+    commutator = grid.zeta[:, None] * p - p * grid.zeta
     residual = commutator @ state.amplitudes - 1j * grid.hbar * state.amplitudes
     return float(np.linalg.norm(residual))

@@ -23,7 +23,7 @@ factorization (each factor deviation is traceless, so cross terms vanish).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import reduce
 from typing import TYPE_CHECKING
 
@@ -31,20 +31,15 @@ import numpy as np
 
 from .isomorphism import (
     EvolutionTriple,
-    Witness,
     check_isomorphism,
     distinctness_witness,
     is_distinct,
 )
 from .linalg import (
-    HERMITIAN,
     ComplexVector,
-    DenseOperator,
     Spectrum,
     frobenius_norm,
-    identity,
     permutation_inverse,
-    tensor_product,
 )
 from .measurement import (
     MeasurementSetup,
@@ -114,9 +109,10 @@ def qubit_setup(config: RunConfig) -> MeasurementSetup:
 
 
 def reference_observables(setup: MeasurementSetup) -> tuple:
-    """The fixed observable frame that operationalizes physical distinctness."""
-    pointer = tensor_product(identity(setup.observable.system_dim), setup.grid.position_operator)
-    system = tensor_product(setup.observable.operator(), identity(setup.grid.n_points))
+    """The fixed observable frame that operationalizes physical distinctness,
+    as real diagonals on the (system x pointer) basis."""
+    pointer = np.tile(setup.grid.zeta, setup.observable.system_dim)
+    system = np.repeat(setup.observable.values(), setup.grid.n_points)
     return (("pointer_position", pointer), ("system_observable", system))
 
 
@@ -216,18 +212,16 @@ def run_multiworld(config: RunConfig) -> ScenarioReport:
 
     times = config.sample_times
     factor_states = {(sign, ti): evolved(sign, t) for sign in (0, 1) for ti, t in enumerate(times)}
-    final_states = {sign: evolved(sign, config.T) for sign in (0, 1)}
-
-    zeta = setup.grid.zeta
-    lam = np.asarray(observable.eigenvalues)
-    pointer_mean = {}
-    system_mean = {}
-    readout_tables = {}
-    for sign in (0, 1):
-        weights = np.abs(final_states[sign].reshape(observable.system_dim, -1)) ** 2
-        pointer_mean[sign] = float((weights.sum(axis=0) * zeta).sum())
-        system_mean[sign] = float((weights.sum(axis=1) * lam).sum())
-        readout_tables[sign] = readout(ComplexVector(final_states[sign]), setup)
+    final_states = {sign: ComplexVector(evolved(sign, config.T)) for sign in (0, 1)}
+    readout_tables = {sign: readout(final_states[sign], setup) for sign in (0, 1)}
+    frame = reference_observables(setup)
+    # a pair's witnesses are its factors' witnesses, and each factor ends in
+    # one of two states, so four witness calls serve every pair
+    factor_witnesses = {
+        (a, b): distinctness_witness(final_states[a], final_states[b], frame, tolerance)
+        for a in (0, 1)
+        for b in (0, 1)
+    }
 
     patterns = list(itertools.product((0, 1), repeat=k))
     labels = ["".join("+" if s == 0 else "-" for s in pattern) for pattern in patterns]
@@ -253,13 +247,11 @@ def run_multiworld(config: RunConfig) -> ScenarioReport:
         )
         pointer_gaps, system_gaps, witnesses = [], [], []
         for f in range(k):
-            za, zb = pointer_mean[patterns[i][f]], pointer_mean[patterns[j][f]]
-            aa, ab = system_mean[patterns[i][f]], system_mean[patterns[j][f]]
-            zgap, agap = abs(za - zb), abs(aa - ab)
-            pointer_gaps.append(zgap)
-            system_gaps.append(agap)
-            witnesses.append(Witness(f"pointer_position[{f}]", za, zb, zgap, zgap > tolerance))
-            witnesses.append(Witness(f"system_observable[{f}]", aa, ab, agap, agap > tolerance))
+            pointer, system = factor_witnesses[(patterns[i][f], patterns[j][f])]
+            pointer_gaps.append(pointer.gap)
+            system_gaps.append(system.gap)
+            witnesses.append(replace(pointer, observable=f"{pointer.observable}[{f}]"))
+            witnesses.append(replace(system, observable=f"{system.observable}[{f}]"))
         isomorphic = state_residual <= tolerance and hamiltonian_residual <= tolerance
         distinct = is_distinct(witnesses)
         matrix[i][j] = matrix[j][i] = max(w.gap for w in witnesses)
@@ -299,19 +291,17 @@ def run_multiworld(config: RunConfig) -> ScenarioReport:
     )
 
 
-def _model_observable(model: GeometricDiagonalModel) -> DenseOperator:
-    values = model.spread(np.reshape(model.a_eigenvalues(), (2, -1, 1, 1, 1)))
-    return DenseOperator(np.diag(values.astype(complex)), HERMITIAN)
+def _model_observable(model: GeometricDiagonalModel) -> np.ndarray:
+    return model.spread(np.reshape(model.a_eigenvalues(), (2, -1, 1, 1, 1)))
 
 
-def _model_momentum(model: GeometricDiagonalModel) -> DenseOperator:
+def _model_momentum(model: GeometricDiagonalModel) -> np.ndarray:
     momenta = [
         sign * model.base_momentum * model.ratio ** (model.exponent_min + k)
         for sign in (1.0, -1.0)
         for k in range(model.cycle_length)
     ]
-    values = model.spread(np.reshape(momenta, (1, 1, 1, 2, -1)))
-    return DenseOperator(np.diag(values.astype(complex)), HERMITIAN)
+    return model.spread(np.reshape(momenta, (1, 1, 1, 2, -1)))
 
 
 def build_diagonal_model(config: RunConfig) -> GeometricDiagonalModel:

@@ -15,7 +15,6 @@ from swaplab.linalg import (
     ComplexVector,
     DenseOperator,
     frobenius_norm,
-    identity,
     random_unitary,
     tensor_product,
     unitarity_defect,
@@ -102,7 +101,7 @@ def test_criterion_3_same_triple_distinct_worlds():
     assert iso.passed
     assert len(iso.state_residuals) == 5
 
-    pointer = tensor_product(identity(2), setup.grid.position_operator)
+    pointer = np.tile(setup.grid.zeta, 2)
     final_prince = prince.states_at((setup.duration,))[0]
     final_pauper = pauper.states_at((setup.duration,))[0]
     witnesses = distinctness_witness(

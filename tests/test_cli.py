@@ -12,6 +12,9 @@ from swaplab.reporting import emit_distribution_csv, emit_report, render_json
 from swaplab.scenario import qubit_setup, run_prince_pauper
 from swaplab.linalg import ComplexVector
 
+#: every ladder weight is a normal float, but g * ratio^-1 = 1.87e300 squared is not
+OVERFLOWING_LADDER = {"ratio_exponent_range": 1, "lambda1": -1.0, "lambda2": -1e-300, "g": 1.87}
+
 
 def write_config(tmp_path, payload, name="config.json"):
     path = tmp_path / name
@@ -157,6 +160,16 @@ class TestCliCommands:
         assert main(["run", write_config(tmp_path, payload), *flags]) == 2
         assert capsys.readouterr().err.startswith("config error: ")
 
+    @pytest.mark.parametrize(
+        "command, scenario",
+        [(("run",), "classical-level"), (("certify", "lemma2"), "certify-lemma2")],
+    )
+    def test_ladder_weight_overflow_exits_2(self, tmp_path, capsys, command, scenario):
+        # |H|_F overflowed, so every relative residual divided by inf
+        payload = {"scenario": scenario, **OVERFLOWING_LADDER}
+        assert main([*command, write_config(tmp_path, payload)]) == 2
+        assert capsys.readouterr().err.startswith("config error: g, lambda1, lambda2: ")
+
     def test_export_applies_pointer_guards(self, tmp_path, capsys):
         # the export builds a pointer grid whatever the config's scenario is
         config_path = write_config(tmp_path, {"scenario": "classical-level", "M": 1100})
@@ -270,6 +283,11 @@ def _example(expected, config, command=("run",)):
 @_example(2, {"scenario": "multiworld", "k": 3, "hbar": 1e200})
 @_example(2, {"scenario": "certify-lemma1", "hbar": 1e300})
 @_example(2, {"scenario": "prince-pauper", "delta": 1e300})
+# a ladder weight whose square overflows |H|_F (exit 0 with vacuous relative
+# checks), and the largest weight 1.4e153 just inside the bound
+@_example(2, {"scenario": "classical-level", **OVERFLOWING_LADDER})
+@_example(2, {"scenario": "certify-lemma2", **OVERFLOWING_LADDER}, ("certify", "lemma2"))
+@_example(0, {"scenario": "classical-level", "ratio_exponent_range": 1, "g": 7e152})
 def test_every_config_exits_0_2_or_3(config_dir, command, config, expected):
     """A config either runs to a verdict (0 or 3) or is rejected up front (2);
     exit 4 is left for real numerical failures, and nothing escapes main."""

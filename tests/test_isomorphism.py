@@ -17,7 +17,6 @@ from swaplab.linalg import (
     basis_vector,
     identity,
     random_unitary,
-    tensor_product,
 )
 from swaplab.measurement import (
     MeasurementSetup,
@@ -162,33 +161,43 @@ class TestDistinctness:
     def test_identical_states_not_distinct(self, world_pair):
         _, plus, _ = world_pair
         state = plus.initial_state
-        witnesses = distinctness_witness(state, state, [("anything", plus.hamiltonian)])
+        witnesses = distinctness_witness(state, state, [("anything", np.arange(plus.dim) - 7.5)])
         assert all(w.gap == 0.0 for w in witnesses)
-        assert not is_distinct(witnesses, 1e-10)
+        assert not is_distinct(witnesses)
 
     def test_pointer_gap_between_worlds(self, world_pair):
         setup, plus, minus = world_pair
-        pointer = tensor_product(
-            identity(setup.observable.system_dim), setup.grid.position_operator
-        )
+        pointer = np.tile(setup.grid.zeta, setup.observable.system_dim)
         final_plus = plus.states()[-1]
         final_minus = minus.states()[-1]
         witnesses = distinctness_witness(final_plus, final_minus, [("pointer", pointer)])
         assert witnesses[0].gap == pytest.approx(2.0, abs=1e-9)
-        assert is_distinct(witnesses, 1e-10)
+        assert is_distinct(witnesses)
 
     def test_identity_observable_never_distinguishes(self, world_pair):
         _, plus, minus = world_pair
         witnesses = distinctness_witness(
-            plus.states()[-1], minus.states()[-1], [("identity", identity(plus.dim))]
+            plus.states()[-1], minus.states()[-1], [("identity", np.ones(plus.dim))]
         )
         assert witnesses[0].gap <= 1e-12
 
     def test_non_hermitian_observable_rejected(self, world_pair):
+        # a diagonal operator is Hermitian exactly when its diagonal is real
         _, plus, minus = world_pair
-        lopsided = DenseOperator(np.triu(np.ones((plus.dim, plus.dim))))
+        lopsided = np.ones(plus.dim) + 1j * np.arange(plus.dim)
         with pytest.raises(KindError):
             distinctness_witness(plus.initial_state, minus.initial_state, [("bad", lopsided)])
+
+    @pytest.mark.parametrize("shape", ["dense", "short", "scalar"])
+    def test_observable_must_be_a_diagonal(self, world_pair, shape):
+        _, plus, minus = world_pair
+        values = {
+            "dense": np.eye(plus.dim),
+            "short": np.ones(plus.dim - 1),
+            "scalar": np.float64(1.0),
+        }[shape]
+        with pytest.raises(DimensionError):
+            distinctness_witness(plus.initial_state, minus.initial_state, [("bad", values)])
 
     def test_transport_follows_isomorphism(self, world_pair):
         # a passing isomorphism transports amplitudes in any orthonormal basis

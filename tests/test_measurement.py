@@ -11,6 +11,7 @@ from swaplab.linalg import (
     vector_distance,
 )
 from swaplab.measurement import (
+    MAX_TOTAL_DIM,
     MeasurementSetup,
     ObservableSpec,
     ccr_defect,
@@ -68,10 +69,6 @@ class TestPointerGrid:
         assert np.allclose(grid.zeta, -grid.zeta[::-1])
         assert np.allclose(grid.momenta, -grid.momenta[::-1])
 
-    def test_position_operator_diagonal(self):
-        grid = make_pointer_grid(2, 0.5)
-        assert np.array_equal(grid.position_operator.entries, np.diag(grid.zeta.astype(complex)))
-
 
 class TestObservableSpec:
     def test_system_dim(self):
@@ -96,7 +93,7 @@ class TestObservableSpec:
 
     def test_operator_ordering(self):
         observable = ObservableSpec((3.0, -3.0), degeneracy=2)
-        assert np.array_equal(np.diagonal(observable.operator().entries), [3, 3, -3, -3])
+        assert np.array_equal(observable.values(), [3, 3, -3, -3])
 
 
 class TestTranslation:
@@ -149,9 +146,12 @@ class TestInteractionHamiltonian:
         assert np.linalg.norm(h @ state - expected) <= 1e-12
 
     def test_dimension_guard(self):
-        setup = qubit_setup(half_width=8)
-        with pytest.raises(DimensionError):
-            interaction_hamiltonian(setup, max_dim=10)
+        # 242 system states x 17 grid points = 4114 > MAX_TOTAL_DIM
+        observable = ObservableSpec((1.0, -1.0), degeneracy=121)
+        setup = MeasurementSetup(observable, make_pointer_grid(8, 0.25), 1.0, 1.0)
+        assert setup.total_dim > MAX_TOTAL_DIM
+        with pytest.raises(DimensionError, match="dense cap"):
+            interaction_hamiltonian(setup)
 
     def test_hermitian(self):
         assert interaction_hamiltonian(qubit_setup()).kind == "hermitian"
@@ -257,7 +257,7 @@ class TestReadout:
 class TestCcrCaveat:
     def test_traces_cannot_match(self):
         grid = make_pointer_grid(6, 0.5)
-        z = grid.position_operator.entries
+        z = np.diag(grid.zeta)
         p = grid.momentum_operator.entries
         commutator_trace = np.trace(z @ p - p @ z)
         identity_trace = 1j * grid.hbar * grid.n_points
@@ -284,11 +284,6 @@ class TestSetupValidation:
     def test_nonpositive_duration_rejected(self):
         with pytest.raises(ValueError):
             qubit_setup(duration=0.0)
-
-    def test_hbar_mismatch_rejected(self):
-        grid = make_pointer_grid(2, 1.0, hbar=1.0)
-        with pytest.raises(ValueError):
-            MeasurementSetup(ObservableSpec((1.0, -1.0)), grid, 1.0, 1.0, hbar=2.0)
 
     def test_total_dim(self):
         assert qubit_setup(half_width=8).total_dim == 34

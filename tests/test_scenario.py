@@ -4,13 +4,27 @@ import numpy as np
 import pytest
 
 from swaplab.config import ConfigError, RunConfig
-from swaplab.linalg import frobenius_norm, tensor_product, vector_distance
-from swaplab.measurement import interaction_hamiltonian, ready_state, system_basis_state
+from swaplab.isomorphism import distinctness_witness
+from swaplab.linalg import (
+    ComplexVector,
+    DenseOperator,
+    Spectrum,
+    frobenius_norm,
+    tensor_product,
+    vector_distance,
+)
+from swaplab.measurement import (
+    interaction_hamiltonian,
+    pointer_spectrum,
+    ready_state,
+    system_basis_state,
+)
 from swaplab.scenario import (
     _model_momentum,
     _model_observable,
     build_diagonal_model,
     qubit_setup,
+    reference_observables,
     run_classical_level,
     run_multiworld,
     run_prince_pauper,
@@ -280,7 +294,92 @@ def model_momentum_loops(model):
     ],
 )
 def test_model_observables_match_loop_oracles(model):
-    observable = np.diagonal(_model_observable(model).entries)
-    momentum = np.diagonal(_model_momentum(model).entries)
-    assert np.array_equal(observable, model_observable_loops(model).astype(complex))
-    assert np.array_equal(momentum, model_momentum_loops(model).astype(complex))
+    assert np.array_equal(_model_observable(model), model_observable_loops(model))
+    assert np.array_equal(_model_momentum(model), model_momentum_loops(model))
+
+
+# Witness oracle: a reference observable is its real diagonal, and every
+# expectation must equal the dense product <psi| diag(values) |psi> bitwise.
+
+
+def assert_witnesses_match_dense(state_a, state_b, frame):
+    pair = (state_a, state_b)
+    witnesses = distinctness_witness(state_a, state_b, frame)
+    assert [w.observable for w in witnesses] == [name for name, _ in frame]
+    for witness, (_, values) in zip(witnesses, frame):
+        dense = np.diag(values)
+        for expectation, state in zip((witness.expectation_a, witness.expectation_b), pair):
+            psi = state.amplitudes
+            assert expectation == np.vdot(psi, dense @ psi).real
+
+
+@pytest.mark.parametrize("M", [1, 8, 50])
+def test_pointer_frame_witnesses_match_dense_oracle(M):
+    setup = qubit_setup(RunConfig(M=M, delta=2.0 / M**0.5, g=0.7, T=1.3, hbar=0.9))
+    spectrum = pointer_spectrum(setup)
+    # an unequal superposition, so both frames see nonzero expectations
+    system = ComplexVector(np.array([0.6, 0.8j]))
+    start = ready_state(setup, system).amplitudes
+    plus = ready_state(setup, system_basis_state(setup.observable, 0)).amplitudes
+    frame = reference_observables(setup)
+    for t in (0.37, setup.duration):
+        state_a = ComplexVector(spectrum.evolve(start, t, setup.grid.hbar))
+        state_b = ComplexVector(spectrum.evolve(plus, t, setup.grid.hbar))
+        assert_witnesses_match_dense(state_a, state_b, frame)
+
+
+@pytest.mark.parametrize("r", [1, 3])
+def test_ladder_frame_witnesses_match_dense_oracle(r):
+    config = RunConfig(scenario="classical-level", ratio_exponent_range=r, g=0.8, hbar=0.6)
+    model = build_diagonal_model(config)
+    spectrum = Spectrum.diagonal(model.diagonal_weights())
+    frame = (
+        ("system_observable", _model_observable(model)),
+        ("pointer_momentum", _model_momentum(model)),
+    )
+    # a generic state spread over every basis ket, and one sector state
+    generic = np.exp(0.3j * np.arange(model.dim) ** 2) * (1.0 + np.arange(model.dim) / model.dim)
+    generic /= np.linalg.norm(generic)
+    sector = model.sector_state(0, r, 1)
+    for t in (0.0, 0.41, config.T):
+        state_a = ComplexVector(spectrum.evolve(generic, t, config.hbar))
+        state_b = ComplexVector(spectrum.evolve(sector, t, config.hbar))
+        assert_witnesses_match_dense(state_a, state_b, frame)
+
+
+def dense_operators_built(monkeypatch, run, config) -> list:
+    """Every DenseOperator constructed while `run(config)` executes."""
+    built = []
+    construct = DenseOperator.__init__
+
+    def recording(self, *args, **kwargs):
+        construct(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(DenseOperator, "__init__", recording)
+    run(config)
+    monkeypatch.undo()
+    return built
+
+
+@pytest.mark.parametrize(
+    "run, config",
+    [(run_prince_pauper, RunConfig()), (run_multiworld, RunConfig(scenario="multiworld", k=2))],
+)
+def test_pointer_runs_build_no_dense_observable(monkeypatch, run, config):
+    # the only dense operators are the grid's momentum operator and the
+    # interaction Hamiltonian; reference observables stay diagonals
+    setup = qubit_setup(config)
+    expected = (setup.grid.momentum_operator.entries, interaction_hamiltonian(setup).entries)
+    built = dense_operators_built(monkeypatch, run, config)
+    assert built
+    for operator in built:
+        assert any(np.array_equal(operator.entries, entries) for entries in expected)
+
+
+def test_classical_level_builds_only_its_hamiltonian(monkeypatch):
+    config = RunConfig(scenario="classical-level", ratio_exponent_range=2)
+    built = dense_operators_built(monkeypatch, run_classical_level, config)
+    assert len(built) == 1
+    hamiltonian = build_diagonal_model(config).hamiltonian()
+    assert np.array_equal(built[0].entries, hamiltonian.entries)
