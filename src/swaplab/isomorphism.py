@@ -5,9 +5,15 @@ bare dynamical content of a closed system. Two triples are isomorphic when a
 unitary S carries one evolving state onto the other at every sampled time and
 conjugates one Hamiltonian into the other; the report records both residuals.
 The swaps checked here are basis permutations, given as index arrays (perm[j]
-is the image of basis ket j): S is applied by gather, S v = v[inverse] and
-S H S^dag = H[inverse][:, inverse], and an index array that is not a
-bijection is rejected as not unitary.
+is the image of basis ket j): S is applied by gather, S v = v[inverse], and an
+index array that is not a bijection is rejected as not unitary.
+
+A triple's Hamiltonian is a ``Spectrum`` H = W^dag diag(w) W on every
+production path. When both triples share the basis map W and W carries S onto
+the same index array, S H_a S^dag - H_b = W^dag diag(w_a[inverse] - w_b) W,
+so the Hamiltonian residual is |w_a[inverse] - w_b| at O(dim). A dense
+Hamiltonian, kept for the oracles, is conjugated by gather,
+S H S^dag = H[inverse][:, inverse].
 
 Distinctness is operationalized against fixed, named reference observables,
 each given as its real diagonal in the working basis: two states describe
@@ -50,14 +56,15 @@ def _probe(dim: int) -> np.ndarray:
 class EvolutionTriple:
     """Hamiltonian + unit initial state + sampled times, with hbar.
 
-    States are evolved through ``spectrum``. A spectrum passed in is checked
-    against the Hamiltonian on one probe vector, so a triple never evolves
-    under an operator other than the one it reports; without one, the
-    spectrum is derived from the Hamiltonian by dense diagonalization on
-    first use.
+    The Hamiltonian is a ``Spectrum``, through which states are evolved, or a
+    hermitian-tagged ``DenseOperator`` for the dense oracles. A dense
+    Hamiltonian is evolved through ``spectrum``: one passed in is checked
+    against the entries on one probe vector, so a triple never evolves under
+    an operator other than the one it reports; without one, the spectrum is
+    derived by dense diagonalization on first use.
     """
 
-    hamiltonian: DenseOperator
+    hamiltonian: Spectrum | DenseOperator
     initial_state: ComplexVector
     sample_times: tuple
     hbar: float = 1.0
@@ -65,7 +72,11 @@ class EvolutionTriple:
 
     def __post_init__(self):
         object.__setattr__(self, "sample_times", tuple(float(t) for t in self.sample_times))
-        if self.hamiltonian.kind != HERMITIAN:
+        if isinstance(self.hamiltonian, Spectrum):
+            if self.spectrum is not None and self.spectrum is not self.hamiltonian:
+                raise KindError("a spectrum Hamiltonian is its own spectrum; pass no other")
+            object.__setattr__(self, "spectrum", self.hamiltonian)
+        elif self.hamiltonian.kind != HERMITIAN:
             raise KindError("the triple's Hamiltonian must be hermitian-tagged")
         if self.hamiltonian.dim != self.initial_state.dim:
             raise DimensionError(
@@ -81,7 +92,7 @@ class EvolutionTriple:
             raise ValueError("sample_times must be sorted")
         if self.hbar <= 0:
             raise ValueError(f"hbar must be positive, got {self.hbar}")
-        if self.spectrum is not None:
+        if self.spectrum is not None and self.spectrum is not self.hamiltonian:
             self._check_spectrum()
 
     def _check_spectrum(self) -> None:
@@ -124,9 +135,21 @@ class Witness:
 class IsomorphismReport:
     sample_times: tuple
     state_residuals: tuple
-    hamiltonian_residual: float
+    hamiltonian_residual: float | None
     tolerance: float
     passed: bool
+
+
+def _hamiltonian_residual(a, b, swap: np.ndarray, inverse: np.ndarray) -> float | None:
+    """|S H_a S^dag - H_b|_F, or None when neither form below applies."""
+    if isinstance(a, DenseOperator) and isinstance(b, DenseOperator):
+        return frobenius_norm(a.entries[np.ix_(inverse, inverse)] - b.entries)
+    shared_basis = (
+        isinstance(a, Spectrum) and isinstance(b, Spectrum) and a.dft_size == b.dft_size
+    )
+    if shared_basis and a.carried_factor(swap) is not None:
+        return frobenius_norm(a.weights[inverse] - b.weights)
+    return None
 
 
 def _phase_minimized_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -143,7 +166,10 @@ def check_isomorphism(
     phase_insensitive: bool = False,
 ) -> IsomorphismReport:
     """Residuals of S|psi(t)> = |phi(t)> and S H S^-1 = H' at the sampled times,
-    for the swap S given as an index array; a non-bijection raises KindError."""
+    for the swap S given as an index array; a non-bijection raises KindError.
+    The Hamiltonian residual is None, and the check fails, when the two
+    Hamiltonians are spectra whose shared basis map does not carry S, or are
+    of different kinds."""
     if triple_a.dim != triple_b.dim:
         raise DimensionError(f"triple dims differ: {triple_a.dim} vs {triple_b.dim}")
     if triple_a.sample_times != triple_b.sample_times:
@@ -160,14 +186,18 @@ def check_isomorphism(
         else:
             residuals.append(float(np.linalg.norm(mapped - state_b.amplitudes)))
 
-    conjugated = triple_a.hamiltonian.entries[np.ix_(inverse, inverse)]
-    hamiltonian_residual = frobenius_norm(conjugated - triple_b.hamiltonian.entries)
-
-    passed = max(residuals) <= tolerance and hamiltonian_residual <= tolerance
+    hamiltonian_residual = _hamiltonian_residual(
+        triple_a.hamiltonian, triple_b.hamiltonian, swap, inverse
+    )
+    passed = (
+        max(residuals) <= tolerance
+        and hamiltonian_residual is not None
+        and hamiltonian_residual <= tolerance
+    )
     return IsomorphismReport(
         sample_times=triple_a.sample_times,
         state_residuals=tuple(residuals),
-        hamiltonian_residual=float(hamiltonian_residual),
+        hamiltonian_residual=hamiltonian_residual,
         tolerance=tolerance,
         passed=passed,
     )
@@ -183,7 +213,10 @@ def basis_transport_check(
 ) -> bool:
     """With beta_j = S alpha_j for the index-array swap S, verify
     <alpha_j|psi(t)> = <beta_j|phi(t)> for all j and t, and
-    <alpha_j|H|alpha_k> = <beta_j|H'|beta_k> for all j, k."""
+    <alpha_j|H|alpha_k> = <beta_j|H'|beta_k> for all j, k. A dense oracle:
+    both triples must carry dense Hamiltonians."""
+    if not all(isinstance(t.hamiltonian, DenseOperator) for t in (triple_a, triple_b)):
+        raise KindError("basis_transport_check needs dense Hamiltonians")
     matrix = np.column_stack([vector.amplitudes for vector in basis])
     if matrix.shape[0] != triple_a.dim:
         raise DimensionError("basis vectors must match the triple dimension")

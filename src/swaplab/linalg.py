@@ -11,7 +11,7 @@ frozen, so values are safe to share across threads.
 
 from __future__ import annotations
 
-from functools import reduce
+from functools import partial, reduce
 
 import numpy as np
 
@@ -175,6 +175,19 @@ def _unchanged(amplitudes: np.ndarray) -> np.ndarray:
     return amplitudes
 
 
+def _centred_dft_axis(transform, n_points: int, amplitudes: np.ndarray) -> np.ndarray:
+    # centred transform along the trailing factor of a (leading x trailing)
+    # array, column by column: ifftshift, transform, fftshift. For odd N both
+    # shifts are the rotations below; slicing does them without np.roll's overhead.
+    half = n_points // 2
+    blocks = amplitudes.reshape(-1, n_points, *amplitudes.shape[1:])
+    shifted = np.concatenate((blocks[:, half:], blocks[:, :half]), axis=1)
+    out = transform(shifted, axis=1, norm="ortho")
+    return np.concatenate((out[:, half + 1 :], out[:, : half + 1]), axis=1).reshape(
+        amplitudes.shape
+    )
+
+
 class Spectrum:
     """A Hermitian operator in its eigenbasis: H = W^dag diag(weights) W.
 
@@ -182,22 +195,46 @@ class Spectrum:
     axis of an amplitude array, so a matrix is mapped column by column. Every
     time evolution in the package goes through ``evolve``; the basis maps are
     chosen by the constructor that knows the operator's structure.
+
+    ``dft_size`` records that structure when it is known: W is the identity
+    on a leading factor times the centred orthonormal DFT on a trailing
+    factor of that size, and size 1 is the identity map. Such a W carries a
+    swap sigma x tau, tau the identity or the reversal of the trailing
+    factor, onto the same index array, because the centred DFT maps reversal
+    to reversal (``carried_factor``). It is None for a dense eigenbasis,
+    which carries no swap that way.
     """
 
-    __slots__ = ("weights", "to_eigen", "from_eigen")
+    __slots__ = ("weights", "to_eigen", "from_eigen", "dft_size")
 
-    def __init__(self, weights, to_eigen, from_eigen):
-        values = np.array(weights, dtype=float)
+    def __init__(self, weights, to_eigen, from_eigen, dft_size=None):
+        values = np.asarray(weights)
+        if np.iscomplexobj(values):
+            raise KindError("spectrum weights must be real, as a Hermitian operator's are")
+        values = np.array(values, dtype=float)
         if values.ndim != 1 or values.size == 0:
             raise DimensionError(f"expected a nonempty 1-d weight array, got shape {values.shape}")
         self.weights = _freeze(values)
         self.to_eigen = to_eigen
         self.from_eigen = from_eigen
+        self.dft_size = dft_size
 
     @classmethod
     def diagonal(cls, weights) -> "Spectrum":
         """An operator that is already diagonal in the working basis."""
-        return cls(weights, _unchanged, _unchanged)
+        return cls(weights, _unchanged, _unchanged, 1)
+
+    @classmethod
+    def centred_dft(cls, weights, n_points: int) -> "Spectrum":
+        """An operator diagonal in the momentum basis of a trailing factor of
+        odd size ``n_points``, with trailing-fastest weights: W is the centred
+        orthonormal DFT applied to every trailing block."""
+        return cls(
+            weights,
+            partial(_centred_dft_axis, np.fft.fft, n_points),
+            partial(_centred_dft_axis, np.fft.ifft, n_points),
+            n_points,
+        )
 
     @classmethod
     def from_hermitian(cls, entries) -> "Spectrum":
@@ -217,6 +254,21 @@ class Spectrum:
     @property
     def dim(self) -> int:
         return self.weights.size
+
+    def carried_factor(self, perm) -> np.ndarray | None:
+        """tau when the swap ``perm`` (a bijection of range(dim)) is
+        sigma x tau over (dim / dft_size, dft_size) with tau the identity or
+        the reversal, so that W carries it onto the same index array and
+        W S W^dag = S; None for any other swap. An exact integer check."""
+        n = self.dft_size
+        if n is None:
+            return None
+        rows = np.asarray(perm).reshape(-1, n)
+        for tau in (np.arange(n), np.arange(n - 1, -1, -1)):
+            offsets = rows[:, :1] - tau[0]
+            if np.array_equal(rows, offsets + tau) and not (offsets % n).any():
+                return tau
+        return None
 
     def _scale(self, factors: np.ndarray, amplitudes) -> np.ndarray:
         amplitudes = np.asarray(amplitudes, dtype=complex)

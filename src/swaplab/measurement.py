@@ -11,14 +11,16 @@ Conventions:
   * momentum eigenvector components are exp(i*p*zeta/hbar)/sqrt(N)
   * hbar appears uniformly, translations are exp(-i p_Z tau / hbar)
   * free Hamiltonians are identically zero; only the measurement coupling acts
-  * time evolution goes through ``pointer_spectrum``: H is diagonal in the
-    system eigenbasis x the DFT momentum basis, so evolving is an FFT along
-    the pointer axis, a phase and an inverse FFT
+  * H is ``pointer_spectrum``: diagonal in the system eigenbasis x the DFT
+    momentum basis, so evolving is an FFT along the pointer axis, a phase and
+    an inverse FFT. The dense ``interaction_hamiltonian``, ``evolution_matrix``
+    and ``propagator`` are oracles; no certificate builds them
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -43,7 +45,9 @@ ZERO_BRANCH_TOL = 1e-12
 @dataclass(eq=False)
 class PointerGrid:
     """Discretized pointer space: positions ``zeta`` (the position operator's
-    diagonal), momenta, the DFT analysis map and the dense momentum operator."""
+    diagonal) and momenta. The dense N x N DFT analysis map and momentum
+    operator are built on first access, for the dense oracles and
+    ``ccr_defect``; no certificate reads them."""
 
     half_width: int
     spacing: float
@@ -61,10 +65,18 @@ class PointerGrid:
         self.n_points = n
         self.zeta = index * self.spacing
         self.momenta = 2 * np.pi * self.hbar * index / (n * self.spacing)
-        # analysis map (position -> momentum amplitudes); row j is <p_j|zeta>
-        self.fourier = np.exp(-2j * np.pi * np.outer(index, index) / n) / np.sqrt(n)
+
+    @cached_property
+    def fourier(self) -> np.ndarray:
+        """Analysis map (position -> momentum amplitudes); row j is <p_j|zeta>."""
+        index = np.arange(-self.half_width, self.half_width + 1)
+        n = self.n_points
+        return np.exp(-2j * np.pi * np.outer(index, index) / n) / np.sqrt(n)
+
+    @cached_property
+    def momentum_operator(self) -> DenseOperator:
         momentum = self.fourier.conj().T @ np.diag(self.momenta) @ self.fourier
-        self.momentum_operator = DenseOperator(momentum, HERMITIAN)
+        return DenseOperator(momentum, HERMITIAN)
 
     @property
     def center_index(self) -> int:
@@ -200,43 +212,27 @@ def interaction_hamiltonian(setup: MeasurementSetup) -> DenseOperator:
     return DenseOperator(entries, HERMITIAN)
 
 
-def _pointer_axis(transform, amplitudes: np.ndarray, n_points: int) -> np.ndarray:
-    # centred transform along the pointer index of a (system x pointer) array,
-    # column by column: ifftshift, transform, fftshift. For odd N both shifts
-    # are the rotations below; slicing does them without np.roll's overhead.
-    half = n_points // 2
-    blocks = amplitudes.reshape(-1, n_points, *amplitudes.shape[1:])
-    shifted = np.concatenate((blocks[:, half:], blocks[:, :half]), axis=1)
-    out = transform(shifted, axis=1, norm="ortho")
-    return np.concatenate((out[:, half + 1 :], out[:, : half + 1]), axis=1).reshape(
-        amplitudes.shape
-    )
-
-
-def _fourier_spectrum(weights: np.ndarray, n_points: int) -> Spectrum:
-    """Spectrum diagonal in the pointer momentum basis, with pointer-fastest
-    weights; the basis map is the centred orthonormal DFT, equal to
-    ``PointerGrid.fourier`` applied to every pointer block."""
-    return Spectrum(
-        weights,
-        lambda amplitudes: _pointer_axis(np.fft.fft, amplitudes, n_points),
-        lambda amplitudes: _pointer_axis(np.fft.ifft, amplitudes, n_points),
-    )
-
-
 def pointer_spectrum(setup: MeasurementSetup) -> Spectrum:
-    """H = -coupling * (A x p_Z) with weights -coupling * lambda_s * p_j."""
+    """H = -coupling * (A x p_Z) with weights -coupling * lambda_s * p_j, in
+    the system eigenbasis x the centred DFT momentum basis of the pointer."""
     weights = -setup.coupling * np.outer(setup.observable.values(), setup.grid.momenta)
-    return _fourier_spectrum(weights.reshape(-1), setup.grid.n_points)
+    return Spectrum.centred_dft(weights.reshape(-1), setup.grid.n_points)
 
 
-def _block_circulant(spectrum: Spectrum, n_points: int, t: float, hbar: float) -> np.ndarray:
-    # every pointer block of exp(-i H t / hbar) is circulant: evolve the first
-    # basis vector of each block once and read the block off its first column
-    blocks = spectrum.dim // n_points
-    starts = np.zeros((blocks, n_points), dtype=complex)
+def circulant_columns(spectrum: Spectrum, t: float, hbar: float) -> np.ndarray:
+    """First columns of the pointer blocks of exp(-i H t / hbar) for a
+    centred-DFT spectrum, one row per block. Each block is circulant, so its
+    first column, the evolved first basis vector of the block, fixes it."""
+    n_points = spectrum.dft_size
+    starts = np.zeros((spectrum.dim // n_points, n_points), dtype=complex)
     starts[:, 0] = 1.0
-    columns = spectrum.evolve(starts.reshape(-1), t, hbar).reshape(blocks, n_points)
+    return spectrum.evolve(starts.reshape(-1), t, hbar).reshape(starts.shape)
+
+
+def _block_circulant(spectrum: Spectrum, t: float, hbar: float) -> np.ndarray:
+    # the dense propagator, each circulant block read off its first column
+    columns = circulant_columns(spectrum, t, hbar)
+    blocks, n_points = columns.shape
     index = np.arange(n_points)
     circulant = columns[:, (index[:, None] - index[None, :]) % n_points]
     entries = np.zeros((blocks, n_points, blocks, n_points), dtype=complex)
@@ -246,8 +242,8 @@ def _block_circulant(spectrum: Spectrum, n_points: int, t: float, hbar: float) -
 
 def translation_map(grid: PointerGrid, steps: int) -> DenseOperator:
     """exp(-i p_Z (steps*spacing) / hbar): exact cyclic shift by `steps`."""
-    spectrum = _fourier_spectrum(grid.momenta, grid.n_points)
-    shift = _block_circulant(spectrum, grid.n_points, steps * grid.spacing, grid.hbar)
+    spectrum = Spectrum.centred_dft(grid.momenta, grid.n_points)
+    shift = _block_circulant(spectrum, steps * grid.spacing, grid.hbar)
     return DenseOperator(shift, UNITARY)
 
 
@@ -260,8 +256,8 @@ def _require_window(setup: MeasurementSetup, t: float) -> None:
 
 def evolution_matrix(setup: MeasurementSetup, t: float) -> np.ndarray:
     """Entries of exp(-i H t / hbar), assembled block by block from the
-    pointer spectrum without a unitarity check."""
-    return _block_circulant(pointer_spectrum(setup), setup.grid.n_points, t, setup.grid.hbar)
+    pointer spectrum without a unitarity check (a dense oracle)."""
+    return _block_circulant(pointer_spectrum(setup), t, setup.grid.hbar)
 
 
 def propagator(setup: MeasurementSetup, t: float) -> DenseOperator:

@@ -14,6 +14,7 @@ Three runs are provided:
 
 The ready state is modeled as the calibrated pointer zeta = 0 basis state per
 factor; "wealth" narratives reduce to outcome sign patterns in the labels.
+Every Hamiltonian is a ``Spectrum``; no run builds a dim x dim operator.
 Multiworld operators are never materialized on the product space: states are
 dense vectors, per-factor operators act by tensor reshaping, and the
 Hamiltonian-conjugation residual uses the exact per-factor Frobenius
@@ -44,7 +45,6 @@ from .linalg import (
 from .measurement import (
     MeasurementSetup,
     ObservableSpec,
-    interaction_hamiltonian,
     make_pointer_grid,
     pointer_spectrum,
     readout,
@@ -122,13 +122,12 @@ def run_prince_pauper(config: RunConfig) -> ScenarioReport:
     tolerances = SwapTolerances.uniform(config.tol)
     certificate = certify_lemma1(setup, tolerances=tolerances)
 
-    hamiltonian = interaction_hamiltonian(setup)
     observable = setup.observable
     plus0 = ready_state(setup, system_basis_state(observable, 0))
     minus0 = ready_state(setup, system_basis_state(observable, 1))
-    spectrum = pointer_spectrum(setup)
-    triple_plus = EvolutionTriple(hamiltonian, plus0, config.sample_times, config.hbar, spectrum)
-    triple_minus = EvolutionTriple(hamiltonian, minus0, config.sample_times, config.hbar, spectrum)
+    hamiltonian = pointer_spectrum(setup)
+    triple_plus = EvolutionTriple(hamiltonian, plus0, config.sample_times, config.hbar)
+    triple_minus = EvolutionTriple(hamiltonian, minus0, config.sample_times, config.hbar)
 
     swap = parity_swap(setup)
     iso = check_isomorphism(
@@ -176,6 +175,17 @@ def run_prince_pauper(config: RunConfig) -> ScenarioReport:
     )
 
 
+def _product_into(out: np.ndarray, factors: list) -> None:
+    """reduce(np.kron, factors), with its last product written into ``out``:
+    np.kron of two vectors is this broadcast multiply, so the entries are
+    bitwise those of the fresh array."""
+    if len(factors) == 1:
+        out[:] = factors[0]
+        return
+    head = reduce(np.kron, factors[:-1])
+    np.multiply(head[:, None], factors[-1][None, :], out=out.reshape(head.size, -1))
+
+
 def _factor_swap_residual(state_a, state_b, inverse_perm, factors, buffers) -> float:
     """|(per-factor swaps on `factors`) state_a - state_b|, computed in two
     preallocated product-space buffers: a fresh product-size array per pair and
@@ -197,13 +207,12 @@ def run_multiworld(config: RunConfig) -> ScenarioReport:
     tolerance = config.tol
     certificate = certify_lemma1(setup, tolerances=SwapTolerances.uniform(tolerance))
 
-    hamiltonian = interaction_hamiltonian(setup)
-    inverse_perm = permutation_inverse(parity_swap(setup), factor_dim)
-    # exact permutation conjugation: (S H S^dag)[a, b] = H[inv(a), inv(b)]
-    conjugated = hamiltonian.entries[np.ix_(inverse_perm, inverse_perm)]
-    factor_deviation = frobenius_norm(conjugated - hamiltonian.entries)
-
     spectrum = pointer_spectrum(setup)
+    inverse_perm = permutation_inverse(parity_swap(setup), factor_dim)
+    # |S H S^dag - H|_F on one factor; the basis map carries the parity swap
+    # (certify_lemma1 checks it), so it is read off the weights
+    factor_deviation = frobenius_norm(spectrum.weights[inverse_perm] - spectrum.weights)
+
     observable = setup.observable
 
     def evolved(sign: int, t: float) -> np.ndarray:
@@ -225,25 +234,30 @@ def run_multiworld(config: RunConfig) -> ScenarioReport:
 
     patterns = list(itertools.product((0, 1), repeat=k))
     labels = ["".join("+" if s == 0 else "-" for s in pattern) for pattern in patterns]
-    full_states = [
-        [reduce(np.kron, [factor_states[(s, ti)] for s in pattern]) for ti in range(len(times))]
-        for pattern in patterns
-    ]
-
-    buffers = [np.empty((factor_dim,) * k, dtype=complex) for _ in range(2)]
-    pairs = []
     n_worlds = len(patterns)
-    matrix = [[0.0] * n_worlds for _ in range(n_worlds)]
-    for i, j in itertools.combinations(range(n_worlds), 2):
-        differing = [f for f in range(k) if patterns[i][f] != patterns[j][f]]
-        state_residual = 0.0
-        for ti in range(len(times)):
+    pair_worlds = list(itertools.combinations(range(n_worlds), 2))
+    differing = [[f for f in range(k) if patterns[i][f] != patterns[j][f]] for i, j in pair_worlds]
+
+    # the worlds of one sample time at a time, in one array allocated once
+    # (see _factor_swap_residual for why no product-size array is fresh)
+    worlds = np.empty((n_worlds, factor_dim**k), dtype=complex)
+    buffers = [np.empty((factor_dim,) * k, dtype=complex) for _ in range(2)]
+    state_residuals = [0.0] * len(pair_worlds)
+    for ti in range(len(times)):
+        for world, pattern in zip(worlds, patterns):
+            _product_into(world, [factor_states[(s, ti)] for s in pattern])
+        for n, (i, j) in enumerate(pair_worlds):
             residual = _factor_swap_residual(
-                full_states[i][ti], full_states[j][ti], inverse_perm, differing, buffers
+                worlds[i], worlds[j], inverse_perm, differing[n], buffers
             )
-            state_residual = max(state_residual, residual)
+            state_residuals[n] = max(state_residuals[n], residual)
+
+    pairs = []
+    matrix = [[0.0] * n_worlds for _ in range(n_worlds)]
+    for n, (i, j) in enumerate(pair_worlds):
+        state_residual = state_residuals[n]
         hamiltonian_residual = float(
-            factor_deviation * np.sqrt(len(differing) * factor_dim ** (k - 1))
+            factor_deviation * np.sqrt(len(differing[n]) * factor_dim ** (k - 1))
         )
         pointer_gaps, system_gaps, witnesses = [], [], []
         for f in range(k):
@@ -330,10 +344,9 @@ def run_classical_level(config: RunConfig) -> ScenarioReport:
     start = ComplexVector(model.sector_state(sign_from, m_from, 0))
     swap = scaling_permutation(model)
     image = ComplexVector(start.amplitudes[permutation_inverse(swap, model.dim)])
-    hamiltonian = model.hamiltonian()
-    spectrum = Spectrum.diagonal(model.diagonal_weights())
-    triple_from = EvolutionTriple(hamiltonian, start, config.sample_times, config.hbar, spectrum)
-    triple_to = EvolutionTriple(hamiltonian, image, config.sample_times, config.hbar, spectrum)
+    hamiltonian = Spectrum.diagonal(model.diagonal_weights())
+    triple_from = EvolutionTriple(hamiltonian, start, config.sample_times, config.hbar)
+    triple_to = EvolutionTriple(hamiltonian, image, config.sample_times, config.hbar)
     iso = check_isomorphism(swap, triple_from, triple_to, config.tol, config.phase_insensitive)
 
     final_from = triple_from.states_at((config.T,))[0]

@@ -2,16 +2,22 @@
 
 Every swap is a basis permutation and is stored as an integer index array:
 ``perm[j]`` is the image of basis ket j, so the swap S acts on amplitudes as
-(S v)[i] = v[inverse[i]] and no dim x dim permutation matrix is built.
-Certificates compute their residuals by gather: S is unitary exactly when the
-index array is a bijection, (H S)[:, j] = H[:, perm[j]] and
-(S H)[i, :] = H[inverse[i], :]. Two families are built and certified:
+(S v)[i] = v[inverse[i]] and no dim x dim permutation matrix is built. S is
+unitary exactly when the index array is a bijection.
+
+Certificates are computed on the spectrum H = W^dag diag(w) W. When W carries
+S onto the same index array (``Spectrum.carried_factor``), H S - S H =
+W^dag (diag(w) S - S diag(w)) W has the Frobenius norm |w[perm] - w|, and
+U(t) S - S U(t) likewise |phi[perm] - phi| with phi = exp(-i w t / hbar); no
+dim x dim Hamiltonian or propagator is formed. Two families are certified:
 
 * the sign-flip swap (``parity_swap``): the basis permutation sending
   (lambda, a, zeta) to (-lambda, a, -zeta). It commutes with H = -g A x p_Z
-  because parity flips the sign of p_Z while the observable flips lambda. Its
-  momentum-basis twin (``parity_swap_momentum``) is a dense operator built
-  independently in the momentum basis, (lambda, p) -> (-lambda, -p);
+  because parity flips the sign of p_Z while the observable flips lambda. It
+  is sigma x R with R the pointer reversal, and the centred DFT maps R to R.
+  That last fact ties the eigenbasis to the position basis; it is checked
+  numerically at pointer-factor size (the cross-construction distance). The
+  dense momentum-basis twin (``parity_swap_momentum``) is an oracle;
 * the scaling swap (``scaling_permutation``): on a geometric eigenvalue ladder
   it shifts the observable exponent up and the momentum exponent down,
   preserving each diagonal energy -g*lambda*p exactly.
@@ -36,16 +42,15 @@ from .linalg import (
     HERMITIAN,
     UNITARY,
     DenseOperator,
+    Spectrum,
     frobenius_norm,
     permutation_inverse,
 )
 from .measurement import (
     MeasurementSetup,
     ObservableSpec,
-    evolution_matrix,
-    interaction_hamiltonian,
-    ready_state,
-    system_basis_state,
+    circulant_columns,
+    pointer_spectrum,
 )
 
 #: intertwining with the evolution operator is checked at these fractions of T
@@ -71,18 +76,22 @@ class SwapTolerances:
 @dataclass(frozen=True)
 class SwapCertificate:
     construction: str
-    commutator_residual: float
+    commutator_residual: float | None
     unitarity_defect: float
     swap_residual: float
-    intertwining_residual: float
+    intertwining_residual: float | None
     cross_construction_distance: float | None
     passed: bool
     note: str = ""
 
 
-def _commutator_residual(matrix: np.ndarray, perm: np.ndarray, inverse: np.ndarray) -> float:
-    """|M S - S M|_F for the swap S with index array ``perm``, by gather."""
-    return frobenius_norm(matrix[:, perm] - matrix[inverse, :])
+def _weight_commutator(weights: np.ndarray, perm: np.ndarray) -> float:
+    """|H S - S H|_F / |H|_F for H = diag(weights) and the swap ``perm`` in
+    H's eigenbasis: the commutator has one entry per column,
+    weights[perm[j]] - weights[j] at (perm[j], j)."""
+    commutator = frobenius_norm(weights[perm] - weights)
+    hnorm = frobenius_norm(weights)
+    return commutator / hnorm if hnorm > 0 else commutator
 
 
 def _system_negation(observable: ObservableSpec) -> np.ndarray:
@@ -99,22 +108,16 @@ def parity_swap(setup: MeasurementSetup) -> np.ndarray:
     return (system[:, None] * n + np.arange(n - 1, -1, -1)).reshape(-1)
 
 
-def _momentum_twin(setup: MeasurementSetup) -> np.ndarray:
-    # (lambda, p) -> (-lambda, -p) in the momentum basis, conjugated back to
-    # the position representation; dense, since F^dag R F carries rounding
+def parity_swap_momentum(setup: MeasurementSetup) -> DenseOperator:
+    """Sign-flip swap built in the momentum basis, (lambda, p) -> (-lambda, -p),
+    conjugated back to the position representation (a dense oracle)."""
     sys_dim = setup.observable.system_dim
     sys_perm = np.zeros((sys_dim, sys_dim))
     sys_perm[_system_negation(setup.observable), np.arange(sys_dim)] = 1.0
     grid = setup.grid
     momentum_parity = np.eye(grid.n_points)[::-1]
     pointer_part = grid.fourier.conj().T @ momentum_parity @ grid.fourier
-    return np.kron(sys_perm, pointer_part)
-
-
-def parity_swap_momentum(setup: MeasurementSetup) -> DenseOperator:
-    """Sign-flip swap built in the momentum basis, (lambda, p) -> (-lambda, -p),
-    conjugated back to the position representation."""
-    return DenseOperator(_momentum_twin(setup), UNITARY)
+    return DenseOperator(np.kron(sys_perm, pointer_part), UNITARY)
 
 
 def corrupted_swap(setup: MeasurementSetup) -> np.ndarray:
@@ -131,48 +134,100 @@ def corrupted_swap(setup: MeasurementSetup) -> np.ndarray:
     return perm
 
 
+def _swap_residual(setup: MeasurementSetup, spectrum: Spectrum, inverse: np.ndarray) -> float:
+    """max over outcome branches of |S U(T) ready(lambda, a) - U(T) ready(-lambda, a)|,
+    in the position basis. U(T) applied to a ready ket is one column of U(T):
+    the block's evolved first column, rotated to the pointer centre."""
+    observable, grid = setup.observable, setup.grid
+    columns = circulant_columns(spectrum, setup.duration, grid.hbar)
+
+    def evolved_ready(system_index: int) -> np.ndarray:
+        state = np.zeros(columns.shape, dtype=complex)
+        state[system_index] = np.roll(columns[system_index], grid.center_index)
+        return state.reshape(-1)
+
+    negation = observable.negation_index()
+    residual = 0.0
+    for i in range(observable.n_eigenvalues):
+        for a in range(observable.degeneracy):
+            lhs = evolved_ready(observable.system_index(i, a))[inverse]
+            rhs = evolved_ready(observable.system_index(int(negation[i]), a))
+            residual = max(residual, float(np.linalg.norm(lhs - rhs)))
+    return residual
+
+
+#: identity columns per FFT batch of the cross-construction, so that its work
+#: arrays stay N x 64 instead of N x N
+CROSS_CHUNK = 64
+
+
+def _cross_construction(spectrum: Spectrum, factor: np.ndarray) -> float:
+    """|S - T|_F between the swap S = sigma x tau and its twin
+    T = sigma x W^dag tau W, with tau applied in the momentum basis and
+    conjugated back through the spectrum's own maps. Only the pointer factor
+    differs, so the distance is sqrt(system_dim) |tau - W^dag tau W|_F. The
+    N x N identity is mapped in column batches; each column's squared
+    deviation is summed down the column, so the batch size does not change
+    the value (batches are near-equal, so none is one column wide, which
+    numpy would sum pairwise instead of row by row)."""
+    n = factor.size
+    squares = np.empty(n)
+    for batch in np.array_split(np.arange(n), -(-n // CROSS_CHUNK)):
+        columns = np.eye(n, batch.size, -batch[0], dtype=complex)
+        deviation = columns[factor] - spectrum.from_eigen(spectrum.to_eigen(columns)[factor])
+        squares[batch] = (deviation.real**2 + deviation.imag**2).sum(axis=0)
+    return float(np.sqrt(spectrum.dim // n * squares.sum()))
+
+
+NOT_CARRIED_NOTE = (
+    "the swap is not sigma x tau with tau the pointer identity or reversal, so the "
+    "momentum basis does not carry it: commutator, intertwining and cross-construction "
+    "are not computed"
+)
+
+
 def certify_lemma1(
     setup: MeasurementSetup,
     tolerances: SwapTolerances = None,
     swap: np.ndarray = None,
 ) -> SwapCertificate:
     """Certify a sign-flip swap given as an index array (the position-basis
-    parity swap by default): unitarity, commutation with H, intertwining with
-    the evolution at sampled times, outcome inversion on evolved ready states,
-    and agreement with the momentum-basis construction."""
+    parity swap by default) on the pointer spectrum: unitarity, commutation
+    with H and intertwining with the evolution at sampled times from the
+    weights, outcome inversion on evolved ready states in the position basis,
+    and agreement with the momentum-basis construction. A swap that the
+    spectrum's basis map does not carry fails, with those three fields None."""
     tolerances = tolerances or SwapTolerances()
     construction = "position-basis" if swap is None else "custom"
     perm = parity_swap(setup) if swap is None else np.asarray(swap)
     # raises unless perm is a bijection; a bijection's 0/1 matrix is exactly unitary
     inverse = permutation_inverse(perm, setup.total_dim)
     defect = 0.0
+    spectrum = pointer_spectrum(setup)
+    swap_residual = _swap_residual(setup, spectrum, inverse)
 
-    hamiltonian = interaction_hamiltonian(setup)
-    hnorm = frobenius_norm(hamiltonian.entries)
-    commutator = _commutator_residual(hamiltonian.entries, perm, inverse)
-    commutator_residual = commutator / hnorm if hnorm > 0 else commutator
+    factor = spectrum.carried_factor(perm)
+    if factor is None:
+        return SwapCertificate(
+            construction=construction,
+            commutator_residual=None,
+            unitarity_defect=defect,
+            swap_residual=swap_residual,
+            intertwining_residual=None,
+            cross_construction_distance=None,
+            passed=False,
+            note=NOT_CARRIED_NOTE,
+        )
 
-    observable = setup.observable
-    negation = observable.negation_index()
-    final = evolution_matrix(setup, setup.duration)
-    swap_residual = 0.0
-    for i in range(observable.n_eigenvalues):
-        for a in range(observable.degeneracy):
-            source = ready_state(setup, system_basis_state(observable, i, a))
-            mirror = ready_state(setup, system_basis_state(observable, int(negation[i]), a))
-            lhs = (final @ source.amplitudes)[inverse]
-            rhs = final @ mirror.amplitudes
-            swap_residual = max(swap_residual, float(np.linalg.norm(lhs - rhs)))
-
+    weights = spectrum.weights
+    commutator_residual = _weight_commutator(weights, perm)
     intertwining_residual = 0.0
     for fraction in SAMPLE_FRACTIONS:
-        u = evolution_matrix(setup, fraction * setup.duration)
-        intertwining_residual = max(intertwining_residual, _commutator_residual(u, perm, inverse))
-
-    # |S - T|_F: subtract S's unit entries at (perm[j], j) from the twin T
-    deviation = _momentum_twin(setup)
-    deviation[perm, np.arange(perm.size)] -= 1.0
-    cross_distance = frobenius_norm(deviation)
+        phases = np.exp(-1j * weights * (fraction * setup.duration) / setup.grid.hbar)
+        intertwining_residual = max(
+            intertwining_residual, frobenius_norm(phases[perm] - phases)
+        )
+    cross_distance = _cross_construction(spectrum, factor)
     passed = (
         commutator_residual <= tolerances.commutator
         and defect <= tolerances.unitarity
@@ -186,7 +241,7 @@ def certify_lemma1(
         unitarity_defect=float(defect),
         swap_residual=float(swap_residual),
         intertwining_residual=float(intertwining_residual),
-        cross_construction_distance=float(cross_distance),
+        cross_construction_distance=cross_distance,
         passed=passed,
     )
 
@@ -356,12 +411,8 @@ def certify_lemma2(
     # raises unless perm is a bijection; a bijection's 0/1 matrix is exactly unitary
     inverse = permutation_inverse(perm, model.dim)
     defect = 0.0
-    # H is diagonal, so H S - S H has one entry per column:
-    # weights[perm[j]] - weights[j] at (perm[j], j)
     weights = model.diagonal_weights()
-    hnorm = frobenius_norm(weights)
-    commutator = frobenius_norm(weights[perm] - weights)
-    commutator_residual = commutator / hnorm if hnorm > 0 else commutator
+    commutator_residual = _weight_commutator(weights, perm)
 
     index = model.basis_indices()
     # index[sign_to, m_to, label, sign_p, k - 1], for every label, sign_p and k

@@ -134,7 +134,11 @@ class TestCliCommands:
         assert lines
         for line in lines:
             assert re.fullmatch(r"[a-z-]+ [a-z_]+ \S+ > tol 1e-30 \(margin \S+\)", line), line
-        assert any(line.startswith("swap-certificate intertwining_residual ") for line in lines)
+        assert any(
+            line.startswith("swap-certificate cross_construction_distance ") for line in lines
+        )
+        # read off the spectrum weights, the intertwining residual is exactly 0.0
+        assert not any(" intertwining_residual " in line for line in lines)
 
     def test_passing_run_is_silent_on_stderr(self, tmp_path, capsys):
         assert main(["run", write_config(tmp_path, {})]) == 0

@@ -23,6 +23,7 @@ from swaplab.measurement import (
     ObservableSpec,
     interaction_hamiltonian,
     make_pointer_grid,
+    pointer_spectrum,
     ready_state,
     system_basis_state,
 )
@@ -130,6 +131,58 @@ class TestCheckIsomorphism:
         assert not literal.passed
         modded = check_isomorphism(np.arange(plus.dim), plus, rotated, phase_insensitive=True)
         assert modded.passed
+
+
+@pytest.fixture(scope="module")
+def spectral_pair(world_pair):
+    setup, plus, minus = world_pair
+    spectrum = pointer_spectrum(setup)
+    return (
+        setup,
+        EvolutionTriple(spectrum, plus.initial_state, SAMPLE_TIMES),
+        EvolutionTriple(spectrum, minus.initial_state, SAMPLE_TIMES),
+    )
+
+
+class TestSpectralHamiltonianResidual:
+    def test_parity_swap_is_exact(self, spectral_pair):
+        setup, plus, minus = spectral_pair
+        report = check_isomorphism(parity_swap(setup), plus, minus, tolerance=1e-10)
+        assert report.passed
+        assert report.hamiltonian_residual == 0.0
+
+    def test_weights_of_two_hamiltonians(self, world_pair, spectral_pair):
+        # |S H_a S^dag - H_b|_F for two couplings of one grid, against the dense gather
+        setup, plus, _ = spectral_pair
+        other = MeasurementSetup(setup.observable, setup.grid, 0.6, setup.duration)
+        stronger = EvolutionTriple(pointer_spectrum(other), plus.initial_state, SAMPLE_TIMES)
+        swap = parity_swap(setup)
+        report = check_isomorphism(swap, plus, stronger)
+        inverse = np.argsort(swap)
+        a, b = interaction_hamiltonian(setup).entries, interaction_hamiltonian(other).entries
+        dense = np.linalg.norm(a[np.ix_(inverse, inverse)] - b)
+        assert report.hamiltonian_residual == pytest.approx(dense, rel=1e-12)
+        assert not report.passed
+
+    def test_uncarried_swap_fails_without_residual(self, spectral_pair):
+        _, plus, minus = spectral_pair
+        shuffle = np.random.default_rng(0).permutation(plus.dim)
+        report = check_isomorphism(shuffle, plus, minus)
+        assert report.hamiltonian_residual is None
+        assert not report.passed
+
+    def test_mixed_kinds_fail_without_residual(self, world_pair, spectral_pair):
+        setup, dense_plus, _ = world_pair
+        _, _, minus = spectral_pair
+        report = check_isomorphism(parity_swap(setup), dense_plus, minus)
+        assert report.hamiltonian_residual is None
+        assert not report.passed
+
+    def test_basis_transport_needs_dense_hamiltonians(self, spectral_pair):
+        setup, plus, minus = spectral_pair
+        basis = [basis_vector(plus.dim, i) for i in range(plus.dim)]
+        with pytest.raises(KindError, match="dense"):
+            basis_transport_check(parity_swap(setup), basis, plus, minus, SAMPLE_TIMES)
 
 
 class TestBasisTransport:

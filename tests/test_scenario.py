@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -367,19 +368,32 @@ def dense_operators_built(monkeypatch, run, config) -> list:
     [(run_prince_pauper, RunConfig()), (run_multiworld, RunConfig(scenario="multiworld", k=2))],
 )
 def test_pointer_runs_build_no_dense_observable(monkeypatch, run, config):
-    # the only dense operators are the grid's momentum operator and the
-    # interaction Hamiltonian; reference observables stay diagonals
-    setup = qubit_setup(config)
-    expected = (setup.grid.momentum_operator.entries, interaction_hamiltonian(setup).entries)
-    built = dense_operators_built(monkeypatch, run, config)
-    assert built
-    for operator in built:
-        assert any(np.array_equal(operator.entries, entries) for entries in expected)
+    # the Hamiltonian is the pointer spectrum and reference observables stay
+    # diagonals, so no dense operator is built at all
+    assert dense_operators_built(monkeypatch, run, config) == []
 
 
 def test_classical_level_builds_only_its_hamiltonian(monkeypatch):
+    # ... and that Hamiltonian is the ladder's diagonal spectrum, not an operator
     config = RunConfig(scenario="classical-level", ratio_exponent_range=2)
-    built = dense_operators_built(monkeypatch, run_classical_level, config)
-    assert len(built) == 1
-    hamiltonian = build_diagonal_model(config).hamiltonian()
-    assert np.array_equal(built[0].entries, hamiltonian.entries)
+    assert dense_operators_built(monkeypatch, run_classical_level, config) == []
+
+
+@pytest.mark.parametrize(
+    "run, config, dim",
+    [
+        (run_prince_pauper, RunConfig(M=400), 2 * 801),
+        (run_classical_level, RunConfig(scenario="classical-level", ratio_exponent_range=10), 3528),
+    ],
+)
+def test_peak_allocation_below_one_dense_operator(run, config, dim):
+    # a deterministic memory guard: the traced peak of a whole run stays below
+    # the bytes of one dense dim x dim complex array
+    tracemalloc.start()
+    try:
+        report = run(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert peak < 16 * dim**2

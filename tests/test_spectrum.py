@@ -1,10 +1,12 @@
 import json
+import sys
 
 import numpy as np
 import pytest
 
 from swaplab.cli import main
 from swaplab import linalg
+from swaplab import measurement
 from swaplab.isomorphism import EvolutionTriple
 from swaplab.linalg import (
     DimensionError,
@@ -16,6 +18,7 @@ from swaplab.linalg import (
 from swaplab.measurement import (
     MeasurementSetup,
     ObservableSpec,
+    PointerGrid,
     evolve,
     interaction_hamiltonian,
     make_pointer_grid,
@@ -24,6 +27,7 @@ from swaplab.measurement import (
     ready_state,
     system_basis_state,
 )
+from swaplab.symmetry import GeometricDiagonalModel, corrupted_swap, parity_swap
 
 from test_linalg import random_hermitian
 
@@ -109,6 +113,73 @@ class TestSpectrumConstructors:
         with pytest.raises(DimensionError):
             Spectrum.diagonal(np.ones((2, 2)))
 
+    def test_complex_weights_rejected(self):
+        # a cast to float would drop the imaginary part with only a warning
+        with pytest.raises(KindError, match="real"):
+            Spectrum.diagonal([1 + 1e-3j, 2])
+
+
+class TestCarriedFactor:
+    def test_diagonal_carries_every_swap(self):
+        perm = np.random.default_rng(3).permutation(12)
+        assert np.array_equal(Spectrum.diagonal(np.arange(12.0)).carried_factor(perm), [0])
+
+    def test_dense_eigenbasis_carries_none(self):
+        spectrum = Spectrum.from_hermitian(random_hermitian(4).entries)
+        assert spectrum.carried_factor(np.arange(4)) is None
+
+    @pytest.mark.parametrize("pointer", ["identity", "reversal"])
+    def test_pointer_products(self, pointer):
+        setup = degenerate_setup(3)
+        n = setup.grid.n_points
+        tau = {"identity": np.arange(n), "reversal": np.arange(n)[::-1]}[pointer]
+        sigma = np.array([2, 0, 3, 1])  # no involution
+        perm = (sigma[:, None] * n + tau[None, :]).reshape(-1)
+        assert np.array_equal(pointer_spectrum(setup).carried_factor(perm), tau)
+
+    def test_parity_swap_is_carried(self):
+        setup = degenerate_setup(8)
+        reversal = np.arange(setup.grid.n_points)[::-1]
+        assert np.array_equal(pointer_spectrum(setup).carried_factor(parity_swap(setup)), reversal)
+
+    @pytest.mark.parametrize("kind", ["corrupted", "random", "shift", "misaligned"])
+    def test_other_swaps_are_not_carried(self, kind):
+        setup = degenerate_setup(3)
+        n, dim = setup.grid.n_points, setup.total_dim
+        perm = {
+            "corrupted": corrupted_swap(setup),
+            "random": np.random.default_rng(0).permutation(dim),
+            # a pointer translation commutes with p_Z but the DFT does not
+            # carry it onto a permutation
+            "shift": (np.arange(dim).reshape(-1, n)[:, np.r_[1:n, 0]]).reshape(-1),
+            # blocks of n consecutive indices that straddle two system blocks
+            "misaligned": np.roll(np.arange(dim), 1),
+        }[kind]
+        assert pointer_spectrum(setup).carried_factor(perm) is None
+
+
+class TestSpectrumTriple:
+    def test_spectrum_is_the_hamiltonian(self):
+        setup = degenerate_setup(8)
+        spectrum = pointer_spectrum(setup)
+        start = ready_state(setup, system_basis_state(setup.observable, 0, 1))
+        triple = EvolutionTriple(spectrum, start, (0.0, 0.37), HBAR)
+        assert triple.spectrum is spectrum and triple.dim == setup.total_dim
+        expected = spectrum.evolve(start.amplitudes, 0.37, HBAR)
+        assert np.array_equal(triple.states()[1].amplitudes, expected)
+
+    def test_second_spectrum_rejected(self):
+        setup = degenerate_setup(2)
+        start = ready_state(setup, system_basis_state(setup.observable, 0))
+        with pytest.raises(KindError, match="its own spectrum"):
+            EvolutionTriple(pointer_spectrum(setup), start, (0.0,), HBAR, pointer_spectrum(setup))
+
+    def test_dimension_checked(self):
+        setup = degenerate_setup(2)
+        start = ready_state(setup, system_basis_state(setup.observable, 0))
+        with pytest.raises(DimensionError):
+            EvolutionTriple(Spectrum.diagonal(np.zeros(3)), start, (0.0,), HBAR)
+
 
 class TestTripleSpectrumGuard:
     def test_matching_spectrum_gives_the_dense_states(self):
@@ -178,6 +249,29 @@ def test_production_paths_make_no_eigh_call(tmp_path, monkeypatch, words, extra,
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
     monkeypatch.setattr(np.linalg, "eigh", _no_eigh)
+    assert main([*words, str(path), *extra]) == 0
+
+
+def _no_dense(*args, **kwargs):
+    raise AssertionError("dense dim x dim operator built on a production path")
+
+
+@PRODUCTION_JOBS
+def test_production_paths_build_no_dense_operator(tmp_path, monkeypatch, words, extra, config):
+    # every certificate is computed from the spectrum weights, the position-basis
+    # gathers and pointer-factor FFTs; each dense constructor raises, in every
+    # module that binds it
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    modules = [m for n, m in sys.modules.items() if n.partition(".")[0] == "swaplab"]
+    for name in ("interaction_hamiltonian", "evolution_matrix"):
+        dense = getattr(measurement, name)
+        for module in modules:
+            if getattr(module, name, None) is dense:
+                monkeypatch.setattr(module, name, _no_dense)
+    monkeypatch.setattr(GeometricDiagonalModel, "hamiltonian", _no_dense)
+    monkeypatch.setattr(PointerGrid, "fourier", property(_no_dense))
+    monkeypatch.setattr(PointerGrid, "momentum_operator", property(_no_dense))
     assert main([*words, str(path), *extra]) == 0
 
 

@@ -390,7 +390,8 @@ class TestLoopOracles:
 
 
 def dense_lemma1(setup, perm):
-    """certify_lemma1's residuals from dense permutation-matrix products."""
+    """certify_lemma1's residuals from dense permutation-matrix products in the
+    position basis, and the dense momentum twin's distance to the swap."""
     swap = permutation_matrix(perm)
     s = swap.entries
     h = interaction_hamiltonian(setup)
@@ -415,8 +416,24 @@ def dense_lemma1(setup, perm):
         "unitarity_defect": unitarity_defect(swap),
         "swap_residual": swap_residual,
         "intertwining_residual": intertwining,
-        "cross_construction_distance": operator_distance(swap, parity_swap_momentum(setup)),
+        "momentum_twin_distance": operator_distance(swap, parity_swap_momentum(setup)),
     }
+
+
+def rendered_cross(setup, tau):
+    """sqrt(system_dim) |tau - W^dag tau W|_F, with W^dag tau W rendered from
+    an N x N identity by np.fft's own centring shifts, and each column's
+    squares summed down the column."""
+    identity = np.eye(tau.size, dtype=complex)
+    momentum = np.fft.fftshift(
+        np.fft.fft(np.fft.ifftshift(identity, axes=0), axis=0, norm="ortho"), axes=0
+    )
+    twin = np.fft.fftshift(
+        np.fft.ifft(np.fft.ifftshift(momentum[tau], axes=0), axis=0, norm="ortho"), axes=0
+    )
+    deviation = identity[tau] - twin
+    squares = (deviation.real**2 + deviation.imag**2).sum(axis=0)
+    return float(np.sqrt(setup.observable.system_dim * squares.sum()))
 
 
 def dense_lemma2(model, eigenvalue_from, eigenvalue_to, sample_times=(0.0, 0.5, 1.0)):
@@ -466,8 +483,21 @@ def dense_lemma2(model, eigenvalue_from, eigenvalue_to, sample_times=(0.0, 0.5, 
     }
 
 
+def spectral_and_dense_triples(setup):
+    """The two outcome worlds with the spectrum as H, and with the dense H."""
+    spectrum = pointer_spectrum(setup)
+    hamiltonian = interaction_hamiltonian(setup)
+    starts = [ready_state(setup, system_basis_state(setup.observable, s)) for s in (0, 1)]
+    spectral = [EvolutionTriple(spectrum, start, SAMPLE_FRACTIONS) for start in starts]
+    dense = [
+        EvolutionTriple(hamiltonian, start, SAMPLE_FRACTIONS, spectrum=spectrum)
+        for start in starts
+    ]
+    return spectral, dense
+
+
 class TestDenseOracle:
-    """The gathers give the dense permutation-matrix values bitwise."""
+    """Residuals read off the spectrum against dense permutation-matrix products."""
 
     @pytest.mark.parametrize("half_width", [1, 8, 50])
     @pytest.mark.parametrize("kind", ["parity", "corrupted", "random"])
@@ -481,26 +511,62 @@ class TestDenseOracle:
             "random": lambda s: np.random.default_rng(half_width).permutation(s.total_dim),
         }[kind](setup)
         certificate = certify_lemma1(setup, swap=perm)
-        for name, value in dense_lemma1(setup, perm).items():
-            assert getattr(certificate, name) == value, name
+        dense = dense_lemma1(setup, perm)
+        assert certificate.swap_residual == dense["swap_residual"]
+        assert certificate.unitarity_defect == dense["unitarity_defect"]
 
-        hamiltonian = interaction_hamiltonian(setup)
-        spectrum = pointer_spectrum(setup)
-        plus, minus = (
-            EvolutionTriple(
-                hamiltonian,
-                ready_state(setup, system_basis_state(setup.observable, sign)),
-                SAMPLE_FRACTIONS,
-                spectrum=spectrum,
-            )
-            for sign in (0, 1)
-        )
+        (plus, minus), (dense_plus, dense_minus) = spectral_and_dense_triples(setup)
         report = check_isomorphism(perm, plus, minus)
+        dense_report = check_isomorphism(perm, dense_plus, dense_minus)
         s = permutation_matrix(perm).entries
         for residual, a, b in zip(report.state_residuals, plus.states(), minus.states()):
             assert residual == float(np.linalg.norm(s @ a.amplitudes - b.amplitudes))
-        conjugated = s @ hamiltonian.entries @ s.conj().T
-        assert report.hamiltonian_residual == frobenius_norm(conjugated - hamiltonian.entries)
+        assert report.state_residuals == dense_report.state_residuals
+        h = dense_plus.hamiltonian.entries
+        conjugation = frobenius_norm(s @ h @ s.conj().T - h)
+        assert dense_report.hamiltonian_residual == conjugation
+
+        if kind == "parity":
+            assert certificate.commutator_residual == 0.0
+            assert certificate.intertwining_residual == 0.0
+            assert report.hamiltonian_residual == 0.0
+            reversal = np.arange(setup.grid.n_points)[::-1]
+            assert certificate.cross_construction_distance == rendered_cross(setup, reversal)
+            assert certificate.passed and report.passed
+            for value in (dense["commutator_residual"], dense["intertwining_residual"]):
+                assert value <= 1e-13
+            assert conjugation <= 1e-13
+            assert dense["momentum_twin_distance"] <= 1e-12
+        else:
+            assert certificate.commutator_residual is None
+            assert certificate.intertwining_residual is None
+            assert certificate.cross_construction_distance is None
+            assert not certificate.passed
+            assert dense["commutator_residual"] > 0.1
+            assert report.hamiltonian_residual is None
+            assert not report.passed
+
+    @pytest.mark.parametrize(
+        "system, pointer", [("cycle", "identity"), ("identity", "reversal"), ("cycle", "reversal")]
+    )
+    def test_product_swaps(self, system, pointer):
+        # a 3-outcome observable: the cyclic system permutation is no
+        # involution, so a swap and its inverse differ
+        grid = make_pointer_grid(8, 0.25)
+        setup = MeasurementSetup(ObservableSpec((1.0, 0.0, -1.0)), grid, 1.0, 1.0)
+        n = grid.n_points
+        sigma = {"cycle": np.array([1, 2, 0]), "identity": np.arange(3)}[system]
+        tau = {"identity": np.arange(n), "reversal": np.arange(n)[::-1]}[pointer]
+        perm = (sigma[:, None] * n + tau[None, :]).reshape(-1)
+        certificate = certify_lemma1(setup, swap=perm)
+        dense = dense_lemma1(setup, perm)
+        assert certificate.swap_residual == dense["swap_residual"]
+        assert certificate.unitarity_defect == dense["unitarity_defect"]
+        for name in ("commutator_residual", "intertwining_residual"):
+            assert dense[name] > 0.1
+            assert getattr(certificate, name) == pytest.approx(dense[name], rel=1e-12, abs=0)
+        assert certificate.cross_construction_distance == rendered_cross(setup, tau)
+        assert not certificate.passed
 
     @pytest.mark.parametrize("span", [1, 3])
     @pytest.mark.parametrize("degeneracy", [1, 2])
