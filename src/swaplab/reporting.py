@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict
+from dataclasses import fields, is_dataclass
 
 import numpy as np
 
@@ -22,6 +22,10 @@ from .scenario import ScenarioReport
 from .symmetry import SwapCertificate
 
 
+#: json.dumps of a str, without the encoder object json.dumps builds per call
+_quote = json.encoder.encode_basestring_ascii
+
+
 def _format_float(value: float) -> str:
     if not math.isfinite(value):
         raise ValueError(f"non-finite value {value!r} cannot appear in a report")
@@ -29,9 +33,8 @@ def _format_float(value: float) -> str:
 
 
 def render_json(value, indent: int = 0) -> str:
-    """Deterministic JSON: sorted keys, 17-significant-digit floats."""
-    pad = "  " * indent
-    child = "  " * (indent + 1)
+    """Deterministic JSON: sorted keys, 17-significant-digit floats. A
+    dataclass renders as the object of its fields."""
     if value is None:
         return "null"
     if isinstance(value, (bool, np.bool_)):
@@ -41,12 +44,16 @@ def render_json(value, indent: int = 0) -> str:
     if isinstance(value, (float, np.floating)):
         return _format_float(float(value))
     if isinstance(value, str):
-        return json.dumps(value)
+        return _quote(value)
+    if is_dataclass(value):
+        value = _field_dict(value)
+    pad = "  " * indent
+    child = pad + "  "
     if isinstance(value, dict):
         if not value:
             return "{}"
         items = [
-            f"{child}{json.dumps(str(key))}: {render_json(value[key], indent + 1)}"
+            f"{child}{_quote(str(key))}: {render_json(value[key], indent + 1)}"
             for key in sorted(value)
         ]
         return "{\n" + ",\n".join(items) + f"\n{pad}}}"
@@ -58,18 +65,22 @@ def render_json(value, indent: int = 0) -> str:
     raise TypeError(f"cannot serialize {type(value).__name__} into a report")
 
 
+def _field_dict(record) -> dict:
+    """A dataclass's fields by name, values as they are (render_json renders
+    nested dataclasses in turn, so nothing is copied)."""
+    return {field.name: getattr(record, field.name) for field in fields(record)}
+
+
 def _swap_doc(certificate: SwapCertificate) -> dict:
-    return {"type": "swap-certificate", **asdict(certificate)}
+    return {"type": "swap-certificate", **_field_dict(certificate)}
 
 
 def _iso_doc(report: IsomorphismReport) -> dict:
-    doc = asdict(report)
-    doc["type"] = "isomorphism-report"
-    return doc
+    return {"type": "isomorphism-report", **_field_dict(report)}
 
 
 def _pair_doc(pair) -> dict:
-    doc = asdict(pair)
+    doc = _field_dict(pair)
     doc.pop("witnesses")  # witnesses live in the distinctness array
     doc["type"] = "pair-certificate"
     return doc
@@ -80,14 +91,14 @@ def _distinctness_entry(pair) -> dict:
         "world_a": pair.world_a,
         "world_b": pair.world_b,
         "max_gap": max((w.gap for w in pair.witnesses), default=0.0),
-        "witnesses": [asdict(w) for w in pair.witnesses],
+        "witnesses": pair.witnesses,
     }
 
 
 def _world_doc(world) -> dict:
     return {
         "label": world.label,
-        "factors": [[asdict(branch) for branch in table] for table in world.per_factor],
+        "factors": world.per_factor,
     }
 
 
@@ -152,7 +163,7 @@ def emit_report(report, config) -> str:
         worlds = []
 
     document = {
-        "meta": {"generator": "swaplab", "version": __version__, "config": asdict(config)},
+        "meta": {"generator": "swaplab", "version": __version__, "config": config},
         "worlds": worlds,
         "certificates": certificates,
         "distinctness": distinctness,

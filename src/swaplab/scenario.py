@@ -15,17 +15,17 @@ Three runs are provided:
 The ready state is modeled as the calibrated pointer zeta = 0 basis state per
 factor; "wealth" narratives reduce to outcome sign patterns in the labels.
 Every Hamiltonian is a ``Spectrum``; no run builds a dim x dim operator.
-Multiworld operators are never materialized on the product space: states are
-dense vectors, per-factor operators act by tensor reshaping, and the
-Hamiltonian-conjugation residual uses the exact per-factor Frobenius
+Multiworld builds nothing on the product space: a pair's state residual is
+computed from per-factor inner products (``product_distance``), and its
+Hamiltonian-conjugation residual from the exact per-factor Frobenius
 factorization (each factor deviation is traceless, so cross terms vanish).
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, replace
-from functools import reduce
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -175,28 +175,29 @@ def run_prince_pauper(config: RunConfig) -> ScenarioReport:
     )
 
 
-def _product_into(out: np.ndarray, factors: list) -> None:
-    """reduce(np.kron, factors), with its last product written into ``out``:
-    np.kron of two vectors is this broadcast multiply, so the entries are
-    bitwise those of the fresh array."""
-    if len(factors) == 1:
-        out[:] = factors[0]
-        return
-    head = reduce(np.kron, factors[:-1])
-    np.multiply(head[:, None], factors[-1][None, :], out=out.reshape(head.size, -1))
+def _gram_table(x: np.ndarray, y: np.ndarray) -> list:
+    """Inner products <u, v> for u, v in (y, x - y, x), as Python complexes."""
+    vectors = (y, x - y, x)
+    return [[complex(np.vdot(u, v)) for v in vectors] for u in vectors]
 
 
-def _factor_swap_residual(state_a, state_b, inverse_perm, factors, buffers) -> float:
-    """|(per-factor swaps on `factors`) state_a - state_b|, computed in two
-    preallocated product-space buffers: a fresh product-size array per pair and
-    time is large enough to go through mmap and page-fault on every call."""
-    tensor = state_a.reshape(buffers[0].shape)
-    for n, axis in enumerate(factors):
-        # the permutation indices are always in range; mode="clip" lets take
-        # write straight into `out`, where the default mode copies through a buffer
-        tensor = np.take(tensor, inverse_perm, axis=axis, out=buffers[n % 2], mode="clip")
-    spare = buffers[len(factors) % 2].reshape(-1)
-    return float(np.linalg.norm(np.subtract(tensor.reshape(-1), state_b, out=spare)))
+def product_distance(tables, differing) -> float:
+    """|x_1 (x) ... (x) x_k - y_1 (x) ... (x) y_k| from the per-factor tables
+    ``_gram_table(x_f, y_f)``, where x_f == y_f outside ``differing``.
+
+    The difference telescopes into sum_f T_f over f in ``differing``, with
+    T_f = y_1 (x) ... (x) y_{f-1} (x) (x_f - y_f) (x) x_{f+1} (x) ... (x) x_k,
+    so its squared norm sum_{f,g} <T_f, T_g> is a sum of products of table
+    entries. Every term carries two differences, so nothing cancels against 1
+    (unlike 2 - 2 Re prod <x_f, y_f>), and it is exactly 0.0 when they are."""
+    total = 0j
+    for f in differing:
+        for g in differing:
+            term = 1 + 0j
+            for h, table in enumerate(tables):
+                term *= table[(h > f) - (h < f) + 1][(h > g) - (h < g) + 1]
+            total += term
+    return math.sqrt(max(0.0, total.real))
 
 
 def run_multiworld(config: RunConfig) -> ScenarioReport:
@@ -214,23 +215,18 @@ def run_multiworld(config: RunConfig) -> ScenarioReport:
     factor_deviation = frobenius_norm(spectrum.weights[inverse_perm] - spectrum.weights)
 
     observable = setup.observable
-
-    def evolved(sign: int, t: float) -> np.ndarray:
-        initial = ready_state(setup, system_basis_state(observable, sign)).amplitudes
-        return spectrum.evolve(initial, t, config.hbar)
-
-    times = config.sample_times
-    factor_states = {(sign, ti): evolved(sign, t) for sign in (0, 1) for ti, t in enumerate(times)}
-    final_states = {sign: ComplexVector(evolved(sign, config.T)) for sign in (0, 1)}
-    readout_tables = {sign: readout(final_states[sign], setup) for sign in (0, 1)}
+    initial = [ready_state(setup, system_basis_state(observable, s)).amplitudes for s in (0, 1)]
+    final_states = [ComplexVector(spectrum.evolve(v, config.T, config.hbar)) for v in initial]
+    readout_tables = [readout(state, setup) for state in final_states]
     frame = reference_observables(setup)
     # a pair's witnesses are its factors' witnesses, and each factor ends in
-    # one of two states, so four witness calls serve every pair
-    factor_witnesses = {
-        (a, b): distinctness_witness(final_states[a], final_states[b], frame, tolerance)
-        for a in (0, 1)
-        for b in (0, 1)
-    }
+    # one of two states, so four witness calls, renamed per factor, serve every pair
+    factor_witnesses = {}
+    for a, b in itertools.product((0, 1), repeat=2):
+        found = distinctness_witness(final_states[a], final_states[b], frame, tolerance)
+        factor_witnesses[(a, b)] = [
+            tuple(replace(w, observable=f"{w.observable}[{f}]") for w in found) for f in range(k)
+        ]
 
     patterns = list(itertools.product((0, 1), repeat=k))
     labels = ["".join("+" if s == 0 else "-" for s in pattern) for pattern in patterns]
@@ -238,18 +234,19 @@ def run_multiworld(config: RunConfig) -> ScenarioReport:
     pair_worlds = list(itertools.combinations(range(n_worlds), 2))
     differing = [[f for f in range(k) if patterns[i][f] != patterns[j][f]] for i, j in pair_worlds]
 
-    # the worlds of one sample time at a time, in one array allocated once
-    # (see _factor_swap_residual for why no product-size array is fresh)
-    worlds = np.empty((n_worlds, factor_dim**k), dtype=complex)
-    buffers = [np.empty((factor_dim,) * k, dtype=complex) for _ in range(2)]
+    # each factor of a pair holds one of two states at a sample time, swapped
+    # (x = S a, y = b) where the worlds differ and equal elsewhere, so four
+    # Gram tables per time serve every pair: no product-space state is built
     state_residuals = [0.0] * len(pair_worlds)
-    for ti in range(len(times)):
-        for world, pattern in zip(worlds, patterns):
-            _product_into(world, [factor_states[(s, ti)] for s in pattern])
+    for t in config.sample_times:
+        states = [spectrum.evolve(v, t, config.hbar) for v in initial]
+        tables = {
+            (a, b): _gram_table(states[a][inverse_perm] if a != b else states[a], states[b])
+            for a, b in itertools.product((0, 1), repeat=2)
+        }
         for n, (i, j) in enumerate(pair_worlds):
-            residual = _factor_swap_residual(
-                worlds[i], worlds[j], inverse_perm, differing[n], buffers
-            )
+            factor_tables = [tables[(a, b)] for a, b in zip(patterns[i], patterns[j])]
+            residual = product_distance(factor_tables, differing[n])
             state_residuals[n] = max(state_residuals[n], residual)
 
     pairs = []
@@ -259,13 +256,10 @@ def run_multiworld(config: RunConfig) -> ScenarioReport:
         hamiltonian_residual = float(
             factor_deviation * np.sqrt(len(differing[n]) * factor_dim ** (k - 1))
         )
-        pointer_gaps, system_gaps, witnesses = [], [], []
-        for f in range(k):
-            pointer, system = factor_witnesses[(patterns[i][f], patterns[j][f])]
-            pointer_gaps.append(pointer.gap)
-            system_gaps.append(system.gap)
-            witnesses.append(replace(pointer, observable=f"{pointer.observable}[{f}]"))
-            witnesses.append(replace(system, observable=f"{system.observable}[{f}]"))
+        factors = [
+            factor_witnesses[(a, b)][f] for f, (a, b) in enumerate(zip(patterns[i], patterns[j]))
+        ]
+        witnesses = tuple(w for factor in factors for w in factor)
         isomorphic = state_residual <= tolerance and hamiltonian_residual <= tolerance
         distinct = is_distinct(witnesses)
         matrix[i][j] = matrix[j][i] = max(w.gap for w in witnesses)
@@ -275,9 +269,9 @@ def run_multiworld(config: RunConfig) -> ScenarioReport:
                 world_b=labels[j],
                 state_residual=state_residual,
                 hamiltonian_residual=hamiltonian_residual,
-                pointer_gaps=tuple(pointer_gaps),
-                system_gaps=tuple(system_gaps),
-                witnesses=tuple(witnesses),
+                pointer_gaps=tuple(pointer.gap for pointer, _ in factors),
+                system_gaps=tuple(system.gap for _, system in factors),
+                witnesses=witnesses,
                 isomorphic=isomorphic,
                 distinct=distinct,
             )

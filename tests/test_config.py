@@ -76,10 +76,13 @@ class TestValidation:
         with pytest.raises(ConfigError, match="k"):
             parse_config('{"scenario": "multiworld", "k": 5}')
 
-    def test_dimension_cap_for_multiworld(self):
-        # k = 3 with a huge grid exceeds the dense cap
-        with pytest.raises(ConfigError, match="cap"):
-            parse_config('{"scenario": "multiworld", "k": 3, "M": 40, "delta": 0.25, "g": 1, "T": 1}')
+    def test_multiworld_product_dimension_is_not_capped(self):
+        # pairs are certified from per-factor states, so (2(2M+1))^k is no
+        # limit; each factor still meets the per-measurement cap
+        config = parse_config('{"scenario": "multiworld", "k": 3, "M": 40}')
+        assert (config.k, config.M) == (3, 40)
+        with pytest.raises(ConfigError, match="per-measurement dimension"):
+            parse_config('{"scenario": "multiworld", "k": 3, "M": 1100}')
 
 
     @pytest.mark.parametrize(

@@ -1,10 +1,11 @@
 import itertools
 import tracemalloc
+from functools import reduce
 
 import numpy as np
 import pytest
 
-from swaplab.config import ConfigError, RunConfig
+from swaplab.config import ConfigError, RunConfig, parse_config
 from swaplab.isomorphism import distinctness_witness
 from swaplab.linalg import (
     ComplexVector,
@@ -21,9 +22,11 @@ from swaplab.measurement import (
     system_basis_state,
 )
 from swaplab.scenario import (
+    _gram_table,
     _model_momentum,
     _model_observable,
     build_diagonal_model,
+    product_distance,
     qubit_setup,
     reference_observables,
     run_classical_level,
@@ -59,10 +62,12 @@ class TestScenarioConfig:
         with pytest.raises(ConfigError, match="wraparound"):
             RunConfig(M=2, delta=0.25)
 
-    def test_dimension_cap(self):
-        # (2 * (2 * 9 + 1))^3 = 54 872 product entries exceed the 40 000 cap
-        with pytest.raises(ConfigError, match="cap"):
-            RunConfig(scenario="multiworld", k=3, M=9)
+    def test_multiworld_beyond_old_product_cap_runs(self):
+        # (2 * (2 * 9 + 1))^3 = 54 872 product entries: no product state is
+        # built, so this config runs and passes
+        report = run_multiworld(parse_config('{"scenario": "multiworld", "k": 3, "M": 9}'))
+        assert len(report.pairs) == 28
+        assert report.passed
 
     def test_qubit_count_range(self):
         with pytest.raises(ConfigError, match="k must be between"):
@@ -185,6 +190,76 @@ class TestMultiworld:
         s_total = np.kron(swap, swap)
         dense = np.linalg.norm(s_total @ world_state("++") - world_state("--"))
         assert pair.state_residual == pytest.approx(dense, abs=1e-11)
+
+    def test_product_distance_matches_dense_kron(self):
+        # x_f = S a_f and y_f = b_f on differing factors, x_f = y_f = a_f
+        # elsewhere; the dense side applies the Kronecker product of swaps
+        rng = np.random.default_rng(7)
+        dim = 5
+        perm = rng.permutation(dim)
+        assert not np.array_equal(perm[perm], np.arange(dim))  # not an involution
+        swap = permutation_matrix(perm).entries
+        inverse = np.argsort(perm)
+
+        def unit(v):
+            return v / np.linalg.norm(v)
+
+        def random_unit():
+            return unit(rng.normal(size=dim) + 1j * rng.normal(size=dim))
+
+        for k in (1, 2, 3):
+            for size in range(1, k + 1):
+                for differing in itertools.combinations(range(k), size):
+                    for scale in (1e-14, 1e-10, 1e-6, 1e-2, 1.0):
+                        a = [random_unit() for _ in range(k)]
+                        b = [
+                            unit(a[f][inverse] + scale * random_unit()) if f in differing else a[f]
+                            for f in range(k)
+                        ]
+                        x = [a[f][inverse] if f in differing else a[f] for f in range(k)]
+                        tables = [_gram_table(x[f], b[f]) for f in range(k)]
+                        s_total = reduce(
+                            np.kron, [swap if f in differing else np.eye(dim) for f in range(k)]
+                        )
+                        dense = np.linalg.norm(s_total @ reduce(np.kron, a) - reduce(np.kron, b))
+                        factored = product_distance(tables, differing)
+                        assert abs(factored - dense) <= 1e-15 + 1e-12 * dense
+                        assert dense > 0.1 * scale
+
+    def test_product_distance_is_zero_when_every_factor_matches(self):
+        rng = np.random.default_rng(3)
+        states = [rng.normal(size=6) + 1j * rng.normal(size=6) for _ in range(3)]
+        tables = [_gram_table(state, state.copy()) for state in states]
+        for size in (1, 2, 3):
+            for differing in itertools.combinations(range(3), size):
+                assert product_distance(tables, differing) == 0.0
+
+    def test_off_grid_pairs_match_dense_product_residuals(self):
+        # off the grid the swapped worlds differ at the rounding level, so
+        # every pair has a nonzero residual to compare
+        config = RunConfig(scenario="multiworld", k=3, M=7, delta=0.3, g=0.7, hbar=0.7, T=1.3)
+        setup = qubit_setup(config)
+        spectrum = pointer_spectrum(setup)
+        inverse = np.argsort(parity_swap(setup))
+        initial = [
+            ready_state(setup, system_basis_state(setup.observable, s)).amplitudes for s in (0, 1)
+        ]
+        shape = (setup.total_dim,) * config.k
+        report = run_multiworld(config)
+        assert len(report.pairs) == 28
+        for pair in report.pairs:
+            patterns = [[0 if c == "+" else 1 for c in w] for w in (pair.world_a, pair.world_b)]
+            differing = [f for f in range(config.k) if patterns[0][f] != patterns[1][f]]
+            dense = 0.0
+            for t in config.sample_times:
+                states = [spectrum.evolve(v, t, config.hbar) for v in initial]
+                world_a, world_b = (reduce(np.kron, [states[s] for s in p]) for p in patterns)
+                swapped = world_a.reshape(shape)
+                for axis in differing:
+                    swapped = np.take(swapped, inverse, axis=axis)
+                dense = max(dense, np.linalg.norm(swapped.reshape(-1) - world_b))
+            assert dense > 0.0
+            assert abs(pair.state_residual - dense) <= 1e-15 + 1e-12 * dense
 
     def test_differing_factor_carries_the_gap(self):
         config = multiworld_config(2)
@@ -397,3 +472,16 @@ def test_peak_allocation_below_one_dense_operator(run, config, dim):
         tracemalloc.stop()
     assert report.passed
     assert peak < 16 * dim**2
+
+
+def test_multiworld_peak_below_one_product_vector():
+    # pairs are certified from per-factor states: the traced peak of a k = 3
+    # run stays below one complex product vector of (2(2M+1))^3 = 34^3 entries
+    tracemalloc.start()
+    try:
+        report = run_multiworld(RunConfig(scenario="multiworld", k=3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert peak < 16 * 34**3
