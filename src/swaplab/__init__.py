@@ -32,7 +32,6 @@ from .measurement import (  # noqa: E402
 from .symmetry import (  # noqa: E402
     GeometricDiagonalModel,
     SwapCertificate,
-    SwapTolerances,
     certify_lemma1,
     certify_lemma2,
     parity_swap,

@@ -1,10 +1,10 @@
 """Command-line front end.
 
 Usage:
-    swaplab run <config.json> [--tol X] [--seed N] [--out DIR]
-    swaplab certify lemma1|lemma2 <config.json> [--tol X] [--seed N] [--out DIR]
+    swaplab run <config.json> [--tol X] [--out DIR]
+    swaplab certify lemma1|lemma2 <config.json> [--tol X] [--out DIR]
     swaplab export-distribution <config.json> --time T [--world plus|minus|superposition]
-                                [--tol X] [--seed N] [--out DIR]
+                                [--tol X] [--out DIR]
 
 Exit status: 0 when every certificate in the run passes, 2 on config errors,
 3 on certification failure, 4 on numerical failure. Reports are deterministic:
@@ -14,6 +14,7 @@ identical configs produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -31,7 +32,7 @@ from .scenario import (
     run_multiworld,
     run_prince_pauper,
 )
-from .symmetry import SwapTolerances, certify_lemma1, certify_lemma2
+from .symmetry import certify_lemma1, certify_lemma2
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -41,10 +42,10 @@ EXIT_NUMERICAL = 4
 
 def _add_common_flags(parser):
     parser.add_argument("--tol", type=float, default=None, help="override the config tolerance")
-    parser.add_argument("--seed", type=int, default=None, help="override the config seed")
     parser.add_argument("--out", default=None, help="directory to write the output file into")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="swaplab",
@@ -79,8 +80,6 @@ def _load_config(args) -> RunConfig:
     overrides = {}
     if args.tol is not None:
         overrides["tol"] = args.tol
-    if args.seed is not None:
-        overrides["seed"] = args.seed
     if getattr(args, "target", None) is not None:
         overrides["scenario"] = f"certify-{args.target}"
     if args.command == "export-distribution":
@@ -100,14 +99,13 @@ def _dispatch_run(config: RunConfig):
         return run_multiworld(config)
     if kind == "classical-level":
         return run_classical_level(config)
-    tolerances = SwapTolerances.uniform(config.tol)
     if kind == "certify-lemma1":
-        return certify_lemma1(qubit_setup(config), tolerances=tolerances)
+        return certify_lemma1(qubit_setup(config), tol=config.tol)
     return certify_lemma2(
         build_diagonal_model(config),
         config.lambda1,
         config.lambda2,
-        tolerances=tolerances,
+        tol=config.tol,
         sample_times=config.sample_times,
     )
 

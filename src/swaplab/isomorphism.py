@@ -12,8 +12,8 @@ A triple's Hamiltonian is a ``Spectrum`` H = W^dag diag(w) W on every
 production path. When both triples share the basis map W and W carries S onto
 the same index array, S H_a S^dag - H_b = W^dag diag(w_a[inverse] - w_b) W,
 so the Hamiltonian residual is |w_a[inverse] - w_b| at O(dim). A dense
-Hamiltonian, kept for the oracles, is conjugated by gather,
-S H S^dag = H[inverse][:, inverse].
+Hamiltonian, kept for the oracles, is evolved through its own dense
+exponential and conjugated by gather, S H S^dag = H[inverse][:, inverse].
 
 Distinctness is operationalized against fixed, named reference observables,
 each given as its real diagonal in the working basis: two states describe
@@ -27,12 +27,11 @@ phase-insensitive mode minimizes the state residual over a global phase.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .linalg import (
-    HERM_TOL,
     HERMITIAN,
     ComplexVector,
     DenseOperator,
@@ -40,16 +39,9 @@ from .linalg import (
     KindError,
     Spectrum,
     frobenius_norm,
+    hermitian_exponential,
     permutation_inverse,
 )
-
-
-def _probe(dim: int) -> np.ndarray:
-    # fixed generic unit vector: a chirp with a ramped modulus, so no entry
-    # vanishes, no two entries are equal and every DFT mode is populated
-    index = np.arange(dim)
-    raw = (1.0 + index / dim) * np.exp(1j * np.sqrt(2.0) * index**2)
-    return raw / np.linalg.norm(raw)
 
 
 @dataclass(frozen=True)
@@ -57,26 +49,19 @@ class EvolutionTriple:
     """Hamiltonian + unit initial state + sampled times, with hbar.
 
     The Hamiltonian is a ``Spectrum``, through which states are evolved, or a
-    hermitian-tagged ``DenseOperator`` for the dense oracles. A dense
-    Hamiltonian is evolved through ``spectrum``: one passed in is checked
-    against the entries on one probe vector, so a triple never evolves under
-    an operator other than the one it reports; without one, the spectrum is
-    derived by dense diagonalization on first use.
+    hermitian-tagged ``DenseOperator`` for the dense oracles, evolved through
+    ``hermitian_exponential``. Either way a triple evolves under the operator
+    it reports.
     """
 
     hamiltonian: Spectrum | DenseOperator
     initial_state: ComplexVector
     sample_times: tuple
     hbar: float = 1.0
-    spectrum: Spectrum = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "sample_times", tuple(float(t) for t in self.sample_times))
-        if isinstance(self.hamiltonian, Spectrum):
-            if self.spectrum is not None and self.spectrum is not self.hamiltonian:
-                raise KindError("a spectrum Hamiltonian is its own spectrum; pass no other")
-            object.__setattr__(self, "spectrum", self.hamiltonian)
-        elif self.hamiltonian.kind != HERMITIAN:
+        if not isinstance(self.hamiltonian, Spectrum) and self.hamiltonian.kind != HERMITIAN:
             raise KindError("the triple's Hamiltonian must be hermitian-tagged")
         if self.hamiltonian.dim != self.initial_state.dim:
             raise DimensionError(
@@ -92,18 +77,6 @@ class EvolutionTriple:
             raise ValueError("sample_times must be sorted")
         if self.hbar <= 0:
             raise ValueError(f"hbar must be positive, got {self.hbar}")
-        if self.spectrum is not None and self.spectrum is not self.hamiltonian:
-            self._check_spectrum()
-
-    def _check_spectrum(self) -> None:
-        probe = _probe(self.dim)
-        entries = self.hamiltonian.entries
-        mismatch = float(np.linalg.norm(entries @ probe - self.spectrum.apply(probe)))
-        if mismatch > HERM_TOL * frobenius_norm(entries):
-            raise KindError(
-                f"spectrum does not represent the triple's Hamiltonian: |H v - spectrum(v)| = "
-                f"{mismatch:.3e}"
-            )
 
     @property
     def dim(self) -> int:
@@ -111,10 +84,11 @@ class EvolutionTriple:
 
     def states_at(self, times) -> list:
         """Evolved states exp(-i H t / hbar) |initial> at the given times."""
-        if self.spectrum is None:
-            object.__setattr__(self, "spectrum", Spectrum.from_hermitian(self.hamiltonian.entries))
-        initial = self.initial_state.amplitudes
-        return [ComplexVector(self.spectrum.evolve(initial, t, self.hbar)) for t in times]
+        if isinstance(self.hamiltonian, Spectrum):
+            initial = self.initial_state.amplitudes
+            return [ComplexVector(self.hamiltonian.evolve(initial, t, self.hbar)) for t in times]
+        exponentials = (hermitian_exponential(self.hamiltonian, t / self.hbar) for t in times)
+        return [exponential @ self.initial_state for exponential in exponentials]
 
     def states(self) -> list:
         return self.states_at(self.sample_times)

@@ -1,17 +1,18 @@
-"""Dense complex linear algebra substrate.
+"""Complex linear algebra substrate: the spectral Hamiltonian and the dense oracles.
 
-Vectors and operators are thin immutable wrappers around numpy arrays.
-Operators carry an advisory kind tag (``general``, ``hermitian``, ``unitary``)
-that is verified against its tolerance on construction; operations that rely
-on a tag recheck it instead of trusting it blindly.
+Every Hamiltonian on a production path is a ``Spectrum``: real weights in
+a basis that is the identity on a leading factor times the centred DFT on a
+trailing one. Dense vectors and operators are thin immutable wrappers around
+numpy arrays. Operators carry an advisory kind tag (``general``,
+``hermitian``, ``unitary``) that is verified against its tolerance on
+construction; operations that rely on a tag recheck it instead of trusting
+it blindly.
 
 Everything here is a pure function of its inputs; the wrapped buffers are
 frozen, so values are safe to share across threads.
 """
 
 from __future__ import annotations
-
-from functools import partial, reduce
 
 import numpy as np
 
@@ -49,18 +50,15 @@ def _freeze(array: np.ndarray) -> np.ndarray:
 class ComplexVector:
     """Vector in a finite-dimensional complex Hilbert space."""
 
-    __slots__ = ("amplitudes", "_factors")
+    __slots__ = ("amplitudes",)
 
-    def __init__(self, amplitudes, _factors=None):
+    def __init__(self, amplitudes):
         amps = np.array(amplitudes, dtype=complex)
         if amps.ndim != 1 or amps.size == 0:
             raise DimensionError(
                 f"expected a nonempty 1-d amplitude array, got shape {amps.shape}"
             )
         self.amplitudes = _freeze(amps)
-        # tensor factor list; kept so that nested tensor products materialize
-        # with one fixed left-to-right multiplication order
-        self._factors = tuple(_factors) if _factors is not None else (self.amplitudes,)
 
     @property
     def dim(self) -> int:
@@ -69,9 +67,9 @@ class ComplexVector:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 
-    def require_unit(self, norm_tol: float = NORM_TOL) -> "ComplexVector":
+    def require_unit(self) -> "ComplexVector":
         deviation = abs(self.norm() - 1.0)
-        if deviation > norm_tol:
+        if deviation > NORM_TOL:
             raise ValueError(f"state vector is not normalized: |norm - 1| = {deviation:.3e}")
         return self
 
@@ -82,9 +80,9 @@ class ComplexVector:
 class DenseOperator:
     """Dense square operator with a verified kind tag."""
 
-    __slots__ = ("entries", "kind", "_factors")
+    __slots__ = ("entries", "kind")
 
-    def __init__(self, entries, kind: str = GENERAL, _factors=None):
+    def __init__(self, entries, kind: str = GENERAL):
         mat = np.array(entries, dtype=complex)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] == 0:
             raise DimensionError(f"expected a nonempty square matrix, got shape {mat.shape}")
@@ -92,7 +90,6 @@ class DenseOperator:
             raise KindError(f"unknown operator kind {kind!r}")
         self.entries = _freeze(mat)
         self.kind = kind
-        self._factors = tuple(_factors) if _factors is not None else (self.entries,)
         self._verify_kind()
 
     def _verify_kind(self) -> None:
@@ -108,10 +105,6 @@ class DenseOperator:
     @property
     def dim(self) -> int:
         return self.entries.shape[0]
-
-    def dagger(self) -> "DenseOperator":
-        kind = self.kind if self.kind in (HERMITIAN, UNITARY) else GENERAL
-        return DenseOperator(self.entries.conj().T, kind)
 
     def __matmul__(self, other):
         if isinstance(other, DenseOperator):
@@ -150,35 +143,28 @@ def _kron(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def tensor_product(a, b):
-    """Kronecker product of two vectors or two operators.
-
-    Materialization always folds the accumulated factor list left to right,
-    so nested products are associative with bitwise-equal entries.
-    """
+    """Kronecker product of two vectors or two operators."""
     if isinstance(a, ComplexVector) and isinstance(b, ComplexVector):
-        factors = a._factors + b._factors
-        return ComplexVector(reduce(_kron, factors), _factors=factors)
+        return ComplexVector(_kron(a.amplitudes, b.amplitudes))
     if isinstance(a, DenseOperator) and isinstance(b, DenseOperator):
-        factors = a._factors + b._factors
         if a.kind == b.kind and a.kind in (HERMITIAN, UNITARY):
             kind = a.kind
         else:
             kind = GENERAL
-        return DenseOperator(reduce(_kron, factors), kind, _factors=factors)
+        return DenseOperator(_kron(a.entries, b.entries), kind)
     raise KindError(
         "tensor_product expects two vectors or two operators, got "
         f"{type(a).__name__} and {type(b).__name__}"
     )
 
 
-def _unchanged(amplitudes: np.ndarray) -> np.ndarray:
-    return amplitudes
-
-
 def _centred_dft_axis(transform, n_points: int, amplitudes: np.ndarray) -> np.ndarray:
     # centred transform along the trailing factor of a (leading x trailing)
-    # array, column by column: ifftshift, transform, fftshift. For odd N both
-    # shifts are the rotations below; slicing does them without np.roll's overhead.
+    # array, column by column: ifftshift, transform, fftshift; size 1 is the
+    # identity. For odd N both shifts are the rotations below; slicing does
+    # them without np.roll's overhead.
+    if n_points == 1:
+        return amplitudes
     half = n_points // 2
     blocks = amplitudes.reshape(-1, n_points, *amplitudes.shape[1:])
     shifted = np.concatenate((blocks[:, half:], blocks[:, :half]), axis=1)
@@ -191,23 +177,19 @@ def _centred_dft_axis(transform, n_points: int, amplitudes: np.ndarray) -> np.nd
 class Spectrum:
     """A Hermitian operator in its eigenbasis: H = W^dag diag(weights) W.
 
+    W is the identity on a leading factor times the centred orthonormal DFT
+    on a trailing factor of size ``dft_size``; size 1 is the identity map.
     ``to_eigen`` applies W and ``from_eigen`` applies W^dag along the leading
-    axis of an amplitude array, so a matrix is mapped column by column. Every
-    time evolution in the package goes through ``evolve``; the basis maps are
-    chosen by the constructor that knows the operator's structure.
-
-    ``dft_size`` records that structure when it is known: W is the identity
-    on a leading factor times the centred orthonormal DFT on a trailing
-    factor of that size, and size 1 is the identity map. Such a W carries a
-    swap sigma x tau, tau the identity or the reversal of the trailing
-    factor, onto the same index array, because the centred DFT maps reversal
-    to reversal (``carried_factor``). It is None for a dense eigenbasis,
-    which carries no swap that way.
+    axis of an amplitude array, so a matrix is mapped column by column, and
+    every time evolution in the package goes through ``evolve``. Such a W
+    carries a swap sigma x tau, tau the identity or the reversal of the
+    trailing factor, onto the same index array, because the centred DFT maps
+    reversal to reversal (``carried_factor``).
     """
 
-    __slots__ = ("weights", "to_eigen", "from_eigen", "dft_size")
+    __slots__ = ("weights", "dft_size")
 
-    def __init__(self, weights, to_eigen, from_eigen, dft_size=None):
+    def __init__(self, weights, dft_size: int = 1):
         values = np.asarray(weights)
         if np.iscomplexobj(values):
             raise KindError("spectrum weights must be real, as a Hermitian operator's are")
@@ -215,45 +197,30 @@ class Spectrum:
         if values.ndim != 1 or values.size == 0:
             raise DimensionError(f"expected a nonempty 1-d weight array, got shape {values.shape}")
         self.weights = _freeze(values)
-        self.to_eigen = to_eigen
-        self.from_eigen = from_eigen
         self.dft_size = dft_size
 
     @classmethod
     def diagonal(cls, weights) -> "Spectrum":
         """An operator that is already diagonal in the working basis."""
-        return cls(weights, _unchanged, _unchanged, 1)
+        return cls(weights)
 
     @classmethod
     def centred_dft(cls, weights, n_points: int) -> "Spectrum":
         """An operator diagonal in the momentum basis of a trailing factor of
-        odd size ``n_points``, with trailing-fastest weights: W is the centred
-        orthonormal DFT applied to every trailing block."""
-        return cls(
-            weights,
-            partial(_centred_dft_axis, np.fft.fft, n_points),
-            partial(_centred_dft_axis, np.fft.ifft, n_points),
-            n_points,
-        )
-
-    @classmethod
-    def from_hermitian(cls, entries) -> "Spectrum":
-        """Dense eigendecomposition of an arbitrary Hermitian matrix."""
-        entries = np.asarray(entries)
-        try:
-            eigenvalues, eigenvectors = np.linalg.eigh(entries)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(
-                "eigendecomposition failed: "
-                f"dim={entries.shape[0]}, |H|_F={frobenius_norm(entries):.3e}, "
-                f"max|entry|={float(np.abs(entries).max()):.3e}"
-            ) from exc
-        adjoint = eigenvectors.conj().T
-        return cls(eigenvalues, adjoint.__matmul__, eigenvectors.__matmul__)
+        odd size ``n_points``, with trailing-fastest weights."""
+        return cls(weights, n_points)
 
     @property
     def dim(self) -> int:
         return self.weights.size
+
+    def to_eigen(self, amplitudes: np.ndarray) -> np.ndarray:
+        """W applied along the leading axis."""
+        return _centred_dft_axis(np.fft.fft, self.dft_size, amplitudes)
+
+    def from_eigen(self, amplitudes: np.ndarray) -> np.ndarray:
+        """W^dag applied along the leading axis."""
+        return _centred_dft_axis(np.fft.ifft, self.dft_size, amplitudes)
 
     def carried_factor(self, perm) -> np.ndarray | None:
         """tau when the swap ``perm`` (a bijection of range(dim)) is
@@ -261,8 +228,6 @@ class Spectrum:
         the reversal, so that W carries it onto the same index array and
         W S W^dag = S; None for any other swap. An exact integer check."""
         n = self.dft_size
-        if n is None:
-            return None
         rows = np.asarray(perm).reshape(-1, n)
         for tau in (np.arange(n), np.arange(n - 1, -1, -1)):
             offsets = rows[:, :1] - tau[0]
@@ -270,27 +235,22 @@ class Spectrum:
                 return tau
         return None
 
-    def _scale(self, factors: np.ndarray, amplitudes) -> np.ndarray:
+    def evolve(self, amplitudes, t: float, hbar: float = 1.0) -> np.ndarray:
+        """exp(-i H t / hbar) applied to a vector, or to each column of a matrix."""
         amplitudes = np.asarray(amplitudes, dtype=complex)
         if amplitudes.shape[0] != self.dim:
             raise DimensionError(f"amplitude dim {amplitudes.shape[0]} != spectrum dim {self.dim}")
         coefficients = self.to_eigen(amplitudes)
-        factors = factors.reshape(factors.shape + (1,) * (coefficients.ndim - 1))
-        return self.from_eigen(factors * coefficients)
-
-    def apply(self, amplitudes) -> np.ndarray:
-        """H applied to a vector, or to each column of a matrix."""
-        return self._scale(self.weights, amplitudes)
-
-    def evolve(self, amplitudes, t: float, hbar: float = 1.0) -> np.ndarray:
-        """exp(-i H t / hbar) applied to a vector, or to each column of a matrix."""
-        return self._scale(np.exp(-1j * self.weights * t / hbar), amplitudes)
+        phases = np.exp(-1j * self.weights * t / hbar)
+        phases = phases.reshape(phases.shape + (1,) * (coefficients.ndim - 1))
+        return self.from_eigen(phases * coefficients)
 
 
 def hermitian_exponential(hermitian: DenseOperator, angle: float) -> DenseOperator:
-    """exp(-i * angle * H) for Hermitian H, via eigendecomposition.
+    """exp(-i * angle * H) for Hermitian H, via dense eigendecomposition.
 
-    The dense reference that the spectral evolution is tested against.
+    The dense reference that the spectral evolution is tested against, and
+    the evolution of a triple with a dense Hamiltonian.
     """
     if hermitian.kind != HERMITIAN:
         raise KindError(
@@ -300,8 +260,16 @@ def hermitian_exponential(hermitian: DenseOperator, angle: float) -> DenseOperat
     defect = frobenius_norm(entries - entries.conj().T)
     if defect > HERM_TOL * frobenius_norm(entries):
         raise KindError(f"operator is not numerically hermitian: defect {defect:.3e}")
-    result = Spectrum.from_hermitian(entries).evolve(np.eye(hermitian.dim), float(angle))
-    return DenseOperator(result, UNITARY)
+    try:
+        eigenvalues, eigenvectors = np.linalg.eigh(entries)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(
+            "eigendecomposition failed: "
+            f"dim={hermitian.dim}, |H|_F={frobenius_norm(entries):.3e}, "
+            f"max|entry|={float(np.abs(entries).max()):.3e}"
+        ) from exc
+    phases = np.exp(-1j * eigenvalues * float(angle))
+    return DenseOperator(eigenvectors @ (phases[:, None] * eigenvectors.conj().T), UNITARY)
 
 
 def commutator_norm(a: DenseOperator, b: DenseOperator) -> float:

@@ -274,14 +274,12 @@ def evolve(setup: MeasurementSetup, state: ComplexVector, t: float) -> ComplexVe
     return ComplexVector(pointer_spectrum(setup).evolve(state.amplitudes, t, setup.grid.hbar))
 
 
-def readout(
-    state: ComplexVector, setup: MeasurementSetup, zero_tol: float = ZERO_BRANCH_TOL
-) -> tuple:
+def readout(state: ComplexVector, setup: MeasurementSetup) -> tuple:
     """Per-eigenvalue branch probability, pointer mean, and inferred outcome.
 
     The inferred outcome is -<Z>_branch / (coupling * duration); it is reported
-    as None (not NaN) for branches with probability below `zero_tol`, and also
-    when coupling * duration == 0, where the calibration is undefined.
+    as None (not NaN) for branches with probability below ZERO_BRANCH_TOL, and
+    also when coupling * duration == 0, where the calibration is undefined.
     """
     if state.dim != setup.total_dim:
         raise DimensionError(f"state dim {state.dim} != setup dim {setup.total_dim}")
@@ -292,7 +290,7 @@ def readout(
     for i, eigenvalue in enumerate(observable.eigenvalues):
         block = weights[i * observable.degeneracy : (i + 1) * observable.degeneracy]
         probability = float(block.sum())
-        if probability < zero_tol:
+        if probability < ZERO_BRANCH_TOL:
             table.append(BranchReadout(eigenvalue, probability, None, None))
             continue
         pointer_mean = float((block.sum(axis=0) * setup.grid.zeta).sum() / probability)

@@ -53,7 +53,6 @@ from .measurement import (
 )
 from .symmetry import (
     GeometricDiagonalModel,
-    SwapTolerances,
     certify_lemma1,
     certify_lemma2,
     locate_eigenvalue,
@@ -119,8 +118,7 @@ def reference_observables(setup: MeasurementSetup) -> tuple:
 def run_prince_pauper(config: RunConfig) -> ScenarioReport:
     """Single qubit: both outcome worlds share the triple, differ observably."""
     setup = qubit_setup(config)
-    tolerances = SwapTolerances.uniform(config.tol)
-    certificate = certify_lemma1(setup, tolerances=tolerances)
+    certificate = certify_lemma1(setup, tol=config.tol)
 
     observable = setup.observable
     plus0 = ready_state(setup, system_basis_state(observable, 0))
@@ -206,7 +204,7 @@ def run_multiworld(config: RunConfig) -> ScenarioReport:
     setup = qubit_setup(config)
     factor_dim = setup.total_dim
     tolerance = config.tol
-    certificate = certify_lemma1(setup, tolerances=SwapTolerances.uniform(tolerance))
+    certificate = certify_lemma1(setup, tol=tolerance)
 
     spectrum = pointer_spectrum(setup)
     inverse_perm = permutation_inverse(parity_swap(setup), factor_dim)
@@ -329,9 +327,8 @@ def run_classical_level(config: RunConfig) -> ScenarioReport:
     """Two macroscopically different readings connected by an H-preserving swap."""
     value_from, value_to = config.lambda1, config.lambda2
     model = build_diagonal_model(config)
-    tolerances = SwapTolerances.uniform(config.tol)
     certificate = certify_lemma2(
-        model, value_from, value_to, tolerances=tolerances, sample_times=config.sample_times
+        model, value_from, value_to, tol=config.tol, sample_times=config.sample_times
     )
 
     sign_from, m_from = locate_eigenvalue(model, value_from)

@@ -58,23 +58,10 @@ SAMPLE_FRACTIONS = (0.0, 0.25, 0.5, 0.75, 1.0)
 
 
 @dataclass(frozen=True)
-class SwapTolerances:
-    """Pass thresholds for a SwapCertificate; residuals are relative to |H|_F
-    for the commutator and absolute elsewhere (states are unit vectors)."""
-
-    commutator: float = 1e-10
-    unitarity: float = 1e-10
-    swap: float = 1e-10
-    intertwining: float = 1e-10
-    cross_construction: float = 1e-10
-
-    @classmethod
-    def uniform(cls, tol: float) -> "SwapTolerances":
-        return cls(tol, tol, tol, tol, tol)
-
-
-@dataclass(frozen=True)
 class SwapCertificate:
+    """Residuals of one swap, each passing at most the one tolerance: the
+    commutator relative to |H|_F, the others absolute (unit states)."""
+
     construction: str
     commutator_residual: float | None
     unitarity_defect: float
@@ -188,7 +175,7 @@ NOT_CARRIED_NOTE = (
 
 def certify_lemma1(
     setup: MeasurementSetup,
-    tolerances: SwapTolerances = None,
+    tol: float = 1e-10,
     swap: np.ndarray = None,
 ) -> SwapCertificate:
     """Certify a sign-flip swap given as an index array (the position-basis
@@ -197,7 +184,6 @@ def certify_lemma1(
     weights, outcome inversion on evolved ready states in the position basis,
     and agreement with the momentum-basis construction. A swap that the
     spectrum's basis map does not carry fails, with those three fields None."""
-    tolerances = tolerances or SwapTolerances()
     construction = "position-basis" if swap is None else "custom"
     perm = parity_swap(setup) if swap is None else np.asarray(swap)
     # raises unless perm is a bijection; a bijection's 0/1 matrix is exactly unitary
@@ -228,12 +214,13 @@ def certify_lemma1(
             intertwining_residual, frobenius_norm(phases[perm] - phases)
         )
     cross_distance = _cross_construction(spectrum, factor)
+    # one comparison per residual: max() would drop a NaN not in first place
     passed = (
-        commutator_residual <= tolerances.commutator
-        and defect <= tolerances.unitarity
-        and swap_residual <= tolerances.swap
-        and intertwining_residual <= tolerances.intertwining
-        and cross_distance <= tolerances.cross_construction
+        commutator_residual <= tol
+        and defect <= tol
+        and swap_residual <= tol
+        and intertwining_residual <= tol
+        and cross_distance <= tol
     )
     return SwapCertificate(
         construction=construction,
@@ -378,13 +365,12 @@ def certify_lemma2(
     model: GeometricDiagonalModel,
     eigenvalue_from: float,
     eigenvalue_to: float,
-    tolerances: SwapTolerances = None,
+    tol: float = 1e-10,
     sample_times: tuple = (0.0, 0.5, 1.0),
 ) -> SwapCertificate:
     """Certify the scaling swap: exact commutation with the diagonal Hamiltonian
     and mapping of the eigenvalue_from branch family onto the eigenvalue_to
     family, for every degeneracy label (index-level and on evolved states)."""
-    tolerances = tolerances or SwapTolerances()
     sign_from, m_from = locate_eigenvalue(model, eigenvalue_from)
     sign_to, m_to = locate_eigenvalue(model, eigenvalue_to)
 
@@ -437,10 +423,10 @@ def certify_lemma2(
             )
 
     passed = (
-        commutator_residual <= tolerances.commutator
-        and defect <= tolerances.unitarity
-        and swap_residual <= tolerances.swap
-        and intertwining_residual <= tolerances.intertwining
+        commutator_residual <= tol
+        and defect <= tol
+        and swap_residual <= tol
+        and intertwining_residual <= tol
     )
     return SwapCertificate(
         construction="scaling",

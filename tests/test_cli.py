@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from swaplab.cli import main
+from swaplab.cli import build_parser, main
 from swaplab.config import SCENARIOS, parse_config
 from swaplab.measurement import evolve, ready_state, system_basis_state
 from swaplab.reporting import emit_distribution_csv, emit_report, render_json
@@ -222,6 +222,20 @@ class TestCliCommands:
     def test_export_time_outside_window(self, tmp_path):
         config_path = write_config(tmp_path, {})
         assert main(["export-distribution", config_path, "--time", "3.0"]) == 2
+
+    def test_seed_flag_removed(self, tmp_path, capsys):
+        # the config's seed drives nothing, so no flag overrides it
+        config_path = write_config(tmp_path, {})
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", config_path, "--seed", "3"])
+        assert exit_info.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+
+    def test_parser_built_once(self, tmp_path):
+        config_path = write_config(tmp_path, {})
+        parser = build_parser()
+        assert main(["certify", "lemma1", config_path]) == 0
+        assert build_parser() is parser
 
 
 EXTREME_LAMBDAS = (0.0, 1.0, -1.0, 2.0, 0.5, -3.0, 1e300, -1e300, 1e-300, -1e-300)

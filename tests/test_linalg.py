@@ -136,23 +136,6 @@ class TestTensorProduct:
         with pytest.raises(KindError):
             tensor_product(identity(2), ComplexVector([1.0, 0.0]))
 
-    def test_associativity_exact(self):
-        rng = np.random.default_rng(11)
-        ops = [
-            DenseOperator(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
-            for d in (2, 3, 2)
-        ]
-        left = tensor_product(tensor_product(ops[0], ops[1]), ops[2])
-        right = tensor_product(ops[0], tensor_product(ops[1], ops[2]))
-        assert np.array_equal(left.entries, right.entries)
-
-    def test_vector_associativity_exact(self):
-        rng = np.random.default_rng(13)
-        vecs = [ComplexVector(rng.standard_normal(d) + 1j * rng.standard_normal(d)) for d in (2, 3, 4)]
-        left = tensor_product(tensor_product(vecs[0], vecs[1]), vecs[2])
-        right = tensor_product(vecs[0], tensor_product(vecs[1], vecs[2]))
-        assert np.array_equal(left.amplitudes, right.amplitudes)
-
 
 class TestHermitianExponential:
     def test_zero_angle_is_identity(self):

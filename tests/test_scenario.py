@@ -1,5 +1,6 @@
 import itertools
 import tracemalloc
+from dataclasses import replace
 from functools import reduce
 
 import numpy as np
@@ -282,6 +283,14 @@ class TestMultiworld:
         assert np.array_equal(first @ second, second @ first)
         # each factor swap is an involution
         assert np.array_equal(swap @ swap, eye)
+
+    def test_phase_insensitive_is_ignored(self):
+        # multiworld residuals are literal, an upper bound on the
+        # phase-minimized ones; off grid they are nonzero
+        config = multiworld_config(2, M=7, delta=0.3, g=0.7, hbar=0.7, T=1.3)
+        literal = run_multiworld(config)
+        assert min(pair.state_residual for pair in literal.pairs) > 0.0
+        assert run_multiworld(replace(config, phase_insensitive=True)) == literal
 
     def test_rejects_large_k(self):
         with pytest.raises(ConfigError):

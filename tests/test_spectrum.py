@@ -29,8 +29,6 @@ from swaplab.measurement import (
 )
 from swaplab.symmetry import GeometricDiagonalModel, corrupted_swap, parity_swap
 
-from test_linalg import random_hermitian
-
 HBAR = 0.7
 SPACING = 0.3
 DURATION = 1.0
@@ -68,12 +66,6 @@ class TestPointerSpectrum:
         assert np.linalg.norm(spectral - oracle @ state) <= 1e-12
         assert frobenius_norm(propagator(setup, t).entries - oracle) <= 1e-12
 
-    def test_apply_is_the_hamiltonian(self):
-        setup = degenerate_setup(8)
-        columns = np.stack([random_state(setup.total_dim, seed) for seed in range(3)], axis=1)
-        hamiltonian = interaction_hamiltonian(setup).entries
-        assert np.abs(pointer_spectrum(setup).apply(columns) - hamiltonian @ columns).max() <= 1e-13
-
     def test_evolve_acts_column_by_column(self):
         setup = degenerate_setup(8)
         spectrum = pointer_spectrum(setup)
@@ -97,14 +89,6 @@ class TestSpectrumConstructors:
         got = Spectrum.diagonal(weights).evolve(state, 0.4, 1.3)
         assert np.array_equal(got, np.exp(-1j * weights * 0.4 / 1.3) * state)
 
-    def test_from_hermitian_matches_the_exponential(self):
-        herm = random_hermitian(7, np.random.default_rng(2))
-        spectrum = Spectrum.from_hermitian(herm.entries)
-        state = random_state(7)
-        expected = hermitian_exponential(herm, 0.9 / 1.5).entries @ state
-        assert np.linalg.norm(spectrum.evolve(state, 0.9, 1.5) - expected) <= 1e-12
-        assert np.linalg.norm(spectrum.apply(state) - herm.entries @ state) <= 1e-12
-
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(DimensionError):
             Spectrum.diagonal(np.ones(3)).evolve(np.ones(4), 0.1)
@@ -123,10 +107,6 @@ class TestCarriedFactor:
     def test_diagonal_carries_every_swap(self):
         perm = np.random.default_rng(3).permutation(12)
         assert np.array_equal(Spectrum.diagonal(np.arange(12.0)).carried_factor(perm), [0])
-
-    def test_dense_eigenbasis_carries_none(self):
-        spectrum = Spectrum.from_hermitian(random_hermitian(4).entries)
-        assert spectrum.carried_factor(np.arange(4)) is None
 
     @pytest.mark.parametrize("pointer", ["identity", "reversal"])
     def test_pointer_products(self, pointer):
@@ -164,63 +144,25 @@ class TestSpectrumTriple:
         spectrum = pointer_spectrum(setup)
         start = ready_state(setup, system_basis_state(setup.observable, 0, 1))
         triple = EvolutionTriple(spectrum, start, (0.0, 0.37), HBAR)
-        assert triple.spectrum is spectrum and triple.dim == setup.total_dim
+        assert triple.hamiltonian is spectrum and triple.dim == setup.total_dim
         expected = spectrum.evolve(start.amplitudes, 0.37, HBAR)
         assert np.array_equal(triple.states()[1].amplitudes, expected)
 
-    def test_second_spectrum_rejected(self):
-        setup = degenerate_setup(2)
-        start = ready_state(setup, system_basis_state(setup.observable, 0))
-        with pytest.raises(KindError, match="its own spectrum"):
-            EvolutionTriple(pointer_spectrum(setup), start, (0.0,), HBAR, pointer_spectrum(setup))
+    def test_matching_spectrum_gives_the_dense_states(self):
+        # the dense H is evolved through its own exponential, not the spectrum
+        setup = degenerate_setup(8)
+        start = ready_state(setup, system_basis_state(setup.observable, 0, 1))
+        times = (0.0, 0.37, DURATION)
+        spectral = EvolutionTriple(pointer_spectrum(setup), start, times, HBAR)
+        dense = EvolutionTriple(interaction_hamiltonian(setup), start, times, HBAR)
+        for a, b in zip(spectral.states(), dense.states()):
+            assert np.linalg.norm(a.amplitudes - b.amplitudes) <= 1e-12
 
     def test_dimension_checked(self):
         setup = degenerate_setup(2)
         start = ready_state(setup, system_basis_state(setup.observable, 0))
         with pytest.raises(DimensionError):
             EvolutionTriple(Spectrum.diagonal(np.zeros(3)), start, (0.0,), HBAR)
-
-
-class TestTripleSpectrumGuard:
-    def test_matching_spectrum_gives_the_dense_states(self):
-        setup = degenerate_setup(8)
-        hamiltonian = interaction_hamiltonian(setup)
-        start = ready_state(setup, system_basis_state(setup.observable, 0, 1))
-        times = (0.0, 0.37, DURATION)
-        spectral = EvolutionTriple(hamiltonian, start, times, HBAR, pointer_spectrum(setup))
-        dense = EvolutionTriple(hamiltonian, start, times, HBAR)
-        for a, b in zip(spectral.states(), dense.states()):
-            assert np.linalg.norm(a.amplitudes - b.amplitudes) <= 1e-12
-
-    def test_dense_spectrum_is_derived_once(self, monkeypatch):
-        setup = degenerate_setup(2)
-        start = ready_state(setup, system_basis_state(setup.observable, 0))
-        triple = EvolutionTriple(interaction_hamiltonian(setup), start, (0.0, DURATION), HBAR)
-        calls = []
-        eigh = np.linalg.eigh
-        monkeypatch.setattr(np.linalg, "eigh", lambda entries: calls.append(1) or eigh(entries))
-        triple.states()
-        triple.states_at((0.5,))
-        assert len(calls) == 1
-
-    def test_wrong_spectrum_rejected(self):
-        setup = degenerate_setup(8)
-        other = degenerate_setup(8, coupling=0.81)
-        start = ready_state(setup, system_basis_state(setup.observable, 0))
-        with pytest.raises(KindError, match="spectrum"):
-            EvolutionTriple(
-                interaction_hamiltonian(setup), start, (0.0, DURATION), HBAR,
-                pointer_spectrum(other),
-            )
-
-    def test_wrong_spectrum_dimension_rejected(self):
-        setup = degenerate_setup(8)
-        start = ready_state(setup, system_basis_state(setup.observable, 0))
-        with pytest.raises(DimensionError):
-            EvolutionTriple(
-                interaction_hamiltonian(setup), start, (0.0,), HBAR,
-                Spectrum.diagonal(np.zeros(3)),
-            )
 
 
 def _no_eigh(*args, **kwargs):

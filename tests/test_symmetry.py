@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from swaplab import symmetry
 from swaplab.isomorphism import EvolutionTriple, check_isomorphism
 from swaplab.linalg import (
     commutator_norm,
@@ -25,7 +26,6 @@ from swaplab.measurement import (
 from swaplab.symmetry import (
     SAMPLE_FRACTIONS,
     GeometricDiagonalModel,
-    SwapTolerances,
     certify_lemma1,
     certify_lemma2,
     corrupted_swap,
@@ -174,7 +174,17 @@ class TestCertifyLemma1:
             assert frobenius_norm(u.entries @ swap.entries - swap.entries @ u.entries) <= 1e-10
 
     def test_tolerances_configurable(self):
-        certificate = certify_lemma1(qubit_setup(), tolerances=SwapTolerances(swap=1e-30))
+        # one tolerance bounds every residual; the cross-construction carries
+        # FFT rounding (about 1e-15), so a healthy swap fails at 1e-30
+        certificate = certify_lemma1(qubit_setup(), tol=1e-30)
+        assert certificate.cross_construction_distance > 1e-30
+        assert not certificate.passed
+
+    def test_nan_residual_fails(self, monkeypatch):
+        # max() would drop a NaN that is not its first argument
+        monkeypatch.setattr(symmetry, "_cross_construction", lambda spectrum, factor: np.nan)
+        certificate = certify_lemma1(qubit_setup())
+        assert np.isnan(certificate.cross_construction_distance)
         assert not certificate.passed
 
     def test_swap_maps_evolved_branches(self):
@@ -489,10 +499,7 @@ def spectral_and_dense_triples(setup):
     hamiltonian = interaction_hamiltonian(setup)
     starts = [ready_state(setup, system_basis_state(setup.observable, s)) for s in (0, 1)]
     spectral = [EvolutionTriple(spectrum, start, SAMPLE_FRACTIONS) for start in starts]
-    dense = [
-        EvolutionTriple(hamiltonian, start, SAMPLE_FRACTIONS, spectrum=spectrum)
-        for start in starts
-    ]
+    dense = [EvolutionTriple(hamiltonian, start, SAMPLE_FRACTIONS) for start in starts]
     return spectral, dense
 
 
@@ -519,9 +526,14 @@ class TestDenseOracle:
         report = check_isomorphism(perm, plus, minus)
         dense_report = check_isomorphism(perm, dense_plus, dense_minus)
         s = permutation_matrix(perm).entries
-        for residual, a, b in zip(report.state_residuals, plus.states(), minus.states()):
-            assert residual == float(np.linalg.norm(s @ a.amplitudes - b.amplitudes))
-        assert report.state_residuals == dense_report.state_residuals
+        # each report against the dense swap on its own triples' states; the
+        # dense triples evolve through their own exponential, so the two
+        # reports agree to rounding
+        for found, a_side, b_side in ((report, plus, minus), (dense_report, dense_plus, dense_minus)):
+            for residual, a, b in zip(found.state_residuals, a_side.states(), b_side.states()):
+                assert residual == float(np.linalg.norm(s @ a.amplitudes - b.amplitudes))
+        gap = np.subtract(report.state_residuals, dense_report.state_residuals)
+        assert np.abs(gap).max() <= 1e-12
         h = dense_plus.hamiltonian.entries
         conjugation = frobenius_norm(s @ h @ s.conj().T - h)
         assert dense_report.hamiltonian_residual == conjugation
