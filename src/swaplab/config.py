@@ -13,7 +13,6 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .measurement import MAX_TOTAL_DIM
 from .reporting import render_json
 from .scenario import MODEL_DEGENERACY, QUBIT_EIGENVALUES
 
@@ -29,6 +28,11 @@ SCALING_SCENARIOS = ("classical-level", "certify-lemma2")
 REAL_FIELDS = ("delta", "g", "T", "hbar", "lambda1", "lambda2", "tol")
 #: multiworld certifies every pair of its 2^k worlds, so k stays at desk scale
 MAX_QUBITS = 3
+#: largest basis a run may hold (2(2M+1) per pointer factor, 8(2r+1)^2 for the
+#: ladder). Memory is linear in it: the largest run at the limit (multiworld,
+#: k = 3, M = 131071) peaked at 171 MB RSS, ~270 B per basis state over the
+#: 29 MB interpreter, so every run that parses stays under 200 MB
+MAX_DIM = 2**19
 LAMBDA_MAX = max(abs(value) for value in QUBIT_EIGENVALUES)
 
 
@@ -101,6 +105,10 @@ class RunConfig:
     def _validate_pointer(self):
         if self.scenario == "prince-pauper" and self.k != 1:
             raise ConfigError(f"k: the single-measurement scenario needs k = 1, got {self.k}")
+        # first: the float guards below would overflow on an M past the float range
+        n_points = 2 * self.M + 1
+        factor_dim = 2 * n_points
+        _require_size("M", "pointer factor dimension 2(2M+1)", factor_dim)
         travel = self.g * self.T * LAMBDA_MAX
         limit = self.M * self.delta / 2
         if travel > limit:
@@ -108,8 +116,6 @@ class RunConfig:
                 f"wraparound guard violated: g*T*lambda_max = {travel} exceeds "
                 f"M*delta/2 = {limit}"
             )
-        n_points = 2 * self.M + 1
-        factor_dim = 2 * n_points
         # the largest position, momentum and diagonal weight must be normal
         # floats (weights may be 0 when g = 0) whose squares, summed over a
         # Frobenius norm's factor_dim entries, stay finite
@@ -125,11 +131,6 @@ class RunConfig:
                     f"{fields}: {quantity} = {value!r} is not a normal float of "
                     f"magnitude at most {largest:.3e}"
                 )
-        if factor_dim > MAX_TOTAL_DIM:
-            raise ConfigError(
-                f"M: per-measurement dimension {factor_dim} exceeds the dense cap "
-                f"{MAX_TOTAL_DIM}"
-            )
 
     def _validate_ladder(self):
         if self.lambda1 == 0:
@@ -148,11 +149,7 @@ class RunConfig:
             )
         r = self.ratio_exponent_range
         dim = 4 * MODEL_DEGENERACY * (2 * r + 1) ** 2
-        if dim > MAX_TOTAL_DIM:
-            raise ConfigError(
-                f"ratio_exponent_range: model dimension {dim} exceeds the dense cap "
-                f"{MAX_TOTAL_DIM}"
-            )
+        _require_size("ratio_exponent_range", "ladder dimension 8(2r+1)^2", dim)
         # the ladder holds |lambda1| * ratio^e for e in [-r, r]; its diagonal
         # weights are g*|lambda1| * ratio^e, whose squares summed over the dim
         # entries (|H|_F) must stay finite, and its phases weight * t / hbar
@@ -178,6 +175,11 @@ class RunConfig:
                     f"{weight!r} is not a normal float of magnitude at most {largest:.3e} "
                     "(0 when g = 0) with a finite phase over T/hbar"
                 )
+
+
+def _require_size(field: str, quantity: str, dim: int):
+    if dim > MAX_DIM:
+        raise ConfigError(f"{field}: {quantity} = {dim} exceeds the size limit {MAX_DIM}")
 
 
 def _is_normal(value: float) -> bool:

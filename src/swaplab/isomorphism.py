@@ -127,9 +127,11 @@ def _hamiltonian_residual(a, b, swap: np.ndarray, inverse: np.ndarray) -> float 
 
 
 def _phase_minimized_distance(a: np.ndarray, b: np.ndarray) -> float:
-    gram = abs(np.vdot(a, b))
-    value = np.linalg.norm(a) ** 2 + np.linalg.norm(b) ** 2 - 2 * gram
-    return float(np.sqrt(max(value, 0.0)))
+    """min over theta of |a - e^{i theta} b|, at e^{i theta} the phase of <b, a>
+    (1 if orthogonal), by subtraction: |a|^2 + |b|^2 - 2|<a, b>| cancels."""
+    inner = np.vdot(b, a)
+    phase = inner / abs(inner) if inner != 0 else 1.0
+    return float(np.linalg.norm(a - phase * b))
 
 
 def check_isomorphism(
@@ -150,10 +152,10 @@ def check_isomorphism(
         raise ValueError("the two triples must share their sample times")
     inverse = permutation_inverse(swap, triple_a.dim)
 
-    states_a = triple_a.states()
-    states_b = triple_b.states()
     residuals = []
-    for state_a, state_b in zip(states_a, states_b):
+    for t in triple_a.sample_times:
+        # one time at a time, so memory does not grow with the sample count
+        (state_a,), (state_b,) = triple_a.states_at((t,)), triple_b.states_at((t,))
         mapped = state_a.amplitudes[inverse]
         if phase_insensitive:
             residuals.append(_phase_minimized_distance(mapped, state_b.amplitudes))

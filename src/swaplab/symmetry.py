@@ -14,10 +14,11 @@ dim x dim Hamiltonian or propagator is formed. Two families are certified:
 * the sign-flip swap (``parity_swap``): the basis permutation sending
   (lambda, a, zeta) to (-lambda, a, -zeta). It commutes with H = -g A x p_Z
   because parity flips the sign of p_Z while the observable flips lambda. It
-  is sigma x R with R the pointer reversal, and the centred DFT maps R to R.
-  That last fact ties the eigenbasis to the position basis; it is checked
-  numerically at pointer-factor size (the cross-construction distance). The
-  dense momentum-basis twin (``parity_swap_momentum``) is an oracle;
+  is sigma x R with R the pointer reversal, and the centred DFT has
+  W[-j, -k] = W[j, k], so W^dag R W = R exactly; ``carried_factor`` decides
+  with integers that a swap has this form. The cross-construction distance
+  maps three pointer columns through the FFT maps, so it reads their rounding.
+  The dense momentum-basis twin (``parity_swap_momentum``) is an oracle;
 * the scaling swap (``scaling_permutation``): on a geometric eigenvalue ladder
   it shifts the observable exponent up and the momentum exponent down,
   preserving each diagonal energy -g*lambda*p exactly.
@@ -143,26 +144,17 @@ def _swap_residual(setup: MeasurementSetup, spectrum: Spectrum, inverse: np.ndar
     return residual
 
 
-#: identity columns per FFT batch of the cross-construction, so that its work
-#: arrays stay N x 64 instead of N x N
-CROSS_CHUNK = 64
-
-
 def _cross_construction(spectrum: Spectrum, factor: np.ndarray) -> float:
-    """|S - T|_F between the swap S = sigma x tau and its twin
-    T = sigma x W^dag tau W, with tau applied in the momentum basis and
-    conjugated back through the spectrum's own maps. Only the pointer factor
-    differs, so the distance is sqrt(system_dim) |tau - W^dag tau W|_F. The
-    N x N identity is mapped in column batches; each column's squared
-    deviation is summed down the column, so the batch size does not change
-    the value (batches are near-equal, so none is one column wide, which
-    numpy would sum pairwise instead of row by row)."""
+    """sqrt(system_dim) |(tau - W^dag tau W) P|_F for the swap sigma x tau, with
+    tau applied in the momentum basis through the spectrum's own maps and P
+    the pointer centre column and its two neighbours (all columns at N = 3).
+    W^dag tau W = tau exactly (module docstring), so this reads the FFT maps'
+    rounding at O(N log N); a miscentred map makes it O(1). Squares are
+    summed down each column, as in the same sum over all N columns."""
     n = factor.size
-    squares = np.empty(n)
-    for batch in np.array_split(np.arange(n), -(-n // CROSS_CHUNK)):
-        columns = np.eye(n, batch.size, -batch[0], dtype=complex)
-        deviation = columns[factor] - spectrum.from_eigen(spectrum.to_eigen(columns)[factor])
-        squares[batch] = (deviation.real**2 + deviation.imag**2).sum(axis=0)
+    columns = np.eye(n, 3, 1 - n // 2, dtype=complex)
+    deviation = columns[factor] - spectrum.from_eigen(spectrum.to_eigen(columns)[factor])
+    squares = (deviation.real**2 + deviation.imag**2).sum(axis=0)
     return float(np.sqrt(spectrum.dim // n * squares.sum()))
 
 

@@ -149,13 +149,13 @@ class TestCliCommands:
         [
             ({"delta": float("nan")}, []),
             ({}, ["--tol", "nan"]),
-            ({"M": 1100}, []),
+            ({"M": 131072}, []),
             ({"scenario": "prince-pauper", "k": 2}, []),
             # ratio^2 overflows a float, ratio^-2 underflows to zero
             ({"scenario": "classical-level", "lambda2": 1e200, "ratio_exponent_range": 2}, []),
             ({"scenario": "classical-level", "lambda1": 1e-300, "lambda2": 1e300}, []),
-            # model dim 8 * (2r + 1)^2 = 8712 exceeds the dense cap
-            ({"scenario": "classical-level", "ratio_exponent_range": 16}, []),
+            # ladder dimension 8 * (2r + 1)^2 = 528392 exceeds the size limit 2**19
+            ({"scenario": "classical-level", "ratio_exponent_range": 128}, []),
             # a subnormal hbar turns the ladder's phase division into NaN
             ({"scenario": "classical-level", "hbar": 1e-310}, []),
         ],
@@ -174,11 +174,22 @@ class TestCliCommands:
         assert main([*command, write_config(tmp_path, payload)]) == 2
         assert capsys.readouterr().err.startswith("config error: g, lambda1, lambda2: ")
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"scenario": "classical-level"},
+            {"scenario": "prince-pauper", "M": 7, "delta": 0.3, "g": 0.7, "hbar": 0.7, "T": 1.3},
+        ],
+    )
+    def test_phase_insensitive_run_passes(self, tmp_path, payload):
+        # |a|^2 + |b|^2 - 2|<a, b>| reported residuals of 2.1e-08 and 1.5e-08 (exit 3)
+        assert main(["run", write_config(tmp_path, {**payload, "phase_insensitive": True})]) == 0
+
     def test_export_applies_pointer_guards(self, tmp_path, capsys):
         # the export builds a pointer grid whatever the config's scenario is
-        config_path = write_config(tmp_path, {"scenario": "classical-level", "M": 1100})
+        config_path = write_config(tmp_path, {"scenario": "classical-level", "M": 131072})
         assert main(["export-distribution", config_path, "--time", "0.5"]) == 2
-        assert "per-measurement dimension 4402" in capsys.readouterr().err
+        assert "M: pointer factor dimension 2(2M+1) = 524290" in capsys.readouterr().err
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         config_path = write_config(tmp_path, {"M": 0})
@@ -285,7 +296,7 @@ def _example(expected, config, command=("run",)):
 @_example(0, {"scenario": "certify-lemma2", "T": 5, "sample_times": [0, 1, 5]})
 @_example(0, {"scenario": "classical-level", "M": 200, "k": 3})
 @_example(2, {"scenario": "prince-pauper", "k": 2})
-@_example(2, {"scenario": "classical-level", "M": 1100}, ("export-distribution", "--time", "0.5"))
+@_example(2, {"scenario": "classical-level", "M": 131072}, ("export-distribution", "--time", "0.5"))
 @_example(2, {"scenario": "classical-level", "lambda2": 1e200, "ratio_exponent_range": 2})
 @_example(
     2,
@@ -293,7 +304,7 @@ def _example(expected, config, command=("run",)):
     ("certify", "lemma2"),
 )
 @_example(2, {"scenario": "classical-level", "lambda1": 1e-300, "lambda2": 1e300})
-@_example(2, {"scenario": "classical-level", "ratio_exponent_range": 16})
+@_example(2, {"scenario": "classical-level", "ratio_exponent_range": 128})
 # pointer scales whose Frobenius norms overflowed (exit 4), or whose position
 # norm overflowed and made a hermitian check vacuous (exit 0)
 @_example(2, {"scenario": "prince-pauper", "hbar": 1.7e308})

@@ -1,10 +1,12 @@
 import json
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from swaplab.config import ConfigError, RunConfig, parse_config, serialize_config
+from swaplab.cli import main
+from swaplab.config import MAX_DIM, ConfigError, RunConfig, parse_config, serialize_config
 from swaplab.scenario import build_diagonal_model, qubit_setup
 
 
@@ -81,8 +83,9 @@ class TestValidation:
         # limit; each factor still meets the per-measurement cap
         config = parse_config('{"scenario": "multiworld", "k": 3, "M": 40}')
         assert (config.k, config.M) == (3, 40)
-        with pytest.raises(ConfigError, match="per-measurement dimension"):
-            parse_config('{"scenario": "multiworld", "k": 3, "M": 1100}')
+        assert parse_config('{"scenario": "multiworld", "k": 3, "M": 131071}').M == 131071
+        with pytest.raises(ConfigError, match="^M: pointer factor dimension"):
+            parse_config('{"scenario": "multiworld", "k": 3, "M": 131072}')
 
 
     @pytest.mark.parametrize(
@@ -109,11 +112,21 @@ class TestValidation:
         with pytest.raises(ConfigError):
             parse_config('{"M": ' + "9" * 5000 + "}")
 
-    def test_grid_cap_matches_the_dense_cap(self):
-        # 2 * (2 * 1100 + 1) = 4402 exceeds MAX_TOTAL_DIM; 1023 gives 4094 and parses
-        with pytest.raises(ConfigError, match="M: per-measurement dimension 4402"):
-            parse_config('{"M": 1100}')
-        assert parse_config('{"M": 1023}').M == 1023
+    def test_grid_size_limit(self):
+        # 2 * (2 * 131072 + 1) = 524290 exceeds MAX_DIM = 2**19; 131071 gives 524286
+        assert parse_config('{"M": 131071}').M == 131071
+        with pytest.raises(ConfigError, match=r"^M: pointer factor dimension 2\(2M\+1\) = 524290 "):
+            parse_config('{"M": 131072}')
+        # rejected before M meets a float, which it would overflow
+        with pytest.raises(ConfigError, match="^M: "):
+            parse_config('{"M": 1' + "0" * 400 + "}")
+
+    def test_ladder_size_limit(self):
+        # 8 * (2 * 128 + 1)^2 = 528392 exceeds MAX_DIM; 127 gives 520200
+        config = parse_config('{"scenario": "classical-level", "ratio_exponent_range": 127}')
+        assert config.ratio_exponent_range == 127
+        with pytest.raises(ConfigError, match=r"^ratio_exponent_range: ladder dimension .* = 528392 "):
+            parse_config('{"scenario": "classical-level", "ratio_exponent_range": 128}')
 
     @pytest.mark.parametrize(
         "fields, config",
@@ -133,6 +146,79 @@ class TestValidation:
 
     def test_pointer_weights_may_vanish_without_coupling(self):
         assert parse_config('{"g": 0}').g == 0.0
+
+
+#: MAX_DIM keeps every run under 200 MB RSS, of which 29 MB is the interpreter
+#: with numpy loaded; the largest CLI run at the limit peaked at 171 MB
+ARRAY_BUDGET = 170e6
+
+
+def traced_peak(action):
+    tracemalloc.start()
+    try:
+        action()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestSizeBudget:
+    @pytest.mark.parametrize(
+        "field, text",
+        [
+            ("M", '{"M": 1000000000}'),
+            ("ratio_exponent_range", '{"scenario": "classical-level", "ratio_exponent_range": 1000000000}'),
+        ],
+    )
+    def test_oversized_config_rejected_before_allocating(self, field, text):
+        def reject():
+            with pytest.raises(ConfigError, match=f"^{field}: "):
+                parse_config(text)
+
+        assert traced_peak(reject) < 1e6
+
+    @pytest.mark.parametrize(
+        "payload, field, sizes, dim_of",
+        [
+            ({"scenario": "prince-pauper"}, "M", (1000, 10000), lambda m: 2 * (2 * m + 1)),
+            ({"scenario": "multiworld", "k": 3}, "M", (1000, 10000), lambda m: 2 * (2 * m + 1)),
+            (
+                {"scenario": "classical-level"},
+                "ratio_exponent_range",
+                (10, 40),
+                lambda r: 8 * (2 * r + 1) ** 2,
+            ),
+        ],
+        ids=["prince-pauper", "multiworld", "classical-level"],
+    )
+    def test_peak_per_basis_state_within_budget(self, tmp_path, payload, field, sizes, dim_of):
+        # the traced peak grows by at most ARRAY_BUDGET / MAX_DIM bytes per
+        # basis state, so a run at the limit stays inside the budget
+        path = tmp_path / "config.json"
+        peaks = []
+        for size in sizes:
+            path.write_text(json.dumps({**payload, field: size}))
+            out = tmp_path / f"out{size}"
+            peaks.append(traced_peak(lambda: main(["run", str(path), "--out", str(out)])))
+            assert json.loads((out / "report.json").read_text())["pass"]
+        per_state = (peaks[1] - peaks[0]) / (dim_of(sizes[1]) - dim_of(sizes[0]))
+        assert per_state <= ARRAY_BUDGET / MAX_DIM
+
+    @pytest.mark.parametrize("scenario", ["prince-pauper", "classical-level"])
+    def test_peak_does_not_grow_with_sample_times(self, tmp_path, scenario):
+        # the budget holds for any number of sample times: holding all 2 x 41
+        # evolved states put the 41-time peak at 4.5x (prince-pauper) and 5.6x
+        # (classical-level) the 5-time peak
+        path = tmp_path / "config.json"
+        peaks = []
+        for count in (5, 41):
+            times = [i / (count - 1) for i in range(count)]
+            payload = {"scenario": scenario, "M": 2000, "ratio_exponent_range": 15}
+            path.write_text(json.dumps({**payload, "sample_times": times}))
+            out = tmp_path / f"out{count}"
+            peaks.append(traced_peak(lambda: main(["run", str(path), "--out", str(out)])))
+            assert json.loads((out / "report.json").read_text())["pass"]
+        assert peaks[1] <= 1.2 * peaks[0]
 
 
 class TestRoundTrip:

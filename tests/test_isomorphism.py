@@ -3,6 +3,7 @@ import pytest
 
 from swaplab.isomorphism import (
     EvolutionTriple,
+    _phase_minimized_distance,
     basis_transport_check,
     check_isomorphism,
     distinctness_witness,
@@ -131,6 +132,46 @@ class TestCheckIsomorphism:
         assert not literal.passed
         modded = check_isomorphism(np.arange(plus.dim), plus, rotated, phase_insensitive=True)
         assert modded.passed
+
+
+def random_states(seed, count=2, dim=34):
+    rng = np.random.default_rng(seed)
+    states = rng.standard_normal((count, dim)) + 1j * rng.standard_normal((count, dim))
+    return states / np.linalg.norm(states, axis=1, keepdims=True)
+
+
+class TestPhaseMinimizedDistance:
+    def test_rotated_copy_has_no_residual(self):
+        # |a|^2 + |b|^2 - 2|<a, b>| gave 1.5e-08 or 2.1e-08 for 8 of these states
+        for a in random_states(0, count=100, dim=200):
+            assert _phase_minimized_distance(a, np.exp(0.3j) * a) <= 1e-15
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_at_most_the_literal_residual(self, seed):
+        a, b = random_states(seed)
+        for scale in (1.0, 1e-6, 1e-12):
+            # b near a, so the residual runs from O(1) down to rounding
+            near = a + scale * b
+            near /= np.linalg.norm(near)
+            assert _phase_minimized_distance(a, near) <= np.linalg.norm(a - near)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_a_phase_grid_minimum(self, seed):
+        a, b = random_states(seed)
+        b = 0.2 * b + np.exp(2.1j) * a
+        b /= np.linalg.norm(b)
+        n_phases = 20000
+        phases = np.exp(2j * np.pi * np.arange(n_phases) / n_phases)
+        on_grid = np.linalg.norm(a[None, :] - phases[:, None] * b[None, :], axis=1).min()
+        found = _phase_minimized_distance(a, b)
+        # the grid misses the optimal phase by at most pi / n_phases, which
+        # moves a distance between unit vectors by at most that much
+        assert found <= on_grid
+        assert on_grid - found <= np.pi / n_phases
+
+    def test_orthogonal_states(self):
+        a, b = np.eye(2, dtype=complex)
+        assert _phase_minimized_distance(a, b) == np.sqrt(2.0)
 
 
 @pytest.fixture(scope="module")

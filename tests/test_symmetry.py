@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from swaplab import symmetry
+from swaplab import linalg, symmetry
 from swaplab.isomorphism import EvolutionTriple, check_isomorphism
 from swaplab.linalg import (
     commutator_norm,
@@ -430,11 +430,14 @@ def dense_lemma1(setup, perm):
     }
 
 
-def rendered_cross(setup, tau):
-    """sqrt(system_dim) |tau - W^dag tau W|_F, with W^dag tau W rendered from
-    an N x N identity by np.fft's own centring shifts, and each column's
-    squares summed down the column."""
+def rendered_cross(setup, tau, columns=None):
+    """sqrt(system_dim) |(tau - W^dag tau W) P|_F, with W^dag tau W rendered
+    from the N x N identity's ``columns`` (all of them by default) by
+    np.fft's own centring shifts, and each column's squares summed down the
+    column."""
     identity = np.eye(tau.size, dtype=complex)
+    if columns is not None:
+        identity = identity[:, columns]
     momentum = np.fft.fftshift(
         np.fft.fft(np.fft.ifftshift(identity, axes=0), axis=0, norm="ortho"), axes=0
     )
@@ -444,6 +447,11 @@ def rendered_cross(setup, tau):
     deviation = identity[tau] - twin
     squares = (deviation.real**2 + deviation.imag**2).sum(axis=0)
     return float(np.sqrt(setup.observable.system_dim * squares.sum()))
+
+
+def probe_columns(setup):
+    """The cross-construction's probe: the pointer centre and its neighbours."""
+    return setup.grid.center_index + np.arange(-1, 2)
 
 
 def dense_lemma2(model, eigenvalue_from, eigenvalue_to, sample_times=(0.0, 0.5, 1.0)):
@@ -543,7 +551,8 @@ class TestDenseOracle:
             assert certificate.intertwining_residual == 0.0
             assert report.hamiltonian_residual == 0.0
             reversal = np.arange(setup.grid.n_points)[::-1]
-            assert certificate.cross_construction_distance == rendered_cross(setup, reversal)
+            probe = probe_columns(setup)
+            assert certificate.cross_construction_distance == rendered_cross(setup, reversal, probe)
             assert certificate.passed and report.passed
             for value in (dense["commutator_residual"], dense["intertwining_residual"]):
                 assert value <= 1e-13
@@ -577,8 +586,41 @@ class TestDenseOracle:
         for name in ("commutator_residual", "intertwining_residual"):
             assert dense[name] > 0.1
             assert getattr(certificate, name) == pytest.approx(dense[name], rel=1e-12, abs=0)
-        assert certificate.cross_construction_distance == rendered_cross(setup, tau)
+        probe = probe_columns(setup)
+        assert certificate.cross_construction_distance == rendered_cross(setup, tau, probe)
         assert not certificate.passed
+
+    @pytest.mark.parametrize("half_width", [1, 8, 50])
+    @pytest.mark.parametrize("pointer", ["identity", "reversal"])
+    def test_cross_construction_probe(self, half_width, pointer):
+        # the probe's columns are summed as the full rendering sums them, so
+        # it equals the rendering over the probe and is at most the full one
+        setup = qubit_setup(half_width=half_width)
+        n = setup.grid.n_points
+        tau = {"identity": np.arange(n), "reversal": np.arange(n)[::-1]}[pointer]
+        probe = symmetry._cross_construction(pointer_spectrum(setup), tau)
+        assert probe == rendered_cross(setup, tau, probe_columns(setup))
+        assert probe <= rendered_cross(setup, tau)
+        assert 0.0 < probe <= 1e-14
+
+    @pytest.mark.parametrize("shift", ["none", "off-by-one"])
+    def test_miscentred_dft_fails(self, monkeypatch, shift):
+        # the certificate's identity W^dag R W = R holds for the centred DFT
+        # only; an unshifted or off-by-one map must show in the probe
+        setup = qubit_setup()
+        half = setup.grid.center_index
+        roll = {"none": 0, "off-by-one": half + 1}[shift]
+
+        def miscentred(transform, n_points, amplitudes):
+            blocks = amplitudes.reshape(-1, n_points, *amplitudes.shape[1:])
+            out = transform(np.roll(blocks, -roll, axis=1), axis=1, norm="ortho")
+            return np.roll(out, roll, axis=1).reshape(amplitudes.shape)
+
+        monkeypatch.setattr(linalg, "_centred_dft_axis", miscentred)
+        n = setup.grid.n_points
+        spectrum = pointer_spectrum(setup)
+        assert symmetry._cross_construction(spectrum, np.arange(n)[::-1]) > 1e-10
+        assert not certify_lemma1(setup).passed
 
     @pytest.mark.parametrize("span", [1, 3])
     @pytest.mark.parametrize("degeneracy", [1, 2])
