@@ -11,7 +11,6 @@ from .linalg import (  # noqa: E402
     Spectrum,
     commutator_norm,
     hermitian_exponential,
-    overlap,
     random_unitary,
     tensor_product,
     unitarity_defect,

@@ -1,6 +1,7 @@
 """JSON run configuration: schema, guards, canonical serialization.
 
-``RunConfig`` is the one config type: every runner reads its fields directly,
+``RunConfig`` is the one config type and the one schema: every runner reads
+its fields directly, each field's annotation picks the reader of its JSON key,
 and every guard lives in ``RunConfig._validate``, so a config that violates
 one fails at parse time with a field-named message, before any operator is
 built.
@@ -11,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .reporting import render_json
 from .scenario import MODEL_DEGENERACY, QUBIT_EIGENVALUES
@@ -25,7 +26,6 @@ SCENARIOS = (
 )
 GRID_SCENARIOS = ("prince-pauper", "multiworld", "certify-lemma1")
 SCALING_SCENARIOS = ("classical-level", "certify-lemma2")
-REAL_FIELDS = ("delta", "g", "T", "hbar", "lambda1", "lambda2", "tol")
 #: multiworld certifies every pair of its 2^k worlds, so k stays at desk scale
 MAX_QUBITS = 3
 #: largest basis a run may hold (2(2M+1) per pointer factor, 8(2r+1)^2 for the
@@ -70,7 +70,7 @@ class RunConfig:
             raise ConfigError(f"scenario: must be one of {SCENARIOS}, got {self.scenario!r}")
         # NaN passes every comparison guard below, so finiteness comes first;
         # command-line overrides reach this check as well as parsed files
-        for name in REAL_FIELDS:
+        for name in _FLOAT_FIELDS:
             _require_finite(name, getattr(self, name))
         for i, t in enumerate(self.sample_times):
             _require_finite(f"sample_times[{i}]", t)
@@ -225,22 +225,16 @@ def _read_times(key, value):
     return tuple(_read_real(f"{key}[{i}]", item) for i, item in enumerate(value))
 
 
+#: the reader of each field type, by its RunConfig annotation
 _READERS = {
-    "scenario": _read_str,
-    "M": _read_int,
-    "delta": _read_real,
-    "g": _read_real,
-    "T": _read_real,
-    "hbar": _read_real,
-    "k": _read_int,
-    "lambda1": _read_real,
-    "lambda2": _read_real,
-    "ratio_exponent_range": _read_int,
-    "tol": _read_real,
-    "seed": _read_int,
-    "sample_times": _read_times,
-    "phase_insensitive": _read_bool,
+    "str": _read_str,
+    "int": _read_int,
+    "float": _read_real,
+    "bool": _read_bool,
+    "tuple": _read_times,
 }
+_FIELD_TYPES = {field.name: field.type for field in fields(RunConfig)}
+_FLOAT_FIELDS = tuple(name for name, kind in _FIELD_TYPES.items() if kind == "float")
 
 
 def parse_config(text: str) -> RunConfig:
@@ -253,9 +247,9 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError("the top level must be a JSON object")
     kwargs = {}
     for key in sorted(raw):
-        if key not in _READERS:
+        if key not in _FIELD_TYPES:
             raise ConfigError(f"unknown key {key!r}")
-        kwargs[key] = _READERS[key](key, raw[key])
+        kwargs[key] = _READERS[_FIELD_TYPES[key]](key, raw[key])
     return RunConfig(**kwargs)
 
 

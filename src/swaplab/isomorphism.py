@@ -165,8 +165,9 @@ def check_isomorphism(
     hamiltonian_residual = _hamiltonian_residual(
         triple_a.hamiltonian, triple_b.hamiltonian, swap, inverse
     )
+    # one comparison per residual: max() would drop a NaN that is not first
     passed = (
-        max(residuals) <= tolerance
+        all(r <= tolerance for r in residuals)
         and hamiltonian_residual is not None
         and hamiltonian_residual <= tolerance
     )

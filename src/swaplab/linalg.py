@@ -121,10 +121,6 @@ class DenseOperator:
         return f"DenseOperator(dim={self.dim}, kind={self.kind!r})"
 
 
-def identity(dim: int, kind: str = HERMITIAN) -> DenseOperator:
-    return DenseOperator(np.eye(dim), kind)
-
-
 def basis_vector(dim: int, index: int) -> ComplexVector:
     if not 0 <= index < dim:
         raise DimensionError(f"basis index {index} out of range for dim {dim}")
@@ -178,7 +174,8 @@ class Spectrum:
     """A Hermitian operator in its eigenbasis: H = W^dag diag(weights) W.
 
     W is the identity on a leading factor times the centred orthonormal DFT
-    on a trailing factor of size ``dft_size``; size 1 is the identity map.
+    on a trailing factor of odd size ``dft_size``, which must divide the
+    weight count; size 1 is the identity map.
     ``to_eigen`` applies W and ``from_eigen`` applies W^dag along the leading
     axis of an amplitude array, so a matrix is mapped column by column, and
     every time evolution in the package goes through ``evolve``. Such a W
@@ -196,19 +193,13 @@ class Spectrum:
         values = np.array(values, dtype=float)
         if values.ndim != 1 or values.size == 0:
             raise DimensionError(f"expected a nonempty 1-d weight array, got shape {values.shape}")
+        # the centring shifts are rotations by N // 2 only for odd N
+        if dft_size < 1 or dft_size % 2 == 0 or values.size % dft_size:
+            raise DimensionError(
+                f"dft_size must be odd and divide the {values.size} weights, got {dft_size}"
+            )
         self.weights = _freeze(values)
         self.dft_size = dft_size
-
-    @classmethod
-    def diagonal(cls, weights) -> "Spectrum":
-        """An operator that is already diagonal in the working basis."""
-        return cls(weights)
-
-    @classmethod
-    def centred_dft(cls, weights, n_points: int) -> "Spectrum":
-        """An operator diagonal in the momentum basis of a trailing factor of
-        odd size ``n_points``, with trailing-fastest weights."""
-        return cls(weights, n_points)
 
     @property
     def dim(self) -> int:
@@ -305,25 +296,6 @@ def permutation_inverse(perm, dim: int) -> np.ndarray:
     inverse = np.empty_like(perm)
     inverse[perm] = np.arange(dim)
     return inverse
-
-
-def operator_distance(a: DenseOperator, b: DenseOperator) -> float:
-    if a.dim != b.dim:
-        raise DimensionError(f"operator dims differ: {a.dim} vs {b.dim}")
-    return frobenius_norm(a.entries - b.entries)
-
-
-def vector_distance(a: ComplexVector, b: ComplexVector) -> float:
-    if a.dim != b.dim:
-        raise DimensionError(f"vector dims differ: {a.dim} vs {b.dim}")
-    return float(np.linalg.norm(a.amplitudes - b.amplitudes))
-
-
-def overlap(a: ComplexVector, b: ComplexVector) -> complex:
-    """Scalar product, conjugate-linear in the first argument."""
-    if a.dim != b.dim:
-        raise DimensionError(f"vector dims differ: {a.dim} vs {b.dim}")
-    return complex(np.vdot(a.amplitudes, b.amplitudes))
 
 
 def random_unitary(dim: int, seed: int = 0) -> DenseOperator:

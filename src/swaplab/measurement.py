@@ -113,10 +113,6 @@ class ObservableSpec:
     def system_dim(self) -> int:
         return self.n_eigenvalues * self.degeneracy
 
-    def has_symmetric_spectrum(self) -> bool:
-        values = set(self.eigenvalues)
-        return all(-v in values for v in values)
-
     def negation_index(self) -> np.ndarray:
         """Index map i -> j with eigenvalue[j] == -eigenvalue[i]."""
         positions = {v: i for i, v in enumerate(self.eigenvalues)}
@@ -216,7 +212,7 @@ def pointer_spectrum(setup: MeasurementSetup) -> Spectrum:
     """H = -coupling * (A x p_Z) with weights -coupling * lambda_s * p_j, in
     the system eigenbasis x the centred DFT momentum basis of the pointer."""
     weights = -setup.coupling * np.outer(setup.observable.values(), setup.grid.momenta)
-    return Spectrum.centred_dft(weights.reshape(-1), setup.grid.n_points)
+    return Spectrum(weights.reshape(-1), setup.grid.n_points)
 
 
 def circulant_columns(spectrum: Spectrum, t: float, hbar: float) -> np.ndarray:
@@ -242,7 +238,7 @@ def _block_circulant(spectrum: Spectrum, t: float, hbar: float) -> np.ndarray:
 
 def translation_map(grid: PointerGrid, steps: int) -> DenseOperator:
     """exp(-i p_Z (steps*spacing) / hbar): exact cyclic shift by `steps`."""
-    spectrum = Spectrum.centred_dft(grid.momenta, grid.n_points)
+    spectrum = Spectrum(grid.momenta, grid.n_points)
     shift = _block_circulant(spectrum, steps * grid.spacing, grid.hbar)
     return DenseOperator(shift, UNITARY)
 

@@ -18,7 +18,7 @@ from . import __version__
 from .isomorphism import IsomorphismReport
 from .linalg import ComplexVector, DimensionError
 from .measurement import MeasurementSetup
-from .scenario import ScenarioReport
+from .scenario import PairCertificate, ScenarioReport
 from .symmetry import SwapCertificate
 
 
@@ -71,18 +71,18 @@ def _field_dict(record) -> dict:
     return {field.name: getattr(record, field.name) for field in fields(record)}
 
 
-def _swap_doc(certificate: SwapCertificate) -> dict:
-    return {"type": "swap-certificate", **_field_dict(certificate)}
+#: the report type of each certificate record
+_TYPES = {
+    SwapCertificate: "swap-certificate",
+    IsomorphismReport: "isomorphism-report",
+    PairCertificate: "pair-certificate",
+}
 
 
-def _iso_doc(report: IsomorphismReport) -> dict:
-    return {"type": "isomorphism-report", **_field_dict(report)}
-
-
-def _pair_doc(pair) -> dict:
-    doc = _field_dict(pair)
-    doc.pop("witnesses")  # witnesses live in the distinctness array
-    doc["type"] = "pair-certificate"
+def _doc(record) -> dict:
+    doc = _field_dict(record)
+    doc.pop("witnesses", None)  # a pair's witnesses live in the distinctness array
+    doc["type"] = _TYPES[type(record)]
     return doc
 
 
@@ -92,13 +92,6 @@ def _distinctness_entry(pair) -> dict:
         "world_b": pair.world_b,
         "max_gap": max((w.gap for w in pair.witnesses), default=0.0),
         "witnesses": pair.witnesses,
-    }
-
-
-def _world_doc(world) -> dict:
-    return {
-        "label": world.label,
-        "factors": world.per_factor,
     }
 
 
@@ -117,12 +110,12 @@ RESIDUAL_FIELDS = (
 
 def _certificate_docs(report) -> list:
     if isinstance(report, ScenarioReport):
-        certificates = [_swap_doc(c) for c in report.swap_certificates]
-        certificates += [_iso_doc(r) for r in report.isomorphism_reports]
-        return certificates + [_pair_doc(p) for p in report.pairs]
-    if isinstance(report, SwapCertificate):
-        return [_swap_doc(report)]
-    raise TypeError(f"cannot emit a report for {type(report).__name__}")
+        records = report.swap_certificates + report.isomorphism_reports + report.pairs
+    elif isinstance(report, SwapCertificate):
+        records = (report,)
+    else:
+        raise TypeError(f"cannot emit a report for {type(report).__name__}")
+    return [_doc(record) for record in records]
 
 
 def failed_checks(report, tol: float) -> list:
@@ -157,7 +150,7 @@ def emit_report(report, config) -> str:
     certificates = _certificate_docs(report)
     if isinstance(report, ScenarioReport):
         distinctness = [_distinctness_entry(p) for p in report.pairs]
-        worlds = [_world_doc(w) for w in report.readouts]
+        worlds = report.readouts
     else:
         distinctness = []
         worlds = []

@@ -12,6 +12,10 @@ Three runs are provided:
   continuous-spectrum surrogate (geometric diagonal ladder) connected by an
   exactly H-preserving scaling swap.
 
+The first and the last share one two-world runner (``_two_worlds``), which
+certifies the pair and builds the report; each keeps only its own setup,
+reference frame, labels and readouts.
+
 The ready state is modeled as the calibrated pointer zeta = 0 basis state per
 factor; "wealth" narratives reduce to outcome sign patterns in the labels.
 Every Hamiltonian is a ``Spectrum``; no run builds a dim x dim operator.
@@ -53,6 +57,7 @@ from .measurement import (
 )
 from .symmetry import (
     GeometricDiagonalModel,
+    SwapCertificate,
     certify_lemma1,
     certify_lemma2,
     locate_eigenvalue,
@@ -72,7 +77,7 @@ MODEL_DEGENERACY = 2
 @dataclass(frozen=True)
 class WorldReadout:
     label: str
-    per_factor: tuple
+    factors: tuple
 
 
 @dataclass(frozen=True)
@@ -98,7 +103,6 @@ class ScenarioReport:
     swap_certificates: tuple
     isomorphism_reports: tuple
     pairs: tuple
-    distinctness_matrix: tuple
     passed: bool
 
 
@@ -115,61 +119,74 @@ def reference_observables(setup: MeasurementSetup) -> tuple:
     return (("pointer_position", pointer), ("system_observable", system))
 
 
-def run_prince_pauper(config: RunConfig) -> ScenarioReport:
-    """Single qubit: both outcome worlds share the triple, differ observably."""
-    setup = qubit_setup(config)
-    certificate = certify_lemma1(setup, tol=config.tol)
+def _two_worlds(
+    scenario: str,
+    certificate: SwapCertificate,
+    hamiltonian: Spectrum,
+    starts: tuple,
+    swap: np.ndarray,
+    config: RunConfig,
+    frame: tuple,
+    labels: tuple,
+    read,
+    distinct_required: bool = True,
+) -> ScenarioReport:
+    """The report of two worlds that start in ``starts`` under one
+    Hamiltonian: the isomorphism under ``swap``, including its t = 0 residual,
+    and the witnesses of ``frame`` (one pointer observable and
+    ``system_observable``) on the final states, which ``read`` turns into
+    each world's readouts."""
+    triples = [
+        EvolutionTriple(hamiltonian, start, config.sample_times, config.hbar) for start in starts
+    ]
+    iso = check_isomorphism(swap, *triples, config.tol, config.phase_insensitive)
+    inverse = permutation_inverse(swap, hamiltonian.dim)
+    initial_residual = float(np.linalg.norm(starts[0].amplitudes[inverse] - starts[1].amplitudes))
 
-    observable = setup.observable
-    plus0 = ready_state(setup, system_basis_state(observable, 0))
-    minus0 = ready_state(setup, system_basis_state(observable, 1))
-    hamiltonian = pointer_spectrum(setup)
-    triple_plus = EvolutionTriple(hamiltonian, plus0, config.sample_times, config.hbar)
-    triple_minus = EvolutionTriple(hamiltonian, minus0, config.sample_times, config.hbar)
-
-    swap = parity_swap(setup)
-    iso = check_isomorphism(
-        swap, triple_plus, triple_minus, config.tol, config.phase_insensitive
-    )
-    inverse = permutation_inverse(swap, setup.total_dim)
-    initial_residual = float(np.linalg.norm(plus0.amplitudes[inverse] - minus0.amplitudes))
-
-    final_plus = triple_plus.states_at((config.T,))[0]
-    final_minus = triple_minus.states_at((config.T,))[0]
-    witnesses = distinctness_witness(
-        final_plus, final_minus, reference_observables(setup), config.tol
-    )
+    finals = [triple.states_at((config.T,))[0] for triple in triples]
+    witnesses = distinctness_witness(*finals, frame, config.tol)
     distinct = is_distinct(witnesses)
-    gaps = {w.observable: w.gap for w in witnesses}
-    max_gap = max(w.gap for w in witnesses)
-
     pair = PairCertificate(
-        world_a="+",
-        world_b="-",
-        state_residual=max(iso.state_residuals),
+        world_a=labels[0],
+        world_b=labels[1],
+        state_residual=float(np.max(iso.state_residuals)),
         hamiltonian_residual=iso.hamiltonian_residual,
-        pointer_gaps=(gaps["pointer_position"],),
-        system_gaps=(gaps["system_observable"],),
+        pointer_gaps=tuple(w.gap for w in witnesses if w.observable != "system_observable"),
+        system_gaps=tuple(w.gap for w in witnesses if w.observable == "system_observable"),
         witnesses=witnesses,
         isomorphic=iso.passed,
         distinct=distinct,
     )
-    readouts = (
-        WorldReadout("+", (readout(final_plus, setup),)),
-        WorldReadout("-", (readout(final_minus, setup),)),
-    )
     passed = (
-        certificate.passed and iso.passed and distinct and initial_residual <= config.tol
+        certificate.passed
+        and iso.passed
+        and initial_residual <= config.tol
+        and (distinct or not distinct_required)
     )
     return ScenarioReport(
-        scenario="prince-pauper",
-        world_labels=("+", "-"),
-        readouts=readouts,
+        scenario=scenario,
+        world_labels=labels,
+        readouts=tuple(WorldReadout(label, read(final)) for label, final in zip(labels, finals)),
         swap_certificates=(certificate,),
         isomorphism_reports=(iso,),
         pairs=(pair,),
-        distinctness_matrix=((0.0, max_gap), (max_gap, 0.0)),
         passed=passed,
+    )
+
+
+def run_prince_pauper(config: RunConfig) -> ScenarioReport:
+    """Single qubit: both outcome worlds share the triple, differ observably."""
+    setup = qubit_setup(config)
+    return _two_worlds(
+        "prince-pauper",
+        certify_lemma1(setup, tol=config.tol),
+        pointer_spectrum(setup),
+        tuple(ready_state(setup, system_basis_state(setup.observable, s)) for s in (0, 1)),
+        parity_swap(setup),
+        config,
+        reference_observables(setup),
+        ("+", "-"),
+        lambda state: (readout(state, setup),),
     )
 
 
@@ -235,8 +252,8 @@ def run_multiworld(config: RunConfig) -> ScenarioReport:
     # each factor of a pair holds one of two states at a sample time, swapped
     # (x = S a, y = b) where the worlds differ and equal elsewhere, so four
     # Gram tables per time serve every pair: no product-space state is built
-    state_residuals = [0.0] * len(pair_worlds)
-    for t in config.sample_times:
+    residuals = np.zeros((len(config.sample_times), len(pair_worlds)))
+    for row, t in zip(residuals, config.sample_times):
         states = [spectrum.evolve(v, t, config.hbar) for v in initial]
         tables = {
             (a, b): _gram_table(states[a][inverse_perm] if a != b else states[a], states[b])
@@ -244,13 +261,13 @@ def run_multiworld(config: RunConfig) -> ScenarioReport:
         }
         for n, (i, j) in enumerate(pair_worlds):
             factor_tables = [tables[(a, b)] for a, b in zip(patterns[i], patterns[j])]
-            residual = product_distance(factor_tables, differing[n])
-            state_residuals[n] = max(state_residuals[n], residual)
+            row[n] = product_distance(factor_tables, differing[n])
+    # one maximum over the sample times, which keeps a NaN that max() would drop
+    state_residuals = residuals.max(axis=0)
 
     pairs = []
-    matrix = [[0.0] * n_worlds for _ in range(n_worlds)]
     for n, (i, j) in enumerate(pair_worlds):
-        state_residual = state_residuals[n]
+        state_residual = float(state_residuals[n])
         hamiltonian_residual = float(
             factor_deviation * np.sqrt(len(differing[n]) * factor_dim ** (k - 1))
         )
@@ -260,7 +277,6 @@ def run_multiworld(config: RunConfig) -> ScenarioReport:
         witnesses = tuple(w for factor in factors for w in factor)
         isomorphic = state_residual <= tolerance and hamiltonian_residual <= tolerance
         distinct = is_distinct(witnesses)
-        matrix[i][j] = matrix[j][i] = max(w.gap for w in witnesses)
         pairs.append(
             PairCertificate(
                 world_a=labels[i],
@@ -292,7 +308,6 @@ def run_multiworld(config: RunConfig) -> ScenarioReport:
         swap_certificates=(certificate,),
         isomorphism_reports=(),
         pairs=tuple(pairs),
-        distinctness_matrix=tuple(tuple(row) for row in matrix),
         passed=passed,
     )
 
@@ -327,50 +342,21 @@ def run_classical_level(config: RunConfig) -> ScenarioReport:
     """Two macroscopically different readings connected by an H-preserving swap."""
     value_from, value_to = config.lambda1, config.lambda2
     model = build_diagonal_model(config)
-    certificate = certify_lemma2(
-        model, value_from, value_to, tol=config.tol, sample_times=config.sample_times
-    )
-
-    sign_from, m_from = locate_eigenvalue(model, value_from)
-    start = ComplexVector(model.sector_state(sign_from, m_from, 0))
     swap = scaling_permutation(model)
-    image = ComplexVector(start.amplitudes[permutation_inverse(swap, model.dim)])
-    hamiltonian = Spectrum.diagonal(model.diagonal_weights())
-    triple_from = EvolutionTriple(hamiltonian, start, config.sample_times, config.hbar)
-    triple_to = EvolutionTriple(hamiltonian, image, config.sample_times, config.hbar)
-    iso = check_isomorphism(swap, triple_from, triple_to, config.tol, config.phase_insensitive)
-
-    final_from = triple_from.states_at((config.T,))[0]
-    final_to = triple_to.states_at((config.T,))[0]
+    start = model.sector_state(*locate_eigenvalue(model, value_from), 0)
     observables = (
         ("system_observable", _model_observable(model)),
         ("pointer_momentum", _model_momentum(model)),
     )
-    witnesses = distinctness_witness(final_from, final_to, observables, config.tol)
-    distinct = is_distinct(witnesses)
-    max_gap = max(w.gap for w in witnesses)
-    gaps = {w.observable: w.gap for w in witnesses}
-
-    pair = PairCertificate(
-        world_a=f"outcome {value_from:g}",
-        world_b=f"outcome {value_to:g}",
-        state_residual=max(iso.state_residuals),
-        hamiltonian_residual=iso.hamiltonian_residual,
-        pointer_gaps=(gaps["pointer_momentum"],),
-        system_gaps=(gaps["system_observable"],),
-        witnesses=witnesses,
-        isomorphic=iso.passed,
-        distinct=distinct,
-    )
-    distinct_required = value_from != value_to
-    passed = certificate.passed and iso.passed and (distinct or not distinct_required)
-    return ScenarioReport(
-        scenario="classical-level",
-        world_labels=(pair.world_a, pair.world_b),
-        readouts=(WorldReadout(pair.world_a, ()), WorldReadout(pair.world_b, ())),
-        swap_certificates=(certificate,),
-        isomorphism_reports=(iso,),
-        pairs=(pair,),
-        distinctness_matrix=((0.0, max_gap), (max_gap, 0.0)),
-        passed=passed,
+    return _two_worlds(
+        "classical-level",
+        certify_lemma2(model, value_from, value_to, config.tol, config.sample_times),
+        Spectrum(model.diagonal_weights()),
+        (ComplexVector(start), ComplexVector(start[permutation_inverse(swap, model.dim)])),
+        swap,
+        config,
+        observables,
+        (f"outcome {value_from:g}", f"outcome {value_to:g}"),
+        lambda state: (),
+        distinct_required=value_from != value_to,
     )

@@ -9,7 +9,9 @@ Certificates are computed on the spectrum H = W^dag diag(w) W. When W carries
 S onto the same index array (``Spectrum.carried_factor``), H S - S H =
 W^dag (diag(w) S - S diag(w)) W has the Frobenius norm |w[perm] - w|, and
 U(t) S - S U(t) likewise |phi[perm] - phi| with phi = exp(-i w t / hbar); no
-dim x dim Hamiltonian or propagator is formed. Two families are certified:
+dim x dim Hamiltonian or propagator is formed. One certificate function
+(``_spectral_certificate``) reads both residuals off the weights for both
+lemmas; each lemma adds its own swap residual. Two families are certified:
 
 * the sign-flip swap (``parity_swap``): the basis permutation sending
   (lambda, a, zeta) to (-lambda, a, -zeta). It commutes with H = -g A x p_Z
@@ -65,21 +67,52 @@ class SwapCertificate:
 
     construction: str
     commutator_residual: float | None
-    unitarity_defect: float
     swap_residual: float
     intertwining_residual: float | None
     cross_construction_distance: float | None
     passed: bool
     note: str = ""
+    # every swap is an index array that permutation_inverse checks is a
+    # bijection, and a bijection's 0/1 matrix is exactly unitary
+    unitarity_defect: float = 0.0
 
 
-def _weight_commutator(weights: np.ndarray, perm: np.ndarray) -> float:
-    """|H S - S H|_F / |H|_F for H = diag(weights) and the swap ``perm`` in
-    H's eigenbasis: the commutator has one entry per column,
-    weights[perm[j]] - weights[j] at (perm[j], j)."""
+def _spectral_certificate(
+    construction: str,
+    weights: np.ndarray,
+    perm: np.ndarray,
+    times,
+    hbar: float,
+    swap_residual: float,
+    cross_distance: float | None,
+    tol: float,
+    note: str = "",
+) -> SwapCertificate:
+    """The certificate of a swap ``perm`` that the spectrum's basis map
+    carries onto the same index array, so that in the eigenbasis it is the
+    same permutation of diag(weights) (module docstring): the commutator
+    |w[perm] - w| / |w|, and the intertwining residual, the largest
+    |phi[perm] - phi| over ``times`` with phi = exp(-i w t / hbar). Maxima
+    and the pass rule keep a NaN, which max() would drop when not first."""
     commutator = frobenius_norm(weights[perm] - weights)
     hnorm = frobenius_norm(weights)
-    return commutator / hnorm if hnorm > 0 else commutator
+    commutator_residual = commutator / hnorm if hnorm > 0 else commutator
+    # one phase array at a time, so memory does not grow with the sample count
+    deviations = [
+        frobenius_norm(phases[perm] - phases)
+        for phases in (np.exp(-1j * weights * t / hbar) for t in times)
+    ]
+    intertwining_residual = float(np.max(deviations))
+    residuals = (commutator_residual, swap_residual, intertwining_residual, cross_distance)
+    return SwapCertificate(
+        construction=construction,
+        commutator_residual=commutator_residual,
+        swap_residual=swap_residual,
+        intertwining_residual=intertwining_residual,
+        cross_construction_distance=cross_distance,
+        passed=all(r <= tol for r in residuals if r is not None),
+        note=note,
+    )
 
 
 def _system_negation(observable: ObservableSpec) -> np.ndarray:
@@ -135,13 +168,13 @@ def _swap_residual(setup: MeasurementSetup, spectrum: Spectrum, inverse: np.ndar
         return state.reshape(-1)
 
     negation = observable.negation_index()
-    residual = 0.0
+    residuals = []
     for i in range(observable.n_eigenvalues):
         for a in range(observable.degeneracy):
             lhs = evolved_ready(observable.system_index(i, a))[inverse]
             rhs = evolved_ready(observable.system_index(int(negation[i]), a))
-            residual = max(residual, float(np.linalg.norm(lhs - rhs)))
-    return residual
+            residuals.append(np.linalg.norm(lhs - rhs))
+    return float(np.max(residuals))  # max() would drop a NaN that is not first
 
 
 def _cross_construction(spectrum: Spectrum, factor: np.ndarray) -> float:
@@ -178,9 +211,7 @@ def certify_lemma1(
     spectrum's basis map does not carry fails, with those three fields None."""
     construction = "position-basis" if swap is None else "custom"
     perm = parity_swap(setup) if swap is None else np.asarray(swap)
-    # raises unless perm is a bijection; a bijection's 0/1 matrix is exactly unitary
-    inverse = permutation_inverse(perm, setup.total_dim)
-    defect = 0.0
+    inverse = permutation_inverse(perm, setup.total_dim)  # raises unless a bijection
     spectrum = pointer_spectrum(setup)
     swap_residual = _swap_residual(setup, spectrum, inverse)
 
@@ -189,39 +220,21 @@ def certify_lemma1(
         return SwapCertificate(
             construction=construction,
             commutator_residual=None,
-            unitarity_defect=defect,
             swap_residual=swap_residual,
             intertwining_residual=None,
             cross_construction_distance=None,
             passed=False,
             note=NOT_CARRIED_NOTE,
         )
-
-    weights = spectrum.weights
-    commutator_residual = _weight_commutator(weights, perm)
-    intertwining_residual = 0.0
-    for fraction in SAMPLE_FRACTIONS:
-        phases = np.exp(-1j * weights * (fraction * setup.duration) / setup.grid.hbar)
-        intertwining_residual = max(
-            intertwining_residual, frobenius_norm(phases[perm] - phases)
-        )
-    cross_distance = _cross_construction(spectrum, factor)
-    # one comparison per residual: max() would drop a NaN not in first place
-    passed = (
-        commutator_residual <= tol
-        and defect <= tol
-        and swap_residual <= tol
-        and intertwining_residual <= tol
-        and cross_distance <= tol
-    )
-    return SwapCertificate(
-        construction=construction,
-        commutator_residual=float(commutator_residual),
-        unitarity_defect=float(defect),
-        swap_residual=float(swap_residual),
-        intertwining_residual=float(intertwining_residual),
-        cross_construction_distance=cross_distance,
-        passed=passed,
+    return _spectral_certificate(
+        construction,
+        spectrum.weights,
+        perm,
+        [fraction * setup.duration for fraction in SAMPLE_FRACTIONS],
+        setup.grid.hbar,
+        swap_residual,
+        _cross_construction(spectrum, factor),
+        tol,
     )
 
 
@@ -361,8 +374,9 @@ def certify_lemma2(
     sample_times: tuple = (0.0, 0.5, 1.0),
 ) -> SwapCertificate:
     """Certify the scaling swap: exact commutation with the diagonal Hamiltonian
-    and mapping of the eigenvalue_from branch family onto the eigenvalue_to
-    family, for every degeneracy label (index-level and on evolved states)."""
+    and intertwining with its evolution at ``sample_times``, and mapping of the
+    eigenvalue_from branch family onto the eigenvalue_to family, for every
+    degeneracy label (index-level and by the norm each sector keeps)."""
     sign_from, m_from = locate_eigenvalue(model, eigenvalue_from)
     sign_to, m_to = locate_eigenvalue(model, eigenvalue_to)
 
@@ -370,7 +384,6 @@ def certify_lemma2(
         return SwapCertificate(
             construction="scaling",
             commutator_residual=0.0,
-            unitarity_defect=0.0,
             swap_residual=0.0,
             intertwining_residual=0.0,
             cross_construction_distance=None,
@@ -386,47 +399,26 @@ def certify_lemma2(
         )
 
     perm = scaling_permutation(model)
-    # raises unless perm is a bijection; a bijection's 0/1 matrix is exactly unitary
-    inverse = permutation_inverse(perm, model.dim)
-    defect = 0.0
-    weights = model.diagonal_weights()
-    commutator_residual = _weight_commutator(weights, perm)
+    inverse = permutation_inverse(perm, model.dim)  # raises unless a bijection
 
     index = model.basis_indices()
     # index[sign_to, m_to, label, sign_p, k - 1], for every label, sign_p and k
     targets = np.roll(index[sign_to, m_to], 1, axis=-1)
     mapping_exact = np.array_equal(perm[index[sign_from, m_from]], targets)
-
-    swap_residual = 0.0 if mapping_exact else 1.0
-    intertwining_residual = 0.0
-    for label in range(model.degeneracy):
-        source = model.sector_state(sign_from, m_from, label)
-        mapped = source[inverse]
-        target_indices = index[sign_to, m_to, label].reshape(-1)
-        sector_deficit = abs(1.0 - float(np.linalg.norm(mapped[target_indices])))
-        swap_residual = max(swap_residual, sector_deficit)
-        for t in sample_times:
-            phases = np.exp(-1j * weights * t / model.hbar)
-            evolved_then_swapped = (phases * source)[inverse]
-            swapped_then_evolved = phases * mapped
-            intertwining_residual = max(
-                intertwining_residual,
-                float(np.linalg.norm(evolved_then_swapped - swapped_then_evolved)),
-            )
-
-    passed = (
-        commutator_residual <= tol
-        and defect <= tol
-        and swap_residual <= tol
-        and intertwining_residual <= tol
-    )
-    return SwapCertificate(
-        construction="scaling",
-        commutator_residual=float(commutator_residual),
-        unitarity_defect=float(defect),
-        swap_residual=float(swap_residual),
-        intertwining_residual=float(intertwining_residual),
-        cross_construction_distance=None,
-        passed=passed,
-        note=NORMALIZATION_NOTE,
+    # the norm each swapped source sector keeps inside its target sector
+    sector_deficits = [
+        abs(1.0 - np.linalg.norm(model.sector_state(sign_from, m_from, label)[inverse][sector]))
+        for label, sector in enumerate(index[sign_to, m_to].reshape(model.degeneracy, -1))
+    ]
+    swap_residual = float(np.max([0.0 if mapping_exact else 1.0, *sector_deficits]))
+    return _spectral_certificate(
+        "scaling",
+        model.diagonal_weights(),
+        perm,
+        sample_times,
+        model.hbar,
+        swap_residual,
+        None,
+        tol,
+        NORMALIZATION_NOTE,
     )

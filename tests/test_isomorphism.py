@@ -11,12 +11,13 @@ from swaplab.isomorphism import (
 )
 from swaplab.linalg import (
     HERMITIAN,
+    UNITARY,
     ComplexVector,
     DenseOperator,
     DimensionError,
     KindError,
+    Spectrum,
     basis_vector,
-    identity,
     random_unitary,
 )
 from swaplab.measurement import (
@@ -62,7 +63,8 @@ class TestEvolutionTriple:
     def test_requires_hermitian_hamiltonian(self, world_pair):
         _, plus, _ = world_pair
         with pytest.raises(KindError):
-            EvolutionTriple(identity(plus.dim, kind="unitary"), plus.initial_state, SAMPLE_TIMES)
+            unitary = DenseOperator(np.eye(plus.dim), UNITARY)
+            EvolutionTriple(unitary, plus.initial_state, SAMPLE_TIMES)
 
     def test_states_are_normalized(self, world_pair):
         _, plus, _ = world_pair
@@ -77,6 +79,17 @@ class TestCheckIsomorphism:
         assert report.passed
         assert max(report.state_residuals) == 0.0
         assert report.hamiltonian_residual == 0.0
+
+    def test_nan_state_residual_fails(self):
+        # the phase 1e300 * 1e10 overflows, so the state at the second time is
+        # NaN; max() would drop it after the first residual
+        spectrum = Spectrum(np.array([1e300, 1e300, 1.0, 1.0]))
+        triple = EvolutionTriple(spectrum, ComplexVector(np.full(4, 0.5)), (0.0, 1e10))
+        with np.errstate(over="ignore", invalid="ignore"):
+            report = check_isomorphism(np.array([1, 0, 3, 2]), triple, triple)
+        assert report.state_residuals[0] == 0.0
+        assert np.isnan(report.state_residuals[1])
+        assert not report.passed
 
     def test_parity_swap_relates_the_two_worlds(self, world_pair):
         setup, plus, minus = world_pair

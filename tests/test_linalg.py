@@ -10,12 +10,8 @@ from swaplab.linalg import (
     DenseOperator,
     DimensionError,
     KindError,
-    basis_vector,
     commutator_norm,
     hermitian_exponential,
-    identity,
-    operator_distance,
-    overlap,
     random_unitary,
     tensor_product,
     unitarity_defect,
@@ -95,15 +91,15 @@ class TestConstruction:
             DenseOperator(np.eye(2), "special")
 
     def test_entries_frozen(self):
-        op = identity(2)
+        op = DenseOperator(np.eye(2), HERMITIAN)
         with pytest.raises(ValueError):
             op.entries[0, 0] = 5.0
 
 
 class TestTensorProduct:
     def test_identity_case(self):
-        left = identity(2)
-        right = identity(3)
+        left = DenseOperator(np.eye(2), HERMITIAN)
+        right = DenseOperator(np.eye(3), HERMITIAN)
         assert np.array_equal(tensor_product(left, right).entries, np.eye(6))
 
     def test_diagonal_case(self):
@@ -134,13 +130,13 @@ class TestTensorProduct:
 
     def test_mixed_operands_rejected(self):
         with pytest.raises(KindError):
-            tensor_product(identity(2), ComplexVector([1.0, 0.0]))
+            tensor_product(DenseOperator(np.eye(2), HERMITIAN), ComplexVector([1.0, 0.0]))
 
 
 class TestHermitianExponential:
     def test_zero_angle_is_identity(self):
         herm = random_hermitian(4)
-        assert operator_distance(hermitian_exponential(herm, 0.0), identity(4)) <= 1e-14
+        assert np.linalg.norm(hermitian_exponential(herm, 0.0).entries - np.eye(4)) <= 1e-14
 
     def test_diagonal_case(self):
         herm = DenseOperator(np.diag([1.0, -1.0]), HERMITIAN)
@@ -167,13 +163,13 @@ class TestHermitianExponential:
         herm = random_hermitian(16, np.random.default_rng(3))
         composed = hermitian_exponential(herm, theta1) @ hermitian_exponential(herm, theta2)
         direct = hermitian_exponential(herm, theta1 + theta2)
-        assert operator_distance(composed, direct) <= 1e-10
+        assert np.linalg.norm(composed.entries - direct.entries) <= 1e-10
 
 
 class TestNorms:
     def test_commutator_identity(self):
         b = DenseOperator(np.arange(4.0).reshape(2, 2))
-        assert commutator_norm(identity(2), b) == 0.0
+        assert commutator_norm(DenseOperator(np.eye(2), HERMITIAN), b) == 0.0
 
     def test_commutator_diagonal(self):
         a = DenseOperator(np.diag([1.0, 2.0]), HERMITIAN)
@@ -187,10 +183,10 @@ class TestNorms:
 
     def test_commutator_dim_mismatch(self):
         with pytest.raises(DimensionError):
-            commutator_norm(identity(2), identity(3))
+            commutator_norm(DenseOperator(np.eye(2)), DenseOperator(np.eye(3)))
 
     def test_unitarity_defect_identity(self):
-        assert unitarity_defect(identity(5)) == 0.0
+        assert unitarity_defect(DenseOperator(np.eye(5), HERMITIAN)) == 0.0
 
     def test_unitarity_defect_scaled_identity(self):
         scaled = DenseOperator(2 * np.eye(4))
@@ -198,33 +194,3 @@ class TestNorms:
 
     def test_random_unitary_is_unitary(self):
         assert unitarity_defect(random_unitary(9, seed=4)) <= 1e-13
-
-
-class TestOverlap:
-    def test_same_basis_vector(self):
-        e0 = basis_vector(3, 0)
-        assert overlap(e0, e0) == pytest.approx(1.0)
-
-    def test_orthogonal_basis_vectors(self):
-        assert overlap(basis_vector(3, 0), basis_vector(3, 1)) == 0.0
-
-    def test_dim_mismatch(self):
-        with pytest.raises(DimensionError):
-            overlap(basis_vector(2, 0), basis_vector(3, 0))
-
-    @settings(max_examples=30, deadline=None)
-    @given(st.integers(0, 2**31 - 1))
-    def test_conjugate_symmetry(self, seed):
-        rng = np.random.default_rng(seed)
-        a = ComplexVector(rng.standard_normal(5) + 1j * rng.standard_normal(5))
-        b = ComplexVector(rng.standard_normal(5) + 1j * rng.standard_normal(5))
-        assert abs(overlap(a, b) - np.conj(overlap(b, a))) <= 1e-15 * (a.norm() * b.norm() + 1)
-
-    @settings(max_examples=30, deadline=None)
-    @given(st.integers(0, 2**31 - 1))
-    def test_self_overlap_is_squared_norm(self, seed):
-        rng = np.random.default_rng(seed)
-        v = ComplexVector(rng.standard_normal(6) + 1j * rng.standard_normal(6))
-        value = overlap(v, v)
-        assert value.imag == 0.0
-        assert value.real == pytest.approx(v.norm() ** 2, rel=1e-12)

@@ -86,27 +86,39 @@ class TestSpectrumConstructors:
     def test_diagonal_phases_are_exact(self):
         weights = np.array([-2.0, 0.5, 3.0])
         state = random_state(3)
-        got = Spectrum.diagonal(weights).evolve(state, 0.4, 1.3)
+        got = Spectrum(weights).evolve(state, 0.4, 1.3)
         assert np.array_equal(got, np.exp(-1j * weights * 0.4 / 1.3) * state)
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(DimensionError):
-            Spectrum.diagonal(np.ones(3)).evolve(np.ones(4), 0.1)
+            Spectrum(np.ones(3)).evolve(np.ones(4), 0.1)
 
     def test_weights_must_be_a_nonempty_vector(self):
         with pytest.raises(DimensionError):
-            Spectrum.diagonal(np.ones((2, 2)))
+            Spectrum(np.ones((2, 2)))
 
     def test_complex_weights_rejected(self):
         # a cast to float would drop the imaginary part with only a warning
         with pytest.raises(KindError, match="real"):
-            Spectrum.diagonal([1 + 1e-3j, 2])
+            Spectrum([1 + 1e-3j, 2])
+
+    @pytest.mark.parametrize(
+        "n_weights, dft_size", [(3, 0), (3, -1), (4, 4), (6, 2), (6, 4), (6, 5), (4, 3)]
+    )
+    def test_dft_size_must_be_odd_and_divide_the_weights(self, n_weights, dft_size):
+        # the centring shifts are rotations by N // 2 only for odd N, and the
+        # transform reshapes the weights into blocks of N: an even size would
+        # map off the centred DFT without an error, and a non-divisor would
+        # fail later in a bare reshape
+        with pytest.raises(DimensionError, match="dft_size"):
+            Spectrum(np.zeros(n_weights), dft_size)
+        assert Spectrum(np.zeros(3 * n_weights), 3).dft_size == 3
 
 
 class TestCarriedFactor:
     def test_diagonal_carries_every_swap(self):
         perm = np.random.default_rng(3).permutation(12)
-        assert np.array_equal(Spectrum.diagonal(np.arange(12.0)).carried_factor(perm), [0])
+        assert np.array_equal(Spectrum(np.arange(12.0)).carried_factor(perm), [0])
 
     @pytest.mark.parametrize("pointer", ["identity", "reversal"])
     def test_pointer_products(self, pointer):
@@ -162,7 +174,7 @@ class TestSpectrumTriple:
         setup = degenerate_setup(2)
         start = ready_state(setup, system_basis_state(setup.observable, 0))
         with pytest.raises(DimensionError):
-            EvolutionTriple(Spectrum.diagonal(np.zeros(3)), start, (0.0,), HBAR)
+            EvolutionTriple(Spectrum(np.zeros(3)), start, (0.0,), HBAR)
 
 
 def _no_eigh(*args, **kwargs):

@@ -6,14 +6,13 @@ from swaplab.isomorphism import EvolutionTriple, check_isomorphism
 from swaplab.linalg import (
     commutator_norm,
     frobenius_norm,
-    operator_distance,
     tensor_product,
     unitarity_defect,
-    vector_distance,
 )
 from swaplab.measurement import (
     MeasurementSetup,
     ObservableSpec,
+    circulant_columns,
     evolution_matrix,
     interaction_hamiltonian,
     make_pointer_grid,
@@ -57,14 +56,14 @@ class TestParitySwap:
         swap = permutation_matrix(parity_swap(setup))
         start = basis_ket(setup, 0, 0, setup.grid.center_index + 1)
         target = basis_ket(setup, 1, 0, setup.grid.center_index - 1)
-        assert vector_distance(swap @ start, target) == 0.0
+        assert np.linalg.norm((swap @ start).amplitudes - target.amplitudes) == 0.0
 
     def test_center_is_parity_fixed(self):
         setup = qubit_setup(half_width=2, spacing=1.0)
         swap = permutation_matrix(parity_swap(setup))
         start = basis_ket(setup, 0, 0, setup.grid.center_index)
         target = basis_ket(setup, 1, 0, setup.grid.center_index)
-        assert vector_distance(swap @ start, target) == 0.0
+        assert np.linalg.norm((swap @ start).amplitudes - target.amplitudes) == 0.0
 
     def test_involution_as_permutation(self):
         setup = qubit_setup(half_width=3)
@@ -82,7 +81,7 @@ class TestParitySwap:
         swap = permutation_matrix(parity_swap(setup))
         start = basis_ket(setup, 0, 1, 0)
         target = basis_ket(setup, 1, 1, grid.n_points - 1)
-        assert vector_distance(swap @ start, target) == 0.0
+        assert np.linalg.norm((swap @ start).amplitudes - target.amplitudes) == 0.0
 
     def test_zero_eigenvalue_fixed_sector(self):
         grid = make_pointer_grid(2, 0.5)
@@ -90,7 +89,7 @@ class TestParitySwap:
         swap = permutation_matrix(parity_swap(setup))
         start = basis_ket(setup, 1, 0, grid.center_index + 2)
         target = basis_ket(setup, 1, 0, grid.center_index - 2)
-        assert vector_distance(swap @ start, target) == 0.0
+        assert np.linalg.norm((swap @ start).amplitudes - target.amplitudes) == 0.0
 
     def test_asymmetric_spectrum_rejected(self):
         grid = make_pointer_grid(2, 0.5)
@@ -123,12 +122,12 @@ class TestMomentumConstruction:
         swap = parity_swap_momentum(setup)
         start = basis_ket(setup, 0, 0, setup.grid.center_index + 2)
         target = basis_ket(setup, 1, 0, setup.grid.center_index - 2)
-        assert vector_distance(swap @ start, target) <= 1e-12
+        assert np.linalg.norm((swap @ start).amplitudes - target.amplitudes) <= 1e-12
 
     def test_matches_position_construction(self):
         setup = qubit_setup()
         swap = permutation_matrix(parity_swap(setup))
-        assert operator_distance(swap, parity_swap_momentum(setup)) <= 1e-10
+        assert np.linalg.norm(swap.entries - parity_swap_momentum(setup).entries) <= 1e-10
 
 
 class TestCertifyLemma1:
@@ -161,7 +160,7 @@ class TestCertifyLemma1:
         u = propagator(setup, setup.duration)
         plus = ready_state(setup, system_basis_state(setup.observable, 0))
         minus = ready_state(setup, system_basis_state(setup.observable, 1))
-        assert vector_distance(twin @ (u @ plus), u @ minus) <= 1e-10
+        assert np.linalg.norm((twin @ (u @ plus)).amplitudes - (u @ minus).amplitudes) <= 1e-10
         for fraction in (0.0, 0.25, 0.5, 0.75, 1.0):
             u = propagator(setup, fraction * setup.duration)
             assert frobenius_norm(u.entries @ twin.entries - twin.entries @ u.entries) <= 1e-10
@@ -187,13 +186,37 @@ class TestCertifyLemma1:
         assert np.isnan(certificate.cross_construction_distance)
         assert not certificate.passed
 
+    def test_nan_swap_residual_fails(self, monkeypatch):
+        # a NaN in the last branch's evolved ready state; max() from 0.0
+        # would drop it
+        def nan_last_block(spectrum, t, hbar):
+            columns = circulant_columns(spectrum, t, hbar).copy()
+            columns[-1] = np.nan
+            return columns
+
+        monkeypatch.setattr(symmetry, "circulant_columns", nan_last_block)
+        certificate = certify_lemma1(qubit_setup())
+        assert np.isnan(certificate.swap_residual)
+        assert not certificate.passed
+
+    def test_nan_intertwining_residual_fails(self):
+        # the phase 1e300 * 1e10 overflows at the second sample time only
+        weights = np.array([1e300, 1e300, 1.0, 1.0])
+        with np.errstate(over="ignore", invalid="ignore"):
+            certificate = symmetry._spectral_certificate(
+                "custom", weights, np.array([1, 0, 3, 2]), (0.0, 1e10), 1.0, 0.0, None, 1e-10
+            )
+        assert certificate.commutator_residual == 0.0
+        assert np.isnan(certificate.intertwining_residual)
+        assert not certificate.passed
+
     def test_swap_maps_evolved_branches(self):
         setup = qubit_setup()
         swap = permutation_matrix(parity_swap(setup))
         u = propagator(setup, setup.duration)
         plus = ready_state(setup, system_basis_state(setup.observable, 0))
         minus = ready_state(setup, system_basis_state(setup.observable, 1))
-        assert vector_distance(swap @ (u @ plus), u @ minus) <= 1e-10
+        assert np.linalg.norm((swap @ (u @ plus)).amplitudes - (u @ minus).amplitudes) <= 1e-10
 
 
 def diagonal_model(ratio=2.0, span=4, degeneracy=1):
@@ -294,6 +317,19 @@ class TestCertifyLemma2:
     def test_unknown_eigenvalue_rejected(self):
         with pytest.raises(ValueError, match="eigenvalue"):
             certify_lemma2(diagonal_model(ratio=2.0, span=1), 0.7, 1.4)
+
+    def test_nan_sector_deficit_fails(self, monkeypatch):
+        # a NaN in the second label's sector, after the first label's deficit
+        sector_state = GeometricDiagonalModel.sector_state
+
+        def nan_second_label(model, sign_sys, m_index, label):
+            state = sector_state(model, sign_sys, m_index, label)
+            return state * np.nan if label == 1 else state
+
+        monkeypatch.setattr(GeometricDiagonalModel, "sector_state", nan_second_label)
+        certificate = certify_lemma2(diagonal_model(degeneracy=2), 1.0, 2.0)
+        assert np.isnan(certificate.swap_residual)
+        assert not certificate.passed
 
     def test_normalization_note_present(self):
         certificate = certify_lemma2(diagonal_model(), 1.0, 2.0)
@@ -426,7 +462,9 @@ def dense_lemma1(setup, perm):
         "unitarity_defect": unitarity_defect(swap),
         "swap_residual": swap_residual,
         "intertwining_residual": intertwining,
-        "momentum_twin_distance": operator_distance(swap, parity_swap_momentum(setup)),
+        "momentum_twin_distance": frobenius_norm(
+            swap.entries - parity_swap_momentum(setup).entries
+        ),
     }
 
 
