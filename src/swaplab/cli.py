@@ -6,9 +6,11 @@ Usage:
     swaplab export-distribution <config.json> --time T [--world plus|minus|superposition]
                                 [--tol X] [--out DIR]
 
-Exit status: 0 when every certificate in the run passes, 2 on config errors,
-3 on certification failure, 4 on numerical failure. Reports are deterministic:
-identical configs produce byte-identical files.
+Exit status: 0 when every certificate in the run passes, 2 on config errors
+(including a config file that cannot be read or decoded as UTF-8, and an
+--out that cannot be created as a directory), 3 on certification failure,
+4 on numerical failure. Reports are deterministic: identical configs produce
+byte-identical files.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from .linalg import ComplexVector, NumericalError
 from .measurement import evolve, ready_state, system_basis_state
 from .reporting import emit_distribution_csv, emit_report, failed_checks
 from .scenario import (
+    ScenarioReport,
     build_diagonal_model,
     qubit_setup,
     run_classical_level,
@@ -91,7 +94,7 @@ def _load_config(args) -> RunConfig:
     return config
 
 
-def _dispatch_run(config: RunConfig):
+def _dispatch_run(config: RunConfig) -> ScenarioReport:
     kind = config.scenario
     if kind == "prince-pauper":
         return run_prince_pauper(config)
@@ -100,13 +103,23 @@ def _dispatch_run(config: RunConfig):
     if kind == "classical-level":
         return run_classical_level(config)
     if kind == "certify-lemma1":
-        return certify_lemma1(qubit_setup(config), tol=config.tol)
-    return certify_lemma2(
-        build_diagonal_model(config),
-        config.lambda1,
-        config.lambda2,
-        tol=config.tol,
-        sample_times=config.sample_times,
+        certificate = certify_lemma1(qubit_setup(config), tol=config.tol)
+    else:
+        certificate = certify_lemma2(
+            build_diagonal_model(config),
+            config.lambda1,
+            config.lambda2,
+            tol=config.tol,
+            sample_times=config.sample_times,
+        )
+    # a lone certificate is a report without worlds, isomorphisms or pairs
+    return ScenarioReport(
+        world_labels=(),
+        readouts=(),
+        swap_certificates=(certificate,),
+        isomorphism_reports=(),
+        pairs=(),
+        passed=certificate.passed,
     )
 
 
@@ -134,11 +147,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = _load_config(args)
-    except (ConfigError, OSError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    try:
+        failures = []
         if args.command == "export-distribution":
             text = _export_distribution(config, args.time, args.world)
             filename = "distribution.csv"
@@ -149,17 +158,20 @@ def main(argv=None) -> int:
             filename = "report.json"
             passed = report.passed
             if not passed:
-                for line in failed_checks(report, config.tol):
-                    print(line, file=sys.stderr)
-    except ConfigError as exc:
+                failures = failed_checks(report, config.tol)
+        if args.out is not None:
+            _write_output(args.out, filename, text)
+    # ConfigError and UnicodeDecodeError are ValueErrors, so they are caught first
+    except (ConfigError, OSError, UnicodeDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (NumericalError, np.linalg.LinAlgError, ValueError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 
-    if args.out is not None:
-        _write_output(args.out, filename, text)
+    # printed once the output is written, so a job that exits 2 reports nothing else
+    for line in failures:
+        print(line, file=sys.stderr)
     print(text, end="")
     return EXIT_OK if passed else EXIT_CERTIFICATION
 

@@ -32,7 +32,6 @@ from .linalg import (
     DimensionError,
     Spectrum,
     basis_vector,
-    tensor_product,
 )
 
 #: dense-operator size guard for a single measurement setup
@@ -172,22 +171,20 @@ def pointer_basis_state(grid: PointerGrid, grid_index: int) -> ComplexVector:
     return basis_vector(grid.n_points, grid_index)
 
 
-def ready_pointer(grid: PointerGrid) -> ComplexVector:
-    """Calibrated ready state: pointer parked at zeta = 0."""
-    return pointer_basis_state(grid, grid.center_index)
-
-
 def system_basis_state(observable: ObservableSpec, eig_index: int, label: int = 0) -> ComplexVector:
     return basis_vector(observable.system_dim, observable.system_index(eig_index, label))
 
 
 def ready_state(setup: MeasurementSetup, system_state: ComplexVector) -> ComplexVector:
-    """system_state on the system factor, pointer calibrated at zeta = 0."""
+    """system_state on the system factor, pointer calibrated at zeta = 0: the
+    product state has one nonzero pointer column, the centre one."""
     if system_state.dim != setup.observable.system_dim:
         raise DimensionError(
             f"system state dim {system_state.dim} != observable dim {setup.observable.system_dim}"
         )
-    return tensor_product(system_state, ready_pointer(setup.grid))
+    state = np.zeros((system_state.dim, setup.grid.n_points), dtype=complex)
+    state[:, setup.grid.center_index] = system_state.amplitudes
+    return ComplexVector(state.reshape(-1))
 
 
 def interaction_hamiltonian(setup: MeasurementSetup) -> DenseOperator:
@@ -270,6 +267,16 @@ def evolve(setup: MeasurementSetup, state: ComplexVector, t: float) -> ComplexVe
     return ComplexVector(pointer_spectrum(setup).evolve(state.amplitudes, t, setup.grid.hbar))
 
 
+def branch_distribution(state: ComplexVector, setup: MeasurementSetup) -> np.ndarray:
+    """The joint (outcome branch, pointer position) distribution |psi|^2,
+    degeneracy labels summed, as an (n_eigenvalues, N) array."""
+    if state.dim != setup.total_dim:
+        raise DimensionError(f"state dim {state.dim} != setup dim {setup.total_dim}")
+    observable = setup.observable
+    weights = np.abs(state.amplitudes.reshape(observable.system_dim, setup.grid.n_points)) ** 2
+    return weights.reshape(observable.n_eigenvalues, observable.degeneracy, -1).sum(axis=1)
+
+
 def readout(state: ComplexVector, setup: MeasurementSetup) -> tuple:
     """Per-eigenvalue branch probability, pointer mean, and inferred outcome.
 
@@ -277,19 +284,15 @@ def readout(state: ComplexVector, setup: MeasurementSetup) -> tuple:
     as None (not NaN) for branches with probability below ZERO_BRANCH_TOL, and
     also when coupling * duration == 0, where the calibration is undefined.
     """
-    if state.dim != setup.total_dim:
-        raise DimensionError(f"state dim {state.dim} != setup dim {setup.total_dim}")
-    observable = setup.observable
-    weights = np.abs(state.amplitudes.reshape(observable.system_dim, setup.grid.n_points)) ** 2
+    distribution = branch_distribution(state, setup)
     scale = setup.coupling * setup.duration
     table = []
-    for i, eigenvalue in enumerate(observable.eigenvalues):
-        block = weights[i * observable.degeneracy : (i + 1) * observable.degeneracy]
-        probability = float(block.sum())
+    for eigenvalue, branch in zip(setup.observable.eigenvalues, distribution):
+        probability = float(branch.sum())
         if probability < ZERO_BRANCH_TOL:
             table.append(BranchReadout(eigenvalue, probability, None, None))
             continue
-        pointer_mean = float((block.sum(axis=0) * setup.grid.zeta).sum() / probability)
+        pointer_mean = float((branch * setup.grid.zeta).sum() / probability)
         inferred = -pointer_mean / scale if scale > 0 else None
         table.append(BranchReadout(eigenvalue, probability, pointer_mean, inferred))
     return tuple(table)

@@ -10,14 +10,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import fields, is_dataclass
+from dataclasses import is_dataclass
 
 import numpy as np
 
 from . import __version__
 from .isomorphism import IsomorphismReport
-from .linalg import ComplexVector, DimensionError
-from .measurement import MeasurementSetup
+from .linalg import ComplexVector
+from .measurement import MeasurementSetup, branch_distribution
 from .scenario import PairCertificate, ScenarioReport
 from .symmetry import SwapCertificate
 
@@ -34,7 +34,8 @@ def _format_float(value: float) -> str:
 
 def render_json(value, indent: int = 0) -> str:
     """Deterministic JSON: sorted keys, 17-significant-digit floats. A
-    dataclass renders as the object of its fields."""
+    dataclass renders as the object of its fields, read from its ``__dict__``
+    (no rendered record has slots or cached properties)."""
     if value is None:
         return "null"
     if isinstance(value, (bool, np.bool_)):
@@ -46,7 +47,7 @@ def render_json(value, indent: int = 0) -> str:
     if isinstance(value, str):
         return _quote(value)
     if is_dataclass(value):
-        value = _field_dict(value)
+        value = vars(value)
     pad = "  " * indent
     child = pad + "  "
     if isinstance(value, dict):
@@ -65,12 +66,6 @@ def render_json(value, indent: int = 0) -> str:
     raise TypeError(f"cannot serialize {type(value).__name__} into a report")
 
 
-def _field_dict(record) -> dict:
-    """A dataclass's fields by name, values as they are (render_json renders
-    nested dataclasses in turn, so nothing is copied)."""
-    return {field.name: getattr(record, field.name) for field in fields(record)}
-
-
 #: the report type of each certificate record
 _TYPES = {
     SwapCertificate: "swap-certificate",
@@ -80,7 +75,7 @@ _TYPES = {
 
 
 def _doc(record) -> dict:
-    doc = _field_dict(record)
+    doc = dict(vars(record))  # a copy: popping from the record's own dict would corrupt it
     doc.pop("witnesses", None)  # a pair's witnesses live in the distinctness array
     doc["type"] = _TYPES[type(record)]
     return doc
@@ -108,17 +103,12 @@ RESIDUAL_FIELDS = (
 )
 
 
-def _certificate_docs(report) -> list:
-    if isinstance(report, ScenarioReport):
-        records = report.swap_certificates + report.isomorphism_reports + report.pairs
-    elif isinstance(report, SwapCertificate):
-        records = (report,)
-    else:
-        raise TypeError(f"cannot emit a report for {type(report).__name__}")
+def _certificate_docs(report: ScenarioReport) -> list:
+    records = report.swap_certificates + report.isomorphism_reports + report.pairs
     return [_doc(record) for record in records]
 
 
-def failed_checks(report, tol: float) -> list:
+def failed_checks(report: ScenarioReport, tol: float) -> list:
     """One line per certificate residual field above ``tol``:
     ``<type> <field> <residual> > tol <tol> (margin <residual - tol>)``.
     A list-valued field is named once, with its largest entry. A pair whose
@@ -141,25 +131,17 @@ def failed_checks(report, tol: float) -> list:
     return lines
 
 
-def emit_report(report, config) -> str:
-    """Serialize a scenario report or a swap certificate.
+def emit_report(report: ScenarioReport, config) -> str:
+    """Serialize a scenario report.
 
     The document carries `meta` (config echo, version), `certificates`,
     `distinctness`, `worlds`, and the aggregate `pass` flag.
     """
-    certificates = _certificate_docs(report)
-    if isinstance(report, ScenarioReport):
-        distinctness = [_distinctness_entry(p) for p in report.pairs]
-        worlds = report.readouts
-    else:
-        distinctness = []
-        worlds = []
-
     document = {
         "meta": {"generator": "swaplab", "version": __version__, "config": config},
-        "worlds": worlds,
-        "certificates": certificates,
-        "distinctness": distinctness,
+        "worlds": report.readouts,
+        "certificates": _certificate_docs(report),
+        "distinctness": [_distinctness_entry(p) for p in report.pairs],
         "pass": report.passed,
     }
     return render_json(document) + "\n"
@@ -171,19 +153,13 @@ def emit_distribution_csv(state: ComplexVector, setup: MeasurementSetup) -> str:
     Header ``zeta,branch_lambda,probability``; one row per (grid point,
     eigenvalue) pair, degeneracy labels summed; LF line endings.
     """
-    if state.dim != setup.total_dim:
-        raise DimensionError(f"state dim {state.dim} != setup dim {setup.total_dim}")
-    observable = setup.observable
-    weights = np.abs(state.amplitudes.reshape(observable.system_dim, setup.grid.n_points)) ** 2
-    per_eigenvalue = weights.reshape(
-        observable.n_eigenvalues, observable.degeneracy, setup.grid.n_points
-    ).sum(axis=1)
+    per_eigenvalue = branch_distribution(state, setup)
     total = float(per_eigenvalue.sum())
     if abs(total - 1.0) > 1e-9:
         raise ValueError(f"branch probabilities sum to {total}; the state must be normalized")
     lines = ["zeta,branch_lambda,probability"]
     for grid_index, zeta in enumerate(setup.grid.zeta):
-        for eig_index, eigenvalue in enumerate(observable.eigenvalues):
+        for eig_index, eigenvalue in enumerate(setup.observable.eigenvalues):
             lines.append(
                 f"{_format_float(float(zeta))},{_format_float(eigenvalue)},"
                 f"{_format_float(float(per_eigenvalue[eig_index, grid_index]))}"

@@ -97,7 +97,6 @@ class PairCertificate:
 
 @dataclass(frozen=True)
 class ScenarioReport:
-    scenario: str
     world_labels: tuple
     readouts: tuple
     swap_certificates: tuple
@@ -120,7 +119,6 @@ def reference_observables(setup: MeasurementSetup) -> tuple:
 
 
 def _two_worlds(
-    scenario: str,
     certificate: SwapCertificate,
     hamiltonian: Spectrum,
     starts: tuple,
@@ -140,8 +138,8 @@ def _two_worlds(
         EvolutionTriple(hamiltonian, start, config.sample_times, config.hbar) for start in starts
     ]
     iso = check_isomorphism(swap, *triples, config.tol, config.phase_insensitive)
-    inverse = permutation_inverse(swap, hamiltonian.dim)
-    initial_residual = float(np.linalg.norm(starts[0].amplitudes[inverse] - starts[1].amplitudes))
+    # |S a - b| as |a - S^dag b|: check_isomorphism has checked the swap is a bijection
+    initial_residual = float(np.linalg.norm(starts[0].amplitudes - starts[1].amplitudes[swap]))
 
     finals = [triple.states_at((config.T,))[0] for triple in triples]
     witnesses = distinctness_witness(*finals, frame, config.tol)
@@ -164,7 +162,6 @@ def _two_worlds(
         and (distinct or not distinct_required)
     )
     return ScenarioReport(
-        scenario=scenario,
         world_labels=labels,
         readouts=tuple(WorldReadout(label, read(final)) for label, final in zip(labels, finals)),
         swap_certificates=(certificate,),
@@ -178,7 +175,6 @@ def run_prince_pauper(config: RunConfig) -> ScenarioReport:
     """Single qubit: both outcome worlds share the triple, differ observably."""
     setup = qubit_setup(config)
     return _two_worlds(
-        "prince-pauper",
         certify_lemma1(setup, tol=config.tol),
         pointer_spectrum(setup),
         tuple(ready_state(setup, system_basis_state(setup.observable, s)) for s in (0, 1)),
@@ -302,7 +298,6 @@ def run_multiworld(config: RunConfig) -> ScenarioReport:
         and all(p.distinct for p in pairs)
     )
     return ScenarioReport(
-        scenario="multiworld",
         world_labels=tuple(labels),
         readouts=readouts,
         swap_certificates=(certificate,),
@@ -317,12 +312,7 @@ def _model_observable(model: GeometricDiagonalModel) -> np.ndarray:
 
 
 def _model_momentum(model: GeometricDiagonalModel) -> np.ndarray:
-    momenta = [
-        sign * model.base_momentum * model.ratio ** (model.exponent_min + k)
-        for sign in (1.0, -1.0)
-        for k in range(model.cycle_length)
-    ]
-    return model.spread(np.reshape(momenta, (1, 1, 1, 2, -1)))
+    return model.spread(np.reshape(np.outer([1.0, -1.0], model.powers()), (1, 1, 1, 2, -1)))
 
 
 def build_diagonal_model(config: RunConfig) -> GeometricDiagonalModel:
@@ -349,7 +339,6 @@ def run_classical_level(config: RunConfig) -> ScenarioReport:
         ("pointer_momentum", _model_momentum(model)),
     )
     return _two_worlds(
-        "classical-level",
         certify_lemma2(model, value_from, value_to, config.tol, config.sample_times),
         Spectrum(model.diagonal_weights()),
         (ComplexVector(start), ComplexVector(start[permutation_inverse(swap, model.dim)])),

@@ -243,17 +243,16 @@ class GeometricDiagonalModel:
     """Diagonal surrogate for a continuous symmetric spectrum.
 
     Observable eigenvalues are +-base_eigenvalue * ratio**m and momentum
-    eigenvalues +-base_momentum * ratio**k, with m, k in
-    [exponent_min, exponent_max] wrapped cyclically. The Hamiltonian is
-    diagonal with weight -coupling * lambda * p, the total exponent m + k
-    reduced into the canonical window (see module docstring).
+    eigenvalues +-ratio**k, with m, k in [exponent_min, exponent_max]
+    wrapped cyclically. The Hamiltonian is diagonal with weight
+    -coupling * lambda * p, the total exponent m + k reduced into the
+    canonical window (see module docstring).
     """
 
     ratio: float
     exponent_min: int
     exponent_max: int
     base_eigenvalue: float = 1.0
-    base_momentum: float = 1.0
     coupling: float = 1.0
     degeneracy: int = 1
     hbar: float = 1.0
@@ -269,8 +268,6 @@ class GeometricDiagonalModel:
                 "base_eigenvalue must be positive: zero is excluded (a null outcome "
                 "cannot be rescaled) and negative eigenvalues come from the sign sector"
             )
-        if self.base_momentum <= 0:
-            raise ValueError(f"base_momentum must be positive, got {self.base_momentum}")
         if self.exponent_min > self.exponent_max:
             raise ValueError("exponent_min must not exceed exponent_max")
         if self.degeneracy < 1:
@@ -310,24 +307,24 @@ class GeometricDiagonalModel:
         state = state.reshape(-1)
         return state / np.linalg.norm(state)
 
-    def a_eigenvalues(self) -> tuple:
-        signs = (1.0, -1.0)
-        return tuple(
-            sign * self.base_eigenvalue * self.ratio**(self.exponent_min + m)
-            for sign in signs
-            for m in range(self.cycle_length)
-        )
-
-    def _power_table(self) -> np.ndarray:
-        # shared lookup keeps wrapped index orbits bitwise equal on the diagonal
+    def powers(self) -> np.ndarray:
+        """ratio**(exponent_min + r) for r in range(cycle_length): the one
+        table every eigenvalue and weight reads, so wrapped index orbits stay
+        bitwise equal on the diagonal."""
         return np.array(
             [self.ratio ** (self.exponent_min + r) for r in range(self.cycle_length)]
         )
 
+    def a_eigenvalues(self) -> tuple:
+        powers = self.powers().tolist()
+        return tuple(
+            sign * self.base_eigenvalue * power for sign in (1.0, -1.0) for power in powers
+        )
+
     def diagonal_weights(self) -> np.ndarray:
         length = self.cycle_length
-        powers = self._power_table()
-        scale = self.coupling * self.base_eigenvalue * self.base_momentum
+        powers = self.powers()
+        scale = self.coupling * self.base_eigenvalue
         signs = np.array([1.0, -1.0])
         exponents = np.arange(length)
         reduced = (self.exponent_min + exponents[:, None] + exponents[None, :]) % length

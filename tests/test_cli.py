@@ -199,6 +199,37 @@ class TestCliCommands:
     def test_missing_file_exit_code(self, tmp_path):
         assert main(["run", str(tmp_path / "nope.json")]) == 2
 
+    @pytest.mark.parametrize("command", [("run",), ("certify", "lemma1")])
+    def test_undecodable_config_exits_2(self, tmp_path, capsys, command):
+        # a UTF-16 byte-order mark and "{}": not UTF-8
+        path = tmp_path / "config.json"
+        path.write_bytes(bytes.fromhex("fffe7b7d"))
+        assert main([*command, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error: ")
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ("run",),
+            ("export-distribution", "--time", "0.5"),
+            # a failing certificate's lines are not printed when the write fails
+            ("run", "--tol", "1e-30"),
+        ],
+    )
+    def test_out_naming_a_file_exits_2(self, tmp_path, capsys, command):
+        blocker = tmp_path / "taken"
+        blocker.write_text("not a directory")
+        argv = [command[0], write_config(tmp_path, {}), *command[1:], "--out", str(blocker)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error: ")
+        assert captured.err.count("\n") == 1
+        assert str(blocker) in captured.err
+        assert blocker.read_text() == "not a directory"
+
     def test_certify_subcommand(self, tmp_path):
         config_path = write_config(tmp_path, {})
         assert main(["certify", "lemma1", config_path]) == 0

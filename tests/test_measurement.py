@@ -151,6 +151,33 @@ class TestInteractionHamiltonian:
         assert interaction_hamiltonian(qubit_setup()).kind == "hermitian"
 
 
+def degenerate_setup():
+    observable = ObservableSpec((2.0, -2.0), degeneracy=2)
+    return MeasurementSetup(observable, make_pointer_grid(4, 0.5), 0.5, 1.0)
+
+
+class TestReadyState:
+    @pytest.mark.parametrize(
+        "setup, system",
+        [
+            (qubit_setup(), basis_vector(2, 0)),
+            (qubit_setup(), basis_vector(2, 1)),
+            (qubit_setup(), ComplexVector(np.array([1.0, 1.0]) / np.sqrt(2))),
+            *((degenerate_setup(), basis_vector(4, index)) for index in range(4)),
+        ],
+    )
+    def test_matches_kronecker_oracle_bitwise(self, setup, system):
+        actual = ready_state(setup, system).amplitudes
+        oracle = tensor_product(
+            system, pointer_basis_state(setup.grid, setup.grid.center_index)
+        ).amplitudes
+        assert np.array_equal(actual, oracle)
+        for part in ("real", "imag"):  # signed zeros included
+            assert np.array_equal(
+                np.signbit(getattr(actual, part)), np.signbit(getattr(oracle, part))
+            )
+
+
 class TestEvolve:
     def test_time_zero_leaves_state(self):
         setup = qubit_setup()

@@ -83,7 +83,6 @@ class TestPrincePauper:
     def test_default_run_passes(self):
         report = run_prince_pauper(RunConfig())
         assert report.passed
-        assert report.scenario == "prince-pauper"
         assert report.world_labels == ("+", "-")
         iso = report.isomorphism_reports[0]
         assert max(iso.state_residuals) <= 1e-10
@@ -309,7 +308,6 @@ class TestClassicalLevel:
     def test_default_run_passes(self):
         report = run_classical_level(RunConfig(scenario="classical-level"))
         assert report.passed
-        assert report.scenario == "classical-level"
         certificate = report.swap_certificates[0]
         assert certificate.commutator_residual == 0.0
         assert certificate.construction == "scaling"
@@ -371,7 +369,7 @@ def model_momentum_loops(model):
                 for sign_p, sig in enumerate((1.0, -1.0)):
                     for kk in range(model.cycle_length):
                         values[model.basis_index(sign_idx, m, label, sign_p, kk)] = (
-                            sig * model.base_momentum * model.ratio ** (model.exponent_min + kk)
+                            sig * model.ratio ** (model.exponent_min + kk)
                         )
     return values
 
@@ -381,9 +379,7 @@ def model_momentum_loops(model):
     [
         build_diagonal_model(RunConfig(scenario="classical-level")),
         GeometricDiagonalModel(ratio=1.5, exponent_min=-2, exponent_max=2, degeneracy=3),
-        GeometricDiagonalModel(
-            ratio=0.3, exponent_min=-1, exponent_max=3, base_eigenvalue=0.7, base_momentum=1.3
-        ),
+        GeometricDiagonalModel(ratio=0.3, exponent_min=-1, exponent_max=3, base_eigenvalue=0.7),
     ],
 )
 def test_model_observables_match_loop_oracles(model):

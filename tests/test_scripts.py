@@ -17,6 +17,7 @@ ROOT = Path(__file__).resolve().parents[1]
         ["scripts/run_prince_pauper.py"],
         ["scripts/multiworld_growth.py", "--max-k", "2", "--half-width", "4", "--spacing", "0.5"],
         ["scripts/ccr_sweep.py"],  # exits 1 when the defect stops decreasing
+        ["scripts/report_audit.py"],
     ],
 )
 def test_script_runs(argv):

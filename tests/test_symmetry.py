@@ -373,8 +373,8 @@ def scaling_permutation_loops(model):
 
 def diagonal_weights_loops(model):
     length = model.cycle_length
-    powers = model._power_table()
-    scale = model.coupling * model.base_eigenvalue * model.base_momentum
+    powers = model.powers()
+    scale = model.coupling * model.base_eigenvalue
     weights = np.empty(model.dim)
     for sign_sys, sig_s in enumerate((1.0, -1.0)):
         for m in range(length):
@@ -401,7 +401,7 @@ ORACLE_MODELS = (
     GeometricDiagonalModel(ratio=1.5, exponent_min=-3, exponent_max=3, degeneracy=2),
     GeometricDiagonalModel(
         ratio=0.3, exponent_min=-1, exponent_max=3, base_eigenvalue=0.7,
-        base_momentum=1.3, coupling=0.9, degeneracy=3,
+        coupling=0.9, degeneracy=3,
     ),
 )
 
