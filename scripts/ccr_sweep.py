@@ -16,7 +16,28 @@ import sys
 
 import numpy as np
 
-from swaplab.measurement import ccr_defect, gaussian_pointer_state, make_pointer_grid
+from swaplab.measurement import make_pointer_grid
+
+
+def momentum_matrix(grid):
+    """p_Z = F^dag diag(momenta) F for the explicit centred N x N DFT matrix F."""
+    index = np.arange(-grid.half_width, grid.half_width + 1)
+    n = grid.n_points
+    fourier = np.exp(-2j * np.pi * np.outer(index, index) / n) / np.sqrt(n)
+    return fourier.conj().T @ np.diag(grid.momenta) @ fourier
+
+
+def gaussian_pointer_state(grid, width):
+    """Normalized Gaussian centred at zeta = 0 with the given position width."""
+    profile = np.exp(-grid.zeta**2 / (4 * width**2)).astype(complex)
+    return profile / np.linalg.norm(profile)
+
+
+def ccr_defect(grid, state):
+    """Norm of ([Z, p_Z] - i hbar) state for Z = diag(zeta)."""
+    p = momentum_matrix(grid)
+    commutator = grid.zeta[:, None] * p - p * grid.zeta
+    return float(np.linalg.norm(commutator @ state - 1j * grid.hbar * state))
 
 
 def sweep(half_widths, state_width=1.0, spacing_scale=3.0):
@@ -40,7 +61,7 @@ def main() -> int:
     trace_grid = make_pointer_grid(8, 0.25)
     # Z = diag(zeta): Z p_Z scales the rows of p_Z and p_Z Z its columns
     zeta = trace_grid.zeta
-    p = trace_grid.momentum_operator.entries
+    p = momentum_matrix(trace_grid)
     print(f"trace of [Z, p_Z]           : {np.trace(zeta[:, None] * p - p * zeta):.2e}")
     print(f"trace of i*hbar*I (N = {trace_grid.n_points:3d}) : {1j * trace_grid.hbar * trace_grid.n_points:.2e}")
     print()

@@ -9,7 +9,6 @@ from .linalg import (  # noqa: E402
     KindError,
     NumericalError,
     Spectrum,
-    commutator_norm,
     hermitian_exponential,
     random_unitary,
     tensor_product,
@@ -34,14 +33,12 @@ from .symmetry import (  # noqa: E402
     certify_lemma1,
     certify_lemma2,
     parity_swap,
-    parity_swap_momentum,
     scaling_permutation,
 )
 from .isomorphism import (  # noqa: E402
     EvolutionTriple,
     IsomorphismReport,
     Witness,
-    basis_transport_check,
     check_isomorphism,
     distinctness_witness,
 )

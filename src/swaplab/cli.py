@@ -78,7 +78,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(args) -> RunConfig:
-    text = Path(args.config_path).read_text(encoding="utf-8")
+    path = Path(args.config_path)
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:  # names the file, as an OSError's message does
+        raise ConfigError(f"{exc}: {str(path)!r}") from None
     config = parse_config(text)
     overrides = {}
     if args.tol is not None:
@@ -161,8 +165,8 @@ def main(argv=None) -> int:
                 failures = failed_checks(report, config.tol)
         if args.out is not None:
             _write_output(args.out, filename, text)
-    # ConfigError and UnicodeDecodeError are ValueErrors, so they are caught first
-    except (ConfigError, OSError, UnicodeDecodeError) as exc:
+    # ConfigError is a ValueError, so it is caught first
+    except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (NumericalError, np.linalg.LinAlgError, ValueError) as exc:

@@ -180,42 +180,6 @@ def check_isomorphism(
     )
 
 
-def basis_transport_check(
-    swap: np.ndarray,
-    basis,
-    triple_a: EvolutionTriple,
-    triple_b: EvolutionTriple,
-    times,
-    tolerance: float = 1e-10,
-) -> bool:
-    """With beta_j = S alpha_j for the index-array swap S, verify
-    <alpha_j|psi(t)> = <beta_j|phi(t)> for all j and t, and
-    <alpha_j|H|alpha_k> = <beta_j|H'|beta_k> for all j, k. A dense oracle:
-    both triples must carry dense Hamiltonians."""
-    if not all(isinstance(t.hamiltonian, DenseOperator) for t in (triple_a, triple_b)):
-        raise KindError("basis_transport_check needs dense Hamiltonians")
-    matrix = np.column_stack([vector.amplitudes for vector in basis])
-    if matrix.shape[0] != triple_a.dim:
-        raise DimensionError("basis vectors must match the triple dimension")
-    gram = matrix.conj().T @ matrix
-    ortho_defect = float(np.abs(gram - np.eye(matrix.shape[1])).max())
-    if ortho_defect > tolerance:
-        raise ValueError(f"basis is not orthonormal: max deviation {ortho_defect:.3e}")
-
-    transported = matrix[permutation_inverse(swap, triple_a.dim)]
-    states_a = triple_a.states_at(times)
-    states_b = triple_b.states_at(times)
-    for state_a, state_b in zip(states_a, states_b):
-        amplitudes_a = matrix.conj().T @ state_a.amplitudes
-        amplitudes_b = transported.conj().T @ state_b.amplitudes
-        if np.abs(amplitudes_a - amplitudes_b).max() > tolerance:
-            return False
-
-    elements_a = matrix.conj().T @ triple_a.hamiltonian.entries @ matrix
-    elements_b = transported.conj().T @ triple_b.hamiltonian.entries @ transported
-    return bool(np.abs(elements_a - elements_b).max() <= tolerance)
-
-
 def distinctness_witness(
     state_a: ComplexVector,
     state_b: ComplexVector,

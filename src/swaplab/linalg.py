@@ -263,13 +263,6 @@ def hermitian_exponential(hermitian: DenseOperator, angle: float) -> DenseOperat
     return DenseOperator(eigenvectors @ (phases[:, None] * eigenvectors.conj().T), UNITARY)
 
 
-def commutator_norm(a: DenseOperator, b: DenseOperator) -> float:
-    """Frobenius norm of AB - BA."""
-    if a.dim != b.dim:
-        raise DimensionError(f"operator dims differ: {a.dim} vs {b.dim}")
-    return frobenius_norm(a.entries @ b.entries - b.entries @ a.entries)
-
-
 def unitarity_defect_of(entries: np.ndarray) -> float:
     dim = entries.shape[0]
     return frobenius_norm(entries.conj().T @ entries - np.eye(dim))

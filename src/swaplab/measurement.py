@@ -13,14 +13,13 @@ Conventions:
   * free Hamiltonians are identically zero; only the measurement coupling acts
   * H is ``pointer_spectrum``: diagonal in the system eigenbasis x the DFT
     momentum basis, so evolving is an FFT along the pointer axis, a phase and
-    an inverse FFT. The dense ``interaction_hamiltonian``, ``evolution_matrix``
-    and ``propagator`` are oracles; no certificate builds them
+    an inverse FFT. The dense ``interaction_hamiltonian`` is an oracle; no
+    certificate builds it
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -44,9 +43,8 @@ ZERO_BRANCH_TOL = 1e-12
 @dataclass(eq=False)
 class PointerGrid:
     """Discretized pointer space: positions ``zeta`` (the position operator's
-    diagonal) and momenta. The dense N x N DFT analysis map and momentum
-    operator are built on first access, for the dense oracles and
-    ``ccr_defect``; no certificate reads them."""
+    diagonal) and momenta (the momentum operator's diagonal in the centred
+    DFT basis)."""
 
     half_width: int
     spacing: float
@@ -64,18 +62,6 @@ class PointerGrid:
         self.n_points = n
         self.zeta = index * self.spacing
         self.momenta = 2 * np.pi * self.hbar * index / (n * self.spacing)
-
-    @cached_property
-    def fourier(self) -> np.ndarray:
-        """Analysis map (position -> momentum amplitudes); row j is <p_j|zeta>."""
-        index = np.arange(-self.half_width, self.half_width + 1)
-        n = self.n_points
-        return np.exp(-2j * np.pi * np.outer(index, index) / n) / np.sqrt(n)
-
-    @cached_property
-    def momentum_operator(self) -> DenseOperator:
-        momentum = self.fourier.conj().T @ np.diag(self.momenta) @ self.fourier
-        return DenseOperator(momentum, HERMITIAN)
 
     @property
     def center_index(self) -> int:
@@ -189,14 +175,18 @@ def ready_state(setup: MeasurementSetup, system_state: ComplexVector) -> Complex
 
 def interaction_hamiltonian(setup: MeasurementSetup) -> DenseOperator:
     """-coupling * (A x p_Z) on the (system x pointer) basis: A is diagonal,
-    so the system index s carries the block -coupling * (a_s * p_Z)."""
+    so the system index s carries the block -coupling * (a_s * p_Z), with
+    p_Z = F^dag diag(momenta) F for the explicit centred DFT matrix F."""
     if setup.total_dim > MAX_TOTAL_DIM:
         raise DimensionError(
             f"total dimension {setup.total_dim} exceeds the dense cap {MAX_TOTAL_DIM}"
         )
     values = setup.observable.values()
-    momentum = setup.grid.momentum_operator.entries
-    n_points = setup.grid.n_points
+    grid = setup.grid
+    n_points = grid.n_points
+    index = np.arange(-grid.half_width, grid.half_width + 1)
+    fourier = np.exp(-2j * np.pi * np.outer(index, index) / n_points) / np.sqrt(n_points)
+    momentum = fourier.conj().T @ np.diag(grid.momenta) @ fourier
     blocks = np.zeros((values.size, n_points, values.size, n_points), dtype=complex)
     blocks[np.arange(values.size), :, np.arange(values.size), :] = (
         values[:, None, None] * momentum
@@ -222,21 +212,10 @@ def circulant_columns(spectrum: Spectrum, t: float, hbar: float) -> np.ndarray:
     return spectrum.evolve(starts.reshape(-1), t, hbar).reshape(starts.shape)
 
 
-def _block_circulant(spectrum: Spectrum, t: float, hbar: float) -> np.ndarray:
-    # the dense propagator, each circulant block read off its first column
-    columns = circulant_columns(spectrum, t, hbar)
-    blocks, n_points = columns.shape
-    index = np.arange(n_points)
-    circulant = columns[:, (index[:, None] - index[None, :]) % n_points]
-    entries = np.zeros((blocks, n_points, blocks, n_points), dtype=complex)
-    entries[np.arange(blocks), :, np.arange(blocks), :] = circulant
-    return entries.reshape(spectrum.dim, spectrum.dim)
-
-
 def translation_map(grid: PointerGrid, steps: int) -> DenseOperator:
     """exp(-i p_Z (steps*spacing) / hbar): exact cyclic shift by `steps`."""
     spectrum = Spectrum(grid.momenta, grid.n_points)
-    shift = _block_circulant(spectrum, steps * grid.spacing, grid.hbar)
+    shift = spectrum.evolve(np.eye(grid.n_points), steps * grid.spacing, grid.hbar)
     return DenseOperator(shift, UNITARY)
 
 
@@ -245,18 +224,6 @@ def _require_window(setup: MeasurementSetup, t: float) -> None:
         raise ValueError(
             f"time {t} outside [0, {setup.duration}]: the coupling is only defined there"
         )
-
-
-def evolution_matrix(setup: MeasurementSetup, t: float) -> np.ndarray:
-    """Entries of exp(-i H t / hbar), assembled block by block from the
-    pointer spectrum without a unitarity check (a dense oracle)."""
-    return _block_circulant(pointer_spectrum(setup), t, setup.grid.hbar)
-
-
-def propagator(setup: MeasurementSetup, t: float) -> DenseOperator:
-    """Evolution operator exp(-i H t / hbar) for t inside the coupling window."""
-    _require_window(setup, t)
-    return DenseOperator(evolution_matrix(setup, t), UNITARY)
 
 
 def evolve(setup: MeasurementSetup, state: ComplexVector, t: float) -> ComplexVector:
@@ -296,28 +263,3 @@ def readout(state: ComplexVector, setup: MeasurementSetup) -> tuple:
         inferred = -pointer_mean / scale if scale > 0 else None
         table.append(BranchReadout(eigenvalue, probability, pointer_mean, inferred))
     return tuple(table)
-
-
-def gaussian_pointer_state(grid: PointerGrid, width: float) -> ComplexVector:
-    """Normalized Gaussian centered at zeta = 0 with the given position width."""
-    profile = np.exp(-grid.zeta**2 / (4 * width**2)).astype(complex)
-    return ComplexVector(profile / np.linalg.norm(profile))
-
-
-def ccr_defect(grid: PointerGrid, state: ComplexVector = None) -> float:
-    """Norm of ([Z, p_Z] - i hbar) applied to a smooth centered test state.
-
-    The canonical commutation relation cannot hold as a matrix identity in
-    finite dimension (the two sides have unequal traces), so the residual is
-    measured on states supported in the central half of the grid, where it
-    decays under grid refinement.
-    """
-    if state is None:
-        state = gaussian_pointer_state(grid, grid.n_points * grid.spacing / 10)
-    if state.dim != grid.n_points:
-        raise DimensionError(f"state dim {state.dim} != grid size {grid.n_points}")
-    # the position operator is diag(zeta), so Z p and p Z scale rows and columns
-    p = grid.momentum_operator.entries
-    commutator = grid.zeta[:, None] * p - p * grid.zeta
-    residual = commutator @ state.amplitudes - 1j * grid.hbar * state.amplitudes
-    return float(np.linalg.norm(residual))

@@ -332,8 +332,10 @@ def run_classical_level(config: RunConfig) -> ScenarioReport:
     """Two macroscopically different readings connected by an H-preserving swap."""
     value_from, value_to = config.lambda1, config.lambda2
     model = build_diagonal_model(config)
-    swap = scaling_permutation(model)
-    start = model.sector_state(*locate_eigenvalue(model, value_from), 0)
+    starts = tuple(
+        ComplexVector(model.sector_state(*locate_eigenvalue(model, value), 0))
+        for value in (value_from, value_to)
+    )
     observables = (
         ("system_observable", _model_observable(model)),
         ("pointer_momentum", _model_momentum(model)),
@@ -341,8 +343,8 @@ def run_classical_level(config: RunConfig) -> ScenarioReport:
     return _two_worlds(
         certify_lemma2(model, value_from, value_to, config.tol, config.sample_times),
         Spectrum(model.diagonal_weights()),
-        (ComplexVector(start), ComplexVector(start[permutation_inverse(swap, model.dim)])),
-        swap,
+        starts,
+        scaling_permutation(model),
         config,
         observables,
         (f"outcome {value_from:g}", f"outcome {value_to:g}"),

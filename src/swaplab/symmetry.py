@@ -19,8 +19,7 @@ lemmas; each lemma adds its own swap residual. Two families are certified:
   is sigma x R with R the pointer reversal, and the centred DFT has
   W[-j, -k] = W[j, k], so W^dag R W = R exactly; ``carried_factor`` decides
   with integers that a swap has this form. The cross-construction distance
-  maps three pointer columns through the FFT maps, so it reads their rounding.
-  The dense momentum-basis twin (``parity_swap_momentum``) is an oracle;
+  maps three pointer columns through the FFT maps, so it reads their rounding;
 * the scaling swap (``scaling_permutation``): on a geometric eigenvalue ladder
   it shifts the observable exponent up and the momentum exponent down,
   preserving each diagonal energy -g*lambda*p exactly.
@@ -42,9 +41,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
-    HERMITIAN,
-    UNITARY,
-    DenseOperator,
     Spectrum,
     frobenius_norm,
     permutation_inverse,
@@ -127,18 +123,6 @@ def parity_swap(setup: MeasurementSetup) -> np.ndarray:
     n = setup.grid.n_points
     system = _system_negation(setup.observable)
     return (system[:, None] * n + np.arange(n - 1, -1, -1)).reshape(-1)
-
-
-def parity_swap_momentum(setup: MeasurementSetup) -> DenseOperator:
-    """Sign-flip swap built in the momentum basis, (lambda, p) -> (-lambda, -p),
-    conjugated back to the position representation (a dense oracle)."""
-    sys_dim = setup.observable.system_dim
-    sys_perm = np.zeros((sys_dim, sys_dim))
-    sys_perm[_system_negation(setup.observable), np.arange(sys_dim)] = 1.0
-    grid = setup.grid
-    momentum_parity = np.eye(grid.n_points)[::-1]
-    pointer_part = grid.fourier.conj().T @ momentum_parity @ grid.fourier
-    return DenseOperator(np.kron(sys_perm, pointer_part), UNITARY)
 
 
 def corrupted_swap(setup: MeasurementSetup) -> np.ndarray:
@@ -333,9 +317,6 @@ class GeometricDiagonalModel:
         return self.spread(
             -scale * sig_s * sig_p * powers[reduced].reshape(1, length, 1, 1, length)
         )
-
-    def hamiltonian(self) -> DenseOperator:
-        return DenseOperator(np.diag(self.diagonal_weights().astype(complex)), HERMITIAN)
 
 
 def scaling_permutation(model: GeometricDiagonalModel) -> np.ndarray:

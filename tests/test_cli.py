@@ -208,6 +208,7 @@ class TestCliCommands:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("config error: ")
+        assert str(path) in captured.err  # as for a missing file
 
     @pytest.mark.parametrize(
         "command",

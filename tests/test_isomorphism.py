@@ -4,7 +4,6 @@ import pytest
 from swaplab.isomorphism import (
     EvolutionTriple,
     _phase_minimized_distance,
-    basis_transport_check,
     check_isomorphism,
     distinctness_witness,
     is_distinct,
@@ -30,6 +29,8 @@ from swaplab.measurement import (
     system_basis_state,
 )
 from swaplab.symmetry import parity_swap
+
+from dense_reference import basis_transport_check
 
 SAMPLE_TIMES = (0.0, 0.25, 0.5, 0.75, 1.0)
 

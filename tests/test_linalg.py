@@ -10,7 +10,6 @@ from swaplab.linalg import (
     DenseOperator,
     DimensionError,
     KindError,
-    commutator_norm,
     hermitian_exponential,
     random_unitary,
     tensor_product,
@@ -167,24 +166,6 @@ class TestHermitianExponential:
 
 
 class TestNorms:
-    def test_commutator_identity(self):
-        b = DenseOperator(np.arange(4.0).reshape(2, 2))
-        assert commutator_norm(DenseOperator(np.eye(2), HERMITIAN), b) == 0.0
-
-    def test_commutator_diagonal(self):
-        a = DenseOperator(np.diag([1.0, 2.0]), HERMITIAN)
-        b = DenseOperator(np.diag([3.0, 4.0]), HERMITIAN)
-        assert commutator_norm(a, b) == 0.0
-
-    def test_commutator_pauli(self):
-        sigma_x = DenseOperator([[0.0, 1.0], [1.0, 0.0]], HERMITIAN)
-        sigma_z = DenseOperator([[1.0, 0.0], [0.0, -1.0]], HERMITIAN)
-        assert commutator_norm(sigma_x, sigma_z) == pytest.approx(2 * np.sqrt(2), abs=1e-15)
-
-    def test_commutator_dim_mismatch(self):
-        with pytest.raises(DimensionError):
-            commutator_norm(DenseOperator(np.eye(2)), DenseOperator(np.eye(3)))
-
     def test_unitarity_defect_identity(self):
         assert unitarity_defect(DenseOperator(np.eye(5), HERMITIAN)) == 0.0
 

@@ -13,9 +13,7 @@ from swaplab.measurement import (
     MAX_TOTAL_DIM,
     MeasurementSetup,
     ObservableSpec,
-    ccr_defect,
     evolve,
-    gaussian_pointer_state,
     interaction_hamiltonian,
     make_pointer_grid,
     pointer_basis_state,
@@ -24,6 +22,8 @@ from swaplab.measurement import (
     system_basis_state,
     translation_map,
 )
+
+from dense_reference import ccr_defect, dft_matrix, gaussian_pointer_state, momentum_operator
 
 
 def qubit_setup(half_width=8, spacing=0.25, coupling=1.0, duration=1.0, hbar=1.0):
@@ -52,7 +52,7 @@ class TestPointerGrid:
 
     def test_momentum_operator_hermitian(self):
         grid = make_pointer_grid(8, 0.5, 1.0)
-        p = grid.momentum_operator.entries
+        p = momentum_operator(grid).entries
         assert frobenius_norm(p - p.conj().T) <= 1e-13
 
     def test_degenerate_grid_rejected(self):
@@ -134,7 +134,7 @@ class TestInteractionHamiltonian:
         grid = setup.grid
         h = interaction_hamiltonian(setup).entries
         j = 5  # momentum index
-        momentum_vec = grid.fourier.conj().T[:, j]
+        momentum_vec = dft_matrix(grid.half_width).conj().T[:, j]
         state = np.kron([1.0, 0.0], momentum_vec)  # lambda = +1 branch
         expected = -setup.coupling * 1.0 * grid.momenta[j] * state
         assert np.linalg.norm(h @ state - expected) <= 1e-12
@@ -279,7 +279,7 @@ class TestCcrCaveat:
     def test_traces_cannot_match(self):
         grid = make_pointer_grid(6, 0.5)
         z = np.diag(grid.zeta)
-        p = grid.momentum_operator.entries
+        p = momentum_operator(grid).entries
         commutator_trace = np.trace(z @ p - p @ z)
         identity_trace = 1j * grid.hbar * grid.n_points
         assert abs(commutator_trace) <= 1e-12

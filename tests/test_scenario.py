@@ -332,6 +332,24 @@ class TestClassicalLevel:
         with pytest.raises(ConfigError, match="nonzero"):
             RunConfig(scenario="classical-level", lambda1=0.0, lambda2=2.0)
 
+    def test_second_world_holds_lambda2(self, monkeypatch):
+        # a shift of two exponents, (m, k) -> (m+2, k-2), is a bijection that
+        # commutes with H, but it carries the lambda1 world onto outcome
+        # lambda1 * ratio^2 = 4, not onto the lambda2 = 2 world the report names
+        def double_shift(model):
+            return np.roll(model.basis_indices(), (-2, 2), axis=(1, 4)).reshape(-1)
+
+        monkeypatch.setattr(scenario, "scaling_permutation", double_shift)
+        report = run_classical_level(RunConfig(scenario="classical-level"))
+        witnesses = {w.observable: w for w in report.pairs[0].witnesses}
+        assert witnesses["system_observable"].expectation_b == pytest.approx(2.0, abs=1e-12)
+        iso = report.isomorphism_reports[0]
+        assert iso.hamiltonian_residual == 0.0
+        assert iso.sample_times[0] == 0.0
+        assert all(r == pytest.approx(np.sqrt(2), abs=1e-12) for r in iso.state_residuals)
+        assert not iso.passed
+        assert not report.passed
+
 
 class TestWorldEnumeration:
     def test_labels_are_sign_patterns(self):

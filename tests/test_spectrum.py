@@ -18,16 +18,16 @@ from swaplab.linalg import (
 from swaplab.measurement import (
     MeasurementSetup,
     ObservableSpec,
-    PointerGrid,
     evolve,
     interaction_hamiltonian,
     make_pointer_grid,
     pointer_spectrum,
-    propagator,
     ready_state,
     system_basis_state,
 )
-from swaplab.symmetry import GeometricDiagonalModel, corrupted_swap, parity_swap
+from swaplab.symmetry import corrupted_swap, parity_swap
+
+from dense_reference import dft_matrix
 
 HBAR = 0.7
 SPACING = 0.3
@@ -50,7 +50,7 @@ class TestPointerSpectrum:
     def test_basis_map_is_the_grid_fourier_matrix(self, half_width):
         setup = degenerate_setup(half_width)
         n, blocks = setup.grid.n_points, setup.observable.system_dim
-        dense = np.kron(np.eye(blocks), setup.grid.fourier)
+        dense = np.kron(np.eye(blocks), dft_matrix(setup.grid.half_width))
         to_eigen = pointer_spectrum(setup).to_eigen(np.eye(setup.total_dim))
         assert np.abs(to_eigen - dense).max() <= 1e-13 * n
         back = pointer_spectrum(setup).from_eigen(dense)
@@ -64,7 +64,8 @@ class TestPointerSpectrum:
         state = random_state(setup.total_dim)
         spectral = pointer_spectrum(setup).evolve(state, t, HBAR)
         assert np.linalg.norm(spectral - oracle @ state) <= 1e-12
-        assert frobenius_norm(propagator(setup, t).entries - oracle) <= 1e-12
+        propagator = pointer_spectrum(setup).evolve(np.eye(setup.total_dim), t, HBAR)
+        assert frobenius_norm(propagator - oracle) <= 1e-12
 
     def test_evolve_acts_column_by_column(self):
         setup = degenerate_setup(8)
@@ -213,19 +214,15 @@ def _no_dense(*args, **kwargs):
 @PRODUCTION_JOBS
 def test_production_paths_build_no_dense_operator(tmp_path, monkeypatch, words, extra, config):
     # every certificate is computed from the spectrum weights, the position-basis
-    # gathers and pointer-factor FFTs; each dense constructor raises, in every
-    # module that binds it
+    # gathers and pointer-factor FFTs; the dense Hamiltonian raises in every
+    # module that binds it, and so does every dense operator's constructor
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
-    modules = [m for n, m in sys.modules.items() if n.partition(".")[0] == "swaplab"]
-    for name in ("interaction_hamiltonian", "evolution_matrix"):
-        dense = getattr(measurement, name)
-        for module in modules:
-            if getattr(module, name, None) is dense:
-                monkeypatch.setattr(module, name, _no_dense)
-    monkeypatch.setattr(GeometricDiagonalModel, "hamiltonian", _no_dense)
-    monkeypatch.setattr(PointerGrid, "fourier", property(_no_dense))
-    monkeypatch.setattr(PointerGrid, "momentum_operator", property(_no_dense))
+    dense = measurement.interaction_hamiltonian
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == "swaplab" and getattr(module, dense.__name__, None) is dense:
+            monkeypatch.setattr(module, dense.__name__, _no_dense)
+    monkeypatch.setattr(linalg.DenseOperator, "__init__", _no_dense)
     assert main([*words, str(path), *extra]) == 0
 
 
