@@ -15,7 +15,9 @@ The list covers the example configs, every benchmark job class (export
 classes at each benchmark time), exports at M = 8 and 100 for every world,
 off-grid pointer runs and the ladder with ``phase_insensitive`` both ways,
 the ladder at several outcome pairs, ``--tol 1e-30`` on every command and
-scenario, custom sample times, zero coupling and three rejected configs.
+scenario, custom sample times, zero coupling, three rejected configs, and
+runs whose evolution takes several batches or evolves T apart from sample
+times that stop short of it.
 """
 
 import contextlib
@@ -99,6 +101,17 @@ def jobs() -> list:
         (("run",), {"M": 0}),
         (("run",), {"unknown_key": 1}),
         (("run",), {"scenario": "multiworld", "k": 4}),
+    ]
+    # states of 7688 and 8002 amplitudes evolve two times per transform call,
+    # so these runs cross batch boundaries; T is a time of its own when the
+    # sample times stop short of it
+    many_times = {"sample_times": [i / 40 for i in range(41)]}
+    listed += [
+        (("run",), {"scenario": "prince-pauper", "M": 2000}),
+        (("run",), {**LADDER, "ratio_exponent_range": 15, **many_times}),
+        (("run",), {"scenario": "multiworld", "k": 3, **times}),
+        (("run",), {"scenario": "multiworld", "k": 2, "M": 2000, **times}),
+        (("run",), {"scenario": "prince-pauper", "M": 2000, **times}),
     ]
     return listed
 

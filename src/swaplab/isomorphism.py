@@ -82,13 +82,20 @@ class EvolutionTriple:
     def dim(self) -> int:
         return self.hamiltonian.dim
 
+    def evolutions(self, times):
+        """Amplitudes of exp(-i H t / hbar) |initial> at the given times,
+        yielded one at a time: a spectrum evolves them in batches
+        (``Spectrum.evolutions``), a dense H one exponential per time."""
+        initial = self.initial_state.amplitudes
+        if isinstance(self.hamiltonian, Spectrum):
+            yield from self.hamiltonian.evolutions(initial, times, self.hbar)
+        else:
+            for t in times:
+                yield hermitian_exponential(self.hamiltonian, t / self.hbar).entries @ initial
+
     def states_at(self, times) -> list:
         """Evolved states exp(-i H t / hbar) |initial> at the given times."""
-        if isinstance(self.hamiltonian, Spectrum):
-            initial = self.initial_state.amplitudes
-            return [ComplexVector(self.hamiltonian.evolve(initial, t, self.hbar)) for t in times]
-        exponentials = (hermitian_exponential(self.hamiltonian, t / self.hbar) for t in times)
-        return [exponential @ self.initial_state for exponential in exponentials]
+        return [ComplexVector(amplitudes) for amplitudes in self.evolutions(times)]
 
     def states(self) -> list:
         return self.states_at(self.sample_times)
@@ -134,6 +141,12 @@ def _phase_minimized_distance(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.linalg.norm(a - phase * b))
 
 
+def _state_residual(mapped: np.ndarray, state_b: np.ndarray, phase_insensitive: bool) -> float:
+    if phase_insensitive:
+        return _phase_minimized_distance(mapped, state_b)
+    return float(np.linalg.norm(mapped - state_b))
+
+
 def check_isomorphism(
     swap: np.ndarray,
     triple_a: EvolutionTriple,
@@ -146,21 +159,41 @@ def check_isomorphism(
     The Hamiltonian residual is None, and the check fails, when the two
     Hamiltonians are spectra whose shared basis map does not carry S, or are
     of different kinds."""
+    final_time = triple_a.sample_times[-1]
+    return compare_evolutions(swap, triple_a, triple_b, final_time, tolerance, phase_insensitive)[0]
+
+
+def compare_evolutions(
+    swap: np.ndarray,
+    triple_a: EvolutionTriple,
+    triple_b: EvolutionTriple,
+    final_time: float,
+    tolerance: float = 1e-10,
+    phase_insensitive: bool = False,
+) -> tuple:
+    """``check_isomorphism``'s report, and the two triples' states at
+    ``final_time``, from one evolution of each triple: the states at the last
+    sample time when it is ``final_time``, else one more time in the batch."""
     if triple_a.dim != triple_b.dim:
         raise DimensionError(f"triple dims differ: {triple_a.dim} vs {triple_b.dim}")
-    if triple_a.sample_times != triple_b.sample_times:
+    times = triple_a.sample_times
+    if triple_b.sample_times != times:
         raise ValueError("the two triples must share their sample times")
     inverse = permutation_inverse(swap, triple_a.dim)
 
+    extra = () if final_time == times[-1] else (final_time,)
+    # one pair of states at a time, so memory does not grow with the sample count
+    pairs = zip(triple_a.evolutions(times + extra), triple_b.evolutions(times + extra))
     residuals = []
-    for t in triple_a.sample_times:
-        # one time at a time, so memory does not grow with the sample count
-        (state_a,), (state_b,) = triple_a.states_at((t,)), triple_b.states_at((t,))
-        mapped = state_a.amplitudes[inverse]
-        if phase_insensitive:
-            residuals.append(_phase_minimized_distance(mapped, state_b.amplitudes))
-        else:
-            residuals.append(float(np.linalg.norm(mapped - state_b.amplitudes)))
+    for _ in times:
+        finals = None  # no earlier pair is held while the next one is evolved
+        finals = next(pairs)
+        residuals.append(_state_residual(finals[0][inverse], finals[1], phase_insensitive))
+    if extra:
+        finals = None
+        finals = next(pairs)
+    del pairs  # frees the spectral coefficients before the copies below
+    finals = tuple(ComplexVector(state) for state in finals)
 
     hamiltonian_residual = _hamiltonian_residual(
         triple_a.hamiltonian, triple_b.hamiltonian, swap, inverse
@@ -171,13 +204,14 @@ def check_isomorphism(
         and hamiltonian_residual is not None
         and hamiltonian_residual <= tolerance
     )
-    return IsomorphismReport(
-        sample_times=triple_a.sample_times,
+    report = IsomorphismReport(
+        sample_times=times,
         state_residuals=tuple(residuals),
         hamiltonian_residual=hamiltonian_residual,
         tolerance=tolerance,
         passed=passed,
     )
+    return report, finals
 
 
 def distinctness_witness(

@@ -20,6 +20,11 @@ NORM_TOL = 1e-12
 HERM_TOL = 1e-12
 UNIT_TOL = 1e-12
 
+#: amplitudes per transform call of a batched evolution: a desk-scale run maps
+#: all its sample times back in one call, and a run with a larger state one
+#: time per call, so memory does not grow with the number of sample times
+EVOLVE_BATCH = 2**14
+
 GENERAL = "general"
 HERMITIAN = "hermitian"
 UNITARY = "unitary"
@@ -165,6 +170,7 @@ def _centred_dft_axis(transform, n_points: int, amplitudes: np.ndarray) -> np.nd
     blocks = amplitudes.reshape(-1, n_points, *amplitudes.shape[1:])
     shifted = np.concatenate((blocks[:, half:], blocks[:, :half]), axis=1)
     out = transform(shifted, axis=1, norm="ortho")
+    del shifted  # freed before the second copy, so no third state-sized array is live
     return np.concatenate((out[:, half + 1 :], out[:, : half + 1]), axis=1).reshape(
         amplitudes.shape
     )
@@ -178,7 +184,7 @@ class Spectrum:
     weight count; size 1 is the identity map.
     ``to_eigen`` applies W and ``from_eigen`` applies W^dag along the leading
     axis of an amplitude array, so a matrix is mapped column by column, and
-    every time evolution in the package goes through ``evolve``. Such a W
+    every time evolution in the package goes through ``evolutions``. Such a W
     carries a swap sigma x tau, tau the identity or the reversal of the
     trailing factor, onto the same index array, because the centred DFT maps
     reversal to reversal (``carried_factor``).
@@ -226,15 +232,38 @@ class Spectrum:
                 return tau
         return None
 
-    def evolve(self, amplitudes, t: float, hbar: float = 1.0) -> np.ndarray:
-        """exp(-i H t / hbar) applied to a vector, or to each column of a matrix."""
+    def evolutions(self, amplitudes, times, hbar: float = 1.0):
+        """exp(-i H t / hbar) applied to a vector, or to each column of a
+        matrix, for each t in ``times``, yielded one C-contiguous array at a
+        time. The start is mapped to the eigenbasis once; each batch of times
+        holding at most EVOLVE_BATCH amplitudes (one time at least) is mapped
+        back in one transform call, row for row the same arithmetic as a
+        call per time."""
         amplitudes = np.asarray(amplitudes, dtype=complex)
         if amplitudes.shape[0] != self.dim:
             raise DimensionError(f"amplitude dim {amplitudes.shape[0]} != spectrum dim {self.dim}")
         coefficients = self.to_eigen(amplitudes)
-        phases = np.exp(-1j * self.weights * t / hbar)
-        phases = phases.reshape(phases.shape + (1,) * (coefficients.ndim - 1))
-        return self.from_eigen(phases * coefficients)
+        times = list(times)
+        per_batch = max(1, EVOLVE_BATCH // coefficients.size)
+        for first in range(0, len(times), per_batch):
+            yield from self._evolved_batch(coefficients, times[first : first + per_batch], hbar)
+
+    def _evolved_batch(self, coefficients: np.ndarray, times, hbar: float) -> np.ndarray:
+        """W^dag exp(-i w t / hbar) ``coefficients`` for each t in ``times``,
+        stacked along a new leading axis. The stack is mapped back as one
+        array of rows, each time's block on its own, so its temporaries are
+        freed when this returns and a suspended ``evolutions`` holds only
+        the coefficients and the states it yields."""
+        column = (self.dim,) + (1,) * (coefficients.ndim - 1)
+        batch = np.empty((len(times),) + coefficients.shape, dtype=complex)
+        for phased, t in zip(batch, times):
+            phases = np.exp(-1j * self.weights * t / hbar)
+            np.multiply(phases.reshape(column), coefficients, out=phased)
+        return self.from_eigen(batch.reshape((-1,) + coefficients.shape[1:])).reshape(batch.shape)
+
+    def evolve(self, amplitudes, t: float, hbar: float = 1.0) -> np.ndarray:
+        """exp(-i H t / hbar) applied to a vector, or to each column of a matrix."""
+        return next(self.evolutions(amplitudes, (t,), hbar))
 
 
 def hermitian_exponential(hermitian: DenseOperator, angle: float) -> DenseOperator:

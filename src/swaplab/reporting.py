@@ -32,14 +32,50 @@ def _format_float(value: float) -> str:
     return format(value, ".17g")
 
 
+def _format_bool(value) -> str:
+    return "true" if value else "false"
+
+
+#: renderers of the scalar types a report holds, looked up by exact type
+_SCALARS = {
+    type(None): lambda value: "null",
+    bool: _format_bool,
+    np.bool_: _format_bool,
+    int: str,
+    float: _format_float,
+    np.float64: lambda value: _format_float(float(value)),
+    str: _quote,
+}
+
+
 def render_json(value, indent: int = 0) -> str:
     """Deterministic JSON: sorted keys, 17-significant-digit floats. A
     dataclass renders as the object of its fields, read from its ``__dict__``
-    (no rendered record has slots or cached properties)."""
-    if value is None:
-        return "null"
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
+    (no rendered record has slots or cached properties).
+
+    Each container is rendered once per depth: a record that the value holds
+    several times (a witness shared by many pairs, a readout by many worlds)
+    is looked up by identity and depth. The value keeps every container it
+    holds alive for the whole call, so no identity is reused."""
+    return _render(value, indent, {})
+
+
+def _render(value, indent: int, rendered: dict) -> str:
+    """One value of ``render_json``; ``rendered`` maps (identity, depth) to
+    the text of each container rendered so far."""
+    scalar = _SCALARS.get(type(value))
+    if scalar is not None:
+        return scalar(value)
+    key = (id(value), indent)
+    text = rendered.get(key)
+    if text is None:
+        text = rendered[key] = _render_container(value, indent, rendered)
+    return text
+
+
+def _render_container(value, indent: int, rendered: dict) -> str:
+    """A value whose type is not in ``_SCALARS``: a container, or a scalar
+    of a subclass or another numpy type (bool and numpy.bool_ have none)."""
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
@@ -54,14 +90,14 @@ def render_json(value, indent: int = 0) -> str:
         if not value:
             return "{}"
         items = [
-            f"{child}{_quote(str(key))}: {render_json(value[key], indent + 1)}"
+            f"{child}{_quote(str(key))}: {_render(value[key], indent + 1, rendered)}"
             for key in sorted(value)
         ]
         return "{\n" + ",\n".join(items) + f"\n{pad}}}"
     if isinstance(value, (list, tuple)):
         if len(value) == 0:
             return "[]"
-        items = [f"{child}{render_json(item, indent + 1)}" for item in value]
+        items = [f"{child}{_render(item, indent + 1, rendered)}" for item in value]
         return "[\n" + ",\n".join(items) + f"\n{pad}]"
     raise TypeError(f"cannot serialize {type(value).__name__} into a report")
 
@@ -123,7 +159,7 @@ def failed_checks(report: ScenarioReport, tol: float) -> list:
         for name in RESIDUAL_FIELDS:
             value = doc.get(name)
             if isinstance(value, (list, tuple)):
-                value = max(value)
+                value = float(np.max(value))  # max() would drop a NaN that is not first
             if value is not None and not value <= tol:
                 lines.append(
                     f"{doc['type']} {name} {value:.3g} > tol {tol:.3g} (margin {value - tol:.3g})"

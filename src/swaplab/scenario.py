@@ -36,7 +36,7 @@ import numpy as np
 
 from .isomorphism import (
     EvolutionTriple,
-    check_isomorphism,
+    compare_evolutions,
     distinctness_witness,
     is_distinct,
 )
@@ -137,11 +137,12 @@ def _two_worlds(
     triples = [
         EvolutionTriple(hamiltonian, start, config.sample_times, config.hbar) for start in starts
     ]
-    iso = check_isomorphism(swap, *triples, config.tol, config.phase_insensitive)
-    # |S a - b| as |a - S^dag b|: check_isomorphism has checked the swap is a bijection
+    iso, finals = compare_evolutions(
+        swap, *triples, config.T, config.tol, config.phase_insensitive
+    )
+    # |S a - b| as |a - S^dag b|: compare_evolutions has checked the swap is a bijection
     initial_residual = float(np.linalg.norm(starts[0].amplitudes - starts[1].amplitudes[swap]))
 
-    finals = [triple.states_at((config.T,))[0] for triple in triples]
     witnesses = distinctness_witness(*finals, frame, config.tol)
     distinct = is_distinct(witnesses)
     pair = PairCertificate(
@@ -227,17 +228,10 @@ def run_multiworld(config: RunConfig) -> ScenarioReport:
 
     observable = setup.observable
     initial = [ready_state(setup, system_basis_state(observable, s)).amplitudes for s in (0, 1)]
-    final_states = [ComplexVector(spectrum.evolve(v, config.T, config.hbar)) for v in initial]
-    readout_tables = [readout(state, setup) for state in final_states]
-    frame = reference_observables(setup)
-    # a pair's witnesses are its factors' witnesses, and each factor ends in
-    # one of two states, so four witness calls, renamed per factor, serve every pair
-    factor_witnesses = {}
-    for a, b in itertools.product((0, 1), repeat=2):
-        found = distinctness_witness(final_states[a], final_states[b], frame, tolerance)
-        factor_witnesses[(a, b)] = [
-            tuple(replace(w, observable=f"{w.observable}[{f}]") for w in found) for f in range(k)
-        ]
+    times = config.sample_times
+    # T evolves in the same batch as the sample times, once when it is the last
+    extra = () if times[-1] == config.T else (config.T,)
+    evolved = [spectrum.evolutions(v, times + extra, config.hbar) for v in initial]
 
     patterns = list(itertools.product((0, 1), repeat=k))
     labels = ["".join("+" if s == 0 else "-" for s in pattern) for pattern in patterns]
@@ -248,9 +242,8 @@ def run_multiworld(config: RunConfig) -> ScenarioReport:
     # each factor of a pair holds one of two states at a sample time, swapped
     # (x = S a, y = b) where the worlds differ and equal elsewhere, so four
     # Gram tables per time serve every pair: no product-space state is built
-    residuals = np.zeros((len(config.sample_times), len(pair_worlds)))
-    for row, t in zip(residuals, config.sample_times):
-        states = [spectrum.evolve(v, t, config.hbar) for v in initial]
+    residuals = np.zeros((len(times), len(pair_worlds)))
+    for row, *states in zip(residuals, *evolved):
         tables = {
             (a, b): _gram_table(states[a][inverse_perm] if a != b else states[a], states[b])
             for a, b in itertools.product((0, 1), repeat=2)
@@ -260,6 +253,20 @@ def run_multiworld(config: RunConfig) -> ScenarioReport:
             row[n] = product_distance(factor_tables, differing[n])
     # one maximum over the sample times, which keeps a NaN that max() would drop
     state_residuals = residuals.max(axis=0)
+    if extra:
+        states = [next(stream) for stream in evolved]
+    del evolved  # frees the spectral coefficients before the copies below
+    final_states = [ComplexVector(state) for state in states]
+    readout_tables = [readout(state, setup) for state in final_states]
+    frame = reference_observables(setup)
+    # a pair's witnesses are its factors' witnesses, and each factor ends in
+    # one of two states, so four witness calls, renamed per factor, serve every pair
+    factor_witnesses = {}
+    for a, b in itertools.product((0, 1), repeat=2):
+        found = distinctness_witness(final_states[a], final_states[b], frame, tolerance)
+        factor_witnesses[(a, b)] = [
+            tuple(replace(w, observable=f"{w.observable}[{f}]") for w in found) for f in range(k)
+        ]
 
     pairs = []
     for n, (i, j) in enumerate(pair_worlds):

@@ -1,5 +1,7 @@
+import copy
 import json
 import re
+from dataclasses import is_dataclass
 
 import numpy as np
 import pytest
@@ -8,8 +10,9 @@ from hypothesis import example, given, settings, strategies as st
 from swaplab.cli import build_parser, main
 from swaplab.config import SCENARIOS, parse_config
 from swaplab.measurement import evolve, ready_state, system_basis_state
-from swaplab.reporting import emit_distribution_csv, emit_report, render_json
-from swaplab.scenario import qubit_setup, run_prince_pauper
+from swaplab.isomorphism import IsomorphismReport, Witness
+from swaplab.reporting import emit_distribution_csv, emit_report, failed_checks, render_json
+from swaplab.scenario import ScenarioReport, qubit_setup, run_multiworld, run_prince_pauper
 from swaplab.linalg import ComplexVector
 
 #: every ladder weight is a normal float, but g * ratio^-1 = 1.87e300 squared is not
@@ -39,6 +42,48 @@ class TestRenderJson:
         text = render_json({"x": np.float64(0.5), "n": np.int64(3)})
         assert '"x": 0.5' in text
         assert '"n": 3' in text
+
+    def test_shared_record_renders_as_its_copies(self):
+        # one record twice at one depth and once at another: the render of
+        # each container is looked up by identity and depth
+        record = Witness("pointer_position", 0.25, -0.5, 0.75, True)
+        document = {"pair": [record, record], "nested": {"deeper": [record]}}
+        text = render_json(document)
+        for twin in (copy.deepcopy(document), unshared(document)):
+            assert render_json(twin) == text
+        assert json.loads(text)["nested"]["deeper"][0]["gap"] == 0.75
+
+    def test_multiworld_report_renders_as_its_copies(self):
+        config = parse_config('{"scenario": "multiworld", "k": 3}')
+        report = run_multiworld(config)
+        # the 28 pairs share 24 witness records and the 8 worlds 2 readouts
+        assert report.pairs[0].witnesses[0] is report.pairs[1].witnesses[0]
+        text = emit_report(report, config)
+        for twin in (copy.deepcopy(report), unshared(report)):
+            assert emit_report(twin, config) == text
+
+
+def unshared(value):
+    """A copy of ``value`` in which no container or record occurs twice."""
+    if is_dataclass(value):
+        twin = copy.copy(value)
+        vars(twin).update({name: unshared(item) for name, item in vars(value).items()})
+        return twin
+    if isinstance(value, dict):
+        return {key: unshared(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return type(value)(unshared(item) for item in value)
+    return value
+
+
+class TestFailedChecks:
+    @pytest.mark.parametrize("residuals", [(0.0, np.nan), (np.nan, 0.0)])
+    def test_nan_anywhere_in_a_residual_list_is_named(self, residuals):
+        iso = IsomorphismReport((0.0, 1.0), residuals, 0.0, 1e-10, False)
+        report = ScenarioReport((), (), (), (iso,), (), False)
+        assert failed_checks(report, 1e-10) == [
+            "isomorphism-report state_residuals nan > tol 1e-10 (margin nan)"
+        ]
 
 
 class TestEmitReport:

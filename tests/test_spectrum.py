@@ -116,6 +116,50 @@ class TestSpectrumConstructors:
         assert Spectrum(np.zeros(3 * n_weights), 3).dft_size == 3
 
 
+def per_time_evolution(spectrum, amplitudes, t, hbar):
+    """W^dag exp(-i w t / hbar) W applied for one time, as a call per time does."""
+    coefficients = spectrum.to_eigen(np.asarray(amplitudes, dtype=complex))
+    phases = np.exp(-1j * spectrum.weights * t / hbar)
+    column = phases.reshape(phases.shape + (1,) * (coefficients.ndim - 1))
+    return spectrum.from_eigen(column * coefficients)
+
+
+class TestBatchedEvolution:
+    TIMES = (0.0, 0.37, 0.37, 1.3, 0.0, 2.9, 11.0)
+
+    @pytest.mark.parametrize("dft_size", [1, 17, 2001])
+    @pytest.mark.parametrize("shape", [(), (3,)], ids=["vector", "matrix"])
+    @pytest.mark.parametrize("times_per_batch", [None, 2, 1])
+    def test_bitwise_equal_to_per_time_evolution(
+        self, monkeypatch, dft_size, shape, times_per_batch
+    ):
+        rng = np.random.default_rng(dft_size)
+        spectrum = Spectrum(rng.standard_normal(2 * dft_size), dft_size)
+        start = rng.standard_normal((spectrum.dim, *shape)) + 1j * rng.standard_normal(
+            (spectrum.dim, *shape)
+        )
+        if times_per_batch is not None:
+            monkeypatch.setattr(linalg, "EVOLVE_BATCH", times_per_batch * start.size)
+        evolved = list(spectrum.evolutions(start, self.TIMES, HBAR))
+        assert len(evolved) == len(self.TIMES)
+        for t, state in zip(self.TIMES, evolved):
+            # contiguous, or np.vdot sums a strided state in another order
+            assert state.flags.c_contiguous
+            assert np.array_equal(state, per_time_evolution(spectrum, start, t, HBAR))
+
+    @pytest.mark.parametrize("times_per_batch, calls", [(7, 1), (3, 3), (1, 7)])
+    def test_one_inverse_transform_per_batch(self, monkeypatch, times_per_batch, calls):
+        spectrum = pointer_spectrum(degenerate_setup(8))
+        monkeypatch.setattr(linalg, "EVOLVE_BATCH", times_per_batch * spectrum.dim)
+        inverse = np.fft.ifft
+        counted = []
+        monkeypatch.setattr(np.fft, "ifft", lambda *a, **k: counted.append(1) or inverse(*a, **k))
+        states = spectrum.evolutions(random_state(spectrum.dim), self.TIMES, HBAR)
+        assert not counted  # nothing is evolved before the first state is asked for
+        assert len(list(states)) == len(self.TIMES)
+        assert len(counted) == calls
+
+
 class TestCarriedFactor:
     def test_diagonal_carries_every_swap(self):
         perm = np.random.default_rng(3).permutation(12)
@@ -234,3 +278,29 @@ def test_production_paths_make_no_unitarity_check(tmp_path, monkeypatch, words, 
     path.write_text(json.dumps(config))
     monkeypatch.setattr(linalg, "unitarity_defect_of", _no_unitarity_check)
     assert main([*words, str(path), *extra]) == 0
+
+
+@pytest.mark.parametrize(
+    "words, extra, config, calls",
+    [
+        (["run"], [], {"scenario": "prince-pauper"}, 8),
+        (["run"], [], {"scenario": "multiworld", "k": 3}, 8),
+        (["run"], [], {"scenario": "classical-level"}, 0),
+        (["certify", "lemma1"], [], {}, 4),
+        (["export-distribution"], ["--time", "0.37"], {}, 2),
+    ],
+)
+def test_fft_calls_per_job(tmp_path, monkeypatch, words, extra, config, calls):
+    # lemma 1 maps the evolved ready columns and three pointer columns, two
+    # calls each; each pointer world maps its start to the eigenbasis once and
+    # its sample times and T back in one batch; the ladder is diagonal
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    counted = []
+    for name in ("fft", "ifft"):
+        transform = getattr(np.fft, name)
+        monkeypatch.setattr(
+            np.fft, name, lambda *a, _transform=transform, **k: counted.append(1) or _transform(*a, **k)
+        )
+    assert main([*words, str(path), *extra]) == 0
+    assert len(counted) == calls
