@@ -17,7 +17,7 @@ off-grid pointer runs and the ladder with ``phase_insensitive`` both ways,
 the ladder at several outcome pairs, ``--tol 1e-30`` on every command and
 scenario, custom sample times, zero coupling, three rejected configs, and
 runs whose evolution takes several batches or evolves T apart from sample
-times that stop short of it.
+times that stop short of it, lemma 1 among them, alone and in a run.
 """
 
 import contextlib
@@ -104,10 +104,12 @@ def jobs() -> list:
     ]
     # states of 7688 and 8002 amplitudes evolve two times per transform call,
     # so these runs cross batch boundaries; T is a time of its own when the
-    # sample times stop short of it
+    # sample times stop short of it, and lemma 1 alone evolves T by itself
     many_times = {"sample_times": [i / 40 for i in range(41)]}
     listed += [
         (("run",), {"scenario": "prince-pauper", "M": 2000}),
+        (("certify", "lemma1"), {"M": 2000}),
+        (("run",), {"scenario": "multiworld", "k": 1, **times}),
         (("run",), {**LADDER, "ratio_exponent_range": 15, **many_times}),
         (("run",), {"scenario": "multiworld", "k": 3, **times}),
         (("run",), {"scenario": "multiworld", "k": 2, "M": 2000, **times}),

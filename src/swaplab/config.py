@@ -30,7 +30,7 @@ SCALING_SCENARIOS = ("classical-level", "certify-lemma2")
 MAX_QUBITS = 3
 #: largest basis a run may hold (2(2M+1) per pointer factor, 8(2r+1)^2 for the
 #: ladder). Memory is linear in it: the largest run at the limit
-#: (prince-pauper, M = 131071) peaked at 155 MB RSS, ~240 B per basis state
+#: (prince-pauper, M = 131071) peaked at 147 MB RSS, ~235 B per basis state
 #: over the 29 MB interpreter, so every run that parses stays under 200 MB
 MAX_DIM = 2**19
 LAMBDA_MAX = max(abs(value) for value in QUBIT_EIGENVALUES)

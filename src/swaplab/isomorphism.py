@@ -182,35 +182,37 @@ def compare_evolutions(
     inverse = permutation_inverse(swap, triple_a.dim)
 
     extra = () if final_time == times[-1] else (final_time,)
-    # one pair of states at a time, so memory does not grow with the sample count
     pairs = zip(triple_a.evolutions(times + extra), triple_b.evolutions(times + extra))
+    residual = _hamiltonian_residual(triple_a.hamiltonian, triple_b.hamiltonian, swap, inverse)
+    report, finals = compare_states(
+        pairs, times, bool(extra), inverse, residual, tolerance, phase_insensitive
+    )
+    del pairs  # frees the spectral coefficients before the copies below
+    return report, tuple(ComplexVector(state) for state in finals)
+
+
+def compare_states(
+    pairs, times, final_apart, inverse, hamiltonian_residual, tolerance, phase_insensitive
+) -> tuple:
+    """The isomorphism report of the pairs (a, b), b compared with S a = a[inverse],
+    that ``pairs`` yields at each of ``times`` and then, when ``final_apart``,
+    at the final time; and the last pair yielded, the one at the final time."""
+    # one pair of states at a time, so memory does not grow with the sample count
     residuals = []
     for _ in times:
         finals = None  # no earlier pair is held while the next one is evolved
         finals = next(pairs)
         residuals.append(_state_residual(finals[0][inverse], finals[1], phase_insensitive))
-    if extra:
+    if final_apart:
         finals = None
         finals = next(pairs)
-    del pairs  # frees the spectral coefficients before the copies below
-    finals = tuple(ComplexVector(state) for state in finals)
-
-    hamiltonian_residual = _hamiltonian_residual(
-        triple_a.hamiltonian, triple_b.hamiltonian, swap, inverse
-    )
     # one comparison per residual: max() would drop a NaN that is not first
     passed = (
         all(r <= tolerance for r in residuals)
         and hamiltonian_residual is not None
         and hamiltonian_residual <= tolerance
     )
-    report = IsomorphismReport(
-        sample_times=times,
-        state_residuals=tuple(residuals),
-        hamiltonian_residual=hamiltonian_residual,
-        tolerance=tolerance,
-        passed=passed,
-    )
+    report = IsomorphismReport(times, tuple(residuals), hamiltonian_residual, tolerance, passed)
     return report, finals
 
 

@@ -202,14 +202,17 @@ def pointer_spectrum(setup: MeasurementSetup) -> Spectrum:
     return Spectrum(weights.reshape(-1), setup.grid.n_points)
 
 
-def circulant_columns(spectrum: Spectrum, t: float, hbar: float) -> np.ndarray:
-    """First columns of the pointer blocks of exp(-i H t / hbar) for a
-    centred-DFT spectrum, one row per block. Each block is circulant, so its
-    first column, the evolved first basis vector of the block, fixes it."""
-    n_points = spectrum.dft_size
-    starts = np.zeros((spectrum.dim // n_points, n_points), dtype=complex)
-    starts[:, 0] = 1.0
-    return spectrum.evolve(starts.reshape(-1), t, hbar).reshape(starts.shape)
+def evolved_ready(setup: MeasurementSetup, spectrum: Spectrum, times):
+    """Row s: U(t) ready(s) per system ket s at each of ``times``, from one
+    evolution of the summed unit ready kets. H never mixes system blocks and
+    a zero row stays zero through FFT, phase and inverse FFT, so each row,
+    full length kept, is bitwise the evolution of its own ket."""
+    dim = setup.observable.system_dim
+    starts = (ready_state(setup, basis_vector(dim, s)).require_unit() for s in range(dim))
+    for state in spectrum.evolutions(sum(v.amplitudes for v in starts), times, setup.grid.hbar):
+        rows = np.zeros((dim, dim, setup.grid.n_points), dtype=complex)
+        rows[np.arange(dim), np.arange(dim)] = state.reshape(dim, -1)
+        yield rows.reshape(dim, -1)
 
 
 def translation_map(grid: PointerGrid, steps: int) -> DenseOperator:

@@ -13,8 +13,10 @@ Three runs are provided:
   exactly H-preserving scaling swap.
 
 The first and the last share one two-world runner (``_two_worlds``), which
-certifies the pair and builds the report; each keeps only its own setup,
-reference frame, labels and readouts.
+builds the report of a compared pair; each keeps only its own setup,
+reference frame, labels and readouts. Each pointer run evolves its summed
+ready kets once (``evolved_ready``): the blocks are both qubit worlds, and at
+T lemma 1's swap residual, which shares the run's ``sign_flip``.
 
 The ready state is modeled as the calibrated pointer zeta = 0 basis state per
 factor; "wealth" narratives reduce to outcome sign patterns in the labels.
@@ -37,20 +39,16 @@ import numpy as np
 from .isomorphism import (
     EvolutionTriple,
     compare_evolutions,
+    compare_states,
     distinctness_witness,
     is_distinct,
 )
-from .linalg import (
-    ComplexVector,
-    Spectrum,
-    frobenius_norm,
-    permutation_inverse,
-)
+from .linalg import ComplexVector, Spectrum, frobenius_norm
 from .measurement import (
     MeasurementSetup,
     ObservableSpec,
+    evolved_ready,
     make_pointer_grid,
-    pointer_spectrum,
     readout,
     ready_state,
     system_basis_state,
@@ -61,8 +59,8 @@ from .symmetry import (
     certify_lemma1,
     certify_lemma2,
     locate_eigenvalue,
-    parity_swap,
     scaling_permutation,
+    sign_flip,
 )
 
 if TYPE_CHECKING:  # config imports this module, so the type is named in annotations only
@@ -120,7 +118,7 @@ def reference_observables(setup: MeasurementSetup) -> tuple:
 
 def _two_worlds(
     certificate: SwapCertificate,
-    hamiltonian: Spectrum,
+    compared: tuple,
     starts: tuple,
     swap: np.ndarray,
     config: RunConfig,
@@ -129,18 +127,12 @@ def _two_worlds(
     read,
     distinct_required: bool = True,
 ) -> ScenarioReport:
-    """The report of two worlds that start in ``starts`` under one
-    Hamiltonian: the isomorphism under ``swap``, including its t = 0 residual,
-    and the witnesses of ``frame`` (one pointer observable and
-    ``system_observable``) on the final states, which ``read`` turns into
-    each world's readouts."""
-    triples = [
-        EvolutionTriple(hamiltonian, start, config.sample_times, config.hbar) for start in starts
-    ]
-    iso, finals = compare_evolutions(
-        swap, *triples, config.T, config.tol, config.phase_insensitive
-    )
-    # |S a - b| as |a - S^dag b|: compare_evolutions has checked the swap is a bijection
+    """The report of two worlds that start in ``starts``, with ``compared`` their
+    isomorphism report under ``swap`` and final states: that isomorphism and its
+    t = 0 residual, and the witnesses of ``frame`` (one pointer observable and
+    ``system_observable``) on the final states, which ``read`` turns into readouts."""
+    iso, finals = compared
+    # |S a - b| as |a - S^dag b|: the swap's inverse has checked it is a bijection
     initial_residual = float(np.linalg.norm(starts[0].amplitudes - starts[1].amplitudes[swap]))
 
     witnesses = distinctness_witness(*finals, frame, config.tol)
@@ -173,13 +165,26 @@ def _two_worlds(
 
 
 def run_prince_pauper(config: RunConfig) -> ScenarioReport:
-    """Single qubit: both outcome worlds share the triple, differ observably."""
+    """Single qubit: both outcome worlds share the triple, differ observably.
+    One evolution of their summed ready kets serves both worlds and lemma 1."""
     setup = qubit_setup(config)
+    flip = sign_flip(setup)
+    spectrum, swap, inverse, factor = flip
+    times = config.sample_times
+    # T evolves in the same batch as the sample times, once when it is the last
+    extra = () if times[-1] == config.T else (config.T,)
+    worlds = evolved_ready(setup, spectrum, times + extra)
+    weights = spectrum.weights
+    deviation = None if factor is None else frobenius_norm(weights[inverse] - weights)
+    iso, finals = compare_states(
+        worlds, times, bool(extra), inverse, deviation, config.tol, config.phase_insensitive
+    )
+    del worlds  # frees the spectral coefficients before the copies below
     return _two_worlds(
-        certify_lemma1(setup, tol=config.tol),
-        pointer_spectrum(setup),
+        certify_lemma1(setup, tol=config.tol, flip=flip, evolved=finals),
+        (iso, tuple(ComplexVector(state) for state in finals)),
         tuple(ready_state(setup, system_basis_state(setup.observable, s)) for s in (0, 1)),
-        parity_swap(setup),
+        swap,
         config,
         reference_observables(setup),
         ("+", "-"),
@@ -218,20 +223,15 @@ def run_multiworld(config: RunConfig) -> ScenarioReport:
     setup = qubit_setup(config)
     factor_dim = setup.total_dim
     tolerance = config.tol
-    certificate = certify_lemma1(setup, tol=tolerance)
-
-    spectrum = pointer_spectrum(setup)
-    inverse_perm = permutation_inverse(parity_swap(setup), factor_dim)
+    flip = sign_flip(setup)
+    spectrum, _, inverse_perm, _ = flip
     # |S H S^dag - H|_F on one factor; the basis map carries the parity swap
     # (certify_lemma1 checks it), so it is read off the weights
     factor_deviation = frobenius_norm(spectrum.weights[inverse_perm] - spectrum.weights)
-
-    observable = setup.observable
-    initial = [ready_state(setup, system_basis_state(observable, s)).amplitudes for s in (0, 1)]
     times = config.sample_times
     # T evolves in the same batch as the sample times, once when it is the last
     extra = () if times[-1] == config.T else (config.T,)
-    evolved = [spectrum.evolutions(v, times + extra, config.hbar) for v in initial]
+    worlds = evolved_ready(setup, spectrum, times + extra)
 
     patterns = list(itertools.product((0, 1), repeat=k))
     labels = ["".join("+" if s == 0 else "-" for s in pattern) for pattern in patterns]
@@ -243,7 +243,7 @@ def run_multiworld(config: RunConfig) -> ScenarioReport:
     # (x = S a, y = b) where the worlds differ and equal elsewhere, so four
     # Gram tables per time serve every pair: no product-space state is built
     residuals = np.zeros((len(times), len(pair_worlds)))
-    for row, *states in zip(residuals, *evolved):
+    for row, states in zip(residuals, worlds):
         tables = {
             (a, b): _gram_table(states[a][inverse_perm] if a != b else states[a], states[b])
             for a, b in itertools.product((0, 1), repeat=2)
@@ -254,8 +254,9 @@ def run_multiworld(config: RunConfig) -> ScenarioReport:
     # one maximum over the sample times, which keeps a NaN that max() would drop
     state_residuals = residuals.max(axis=0)
     if extra:
-        states = [next(stream) for stream in evolved]
-    del evolved  # frees the spectral coefficients before the copies below
+        states = next(worlds)
+    del worlds  # frees the spectral coefficients before the copies below
+    certificate = certify_lemma1(setup, tol=tolerance, flip=flip, evolved=states)
     final_states = [ComplexVector(state) for state in states]
     readout_tables = [readout(state, setup) for state in final_states]
     frame = reference_observables(setup)
@@ -347,11 +348,17 @@ def run_classical_level(config: RunConfig) -> ScenarioReport:
         ("system_observable", _model_observable(model)),
         ("pointer_momentum", _model_momentum(model)),
     )
+    swap = scaling_permutation(model)
+    certificate = certify_lemma2(model, value_from, value_to, config.tol, config.sample_times)
+    hamiltonian = Spectrum(model.diagonal_weights())
+    triples = [
+        EvolutionTriple(hamiltonian, start, config.sample_times, config.hbar) for start in starts
+    ]
     return _two_worlds(
-        certify_lemma2(model, value_from, value_to, config.tol, config.sample_times),
-        Spectrum(model.diagonal_weights()),
+        certificate,
+        compare_evolutions(swap, *triples, config.T, config.tol, config.phase_insensitive),
         starts,
-        scaling_permutation(model),
+        swap,
         config,
         observables,
         (f"outcome {value_from:g}", f"outcome {value_to:g}"),

@@ -11,7 +11,9 @@ W^dag (diag(w) S - S diag(w)) W has the Frobenius norm |w[perm] - w|, and
 U(t) S - S U(t) likewise |phi[perm] - phi| with phi = exp(-i w t / hbar); no
 dim x dim Hamiltonian or propagator is formed. One certificate function
 (``_spectral_certificate``) reads both residuals off the weights for both
-lemmas; each lemma adds its own swap residual. Two families are certified:
+lemmas; each lemma adds its own swap residual, lemma 1 from the rows U(T)
+ready(s) of one evolution of the summed ready kets (``evolved_ready``), which
+a pointer run shares with its worlds. Two families are certified:
 
 * the sign-flip swap (``parity_swap``): the basis permutation sending
   (lambda, a, zeta) to (-lambda, a, -zeta). It commutes with H = -g A x p_Z
@@ -48,7 +50,7 @@ from .linalg import (
 from .measurement import (
     MeasurementSetup,
     ObservableSpec,
-    circulant_columns,
+    evolved_ready,
     pointer_spectrum,
 )
 
@@ -59,14 +61,15 @@ SAMPLE_FRACTIONS = (0.0, 0.25, 0.5, 0.75, 1.0)
 @dataclass(frozen=True)
 class SwapCertificate:
     """Residuals of one swap, each passing at most the one tolerance: the
-    commutator relative to |H|_F, the others absolute (unit states)."""
+    commutator relative to |H|_F, the others absolute (unit states). None
+    marks a residual that was not computed."""
 
     construction: str
-    commutator_residual: float | None
     swap_residual: float
-    intertwining_residual: float | None
-    cross_construction_distance: float | None
     passed: bool
+    commutator_residual: float | None = None
+    intertwining_residual: float | None = None
+    cross_construction_distance: float | None = None
     note: str = ""
     # every swap is an index array that permutation_inverse checks is a
     # bijection, and a bijection's 0/1 matrix is exactly unitary
@@ -139,28 +142,6 @@ def corrupted_swap(setup: MeasurementSetup) -> np.ndarray:
     return perm
 
 
-def _swap_residual(setup: MeasurementSetup, spectrum: Spectrum, inverse: np.ndarray) -> float:
-    """max over outcome branches of |S U(T) ready(lambda, a) - U(T) ready(-lambda, a)|,
-    in the position basis. U(T) applied to a ready ket is one column of U(T):
-    the block's evolved first column, rotated to the pointer centre."""
-    observable, grid = setup.observable, setup.grid
-    columns = circulant_columns(spectrum, setup.duration, grid.hbar)
-
-    def evolved_ready(system_index: int) -> np.ndarray:
-        state = np.zeros(columns.shape, dtype=complex)
-        state[system_index] = np.roll(columns[system_index], grid.center_index)
-        return state.reshape(-1)
-
-    negation = observable.negation_index()
-    residuals = []
-    for i in range(observable.n_eigenvalues):
-        for a in range(observable.degeneracy):
-            lhs = evolved_ready(observable.system_index(i, a))[inverse]
-            rhs = evolved_ready(observable.system_index(int(negation[i]), a))
-            residuals.append(np.linalg.norm(lhs - rhs))
-    return float(np.max(residuals))  # max() would drop a NaN that is not first
-
-
 def _cross_construction(spectrum: Spectrum, factor: np.ndarray) -> float:
     """sqrt(system_dim) |(tau - W^dag tau W) P|_F for the swap sigma x tau, with
     tau applied in the momentum basis through the spectrum's own maps and P
@@ -182,34 +163,39 @@ NOT_CARRIED_NOTE = (
 )
 
 
+def sign_flip(setup: MeasurementSetup, swap: np.ndarray = None) -> tuple:
+    """The pointer spectrum, the index array of a sign-flip swap (the parity
+    swap by default), its inverse, which checks it is a bijection, and the
+    factor the basis map carries (None if none): what lemma 1 and the worlds share."""
+    perm = parity_swap(setup) if swap is None else np.asarray(swap)
+    inverse = permutation_inverse(perm, setup.total_dim)  # raises unless a bijection
+    spectrum = pointer_spectrum(setup)
+    return spectrum, perm, inverse, spectrum.carried_factor(perm)
+
+
 def certify_lemma1(
-    setup: MeasurementSetup,
-    tol: float = 1e-10,
-    swap: np.ndarray = None,
+    setup: MeasurementSetup, tol: float = 1e-10, swap: np.ndarray = None, flip=None, evolved=None
 ) -> SwapCertificate:
     """Certify a sign-flip swap given as an index array (the position-basis
     parity swap by default) on the pointer spectrum: unitarity, commutation
     with H and intertwining with the evolution at sampled times from the
     weights, outcome inversion on evolved ready states in the position basis,
     and agreement with the momentum-basis construction. A swap that the
-    spectrum's basis map does not carry fails, with those three fields None."""
+    spectrum's basis map does not carry fails, with those three fields None.
+    A run passes its worlds' ``sign_flip`` and rows U(T) ready(s) (``evolved``)."""
+    spectrum, perm, inverse, factor = sign_flip(setup, swap) if flip is None else flip
+    if evolved is None:
+        evolved = next(evolved_ready(setup, spectrum, (setup.duration,)))
+    # |S U(T) ready(lambda, a) - U(T) ready(-lambda, a)| per branch, in the position basis
+    residuals = [
+        np.linalg.norm(evolved[s][inverse] - evolved[partner])
+        for s, partner in enumerate(_system_negation(setup.observable))
+    ]
+    swap_residual = float(np.max(residuals))  # max() would drop a NaN that is not first
     construction = "position-basis" if swap is None else "custom"
-    perm = parity_swap(setup) if swap is None else np.asarray(swap)
-    inverse = permutation_inverse(perm, setup.total_dim)  # raises unless a bijection
-    spectrum = pointer_spectrum(setup)
-    swap_residual = _swap_residual(setup, spectrum, inverse)
 
-    factor = spectrum.carried_factor(perm)
     if factor is None:
-        return SwapCertificate(
-            construction=construction,
-            commutator_residual=None,
-            swap_residual=swap_residual,
-            intertwining_residual=None,
-            cross_construction_distance=None,
-            passed=False,
-            note=NOT_CARRIED_NOTE,
-        )
+        return SwapCertificate(construction, swap_residual, passed=False, note=NOT_CARRIED_NOTE)
     return _spectral_certificate(
         construction,
         spectrum.weights,
@@ -364,7 +350,6 @@ def certify_lemma2(
             commutator_residual=0.0,
             swap_residual=0.0,
             intertwining_residual=0.0,
-            cross_construction_distance=None,
             passed=True,
             note="identity automorphism: equal outcome eigenvalues leave nothing to swap; "
             + NORMALIZATION_NOTE,

@@ -34,7 +34,8 @@ from swaplab.scenario import (
     run_multiworld,
     run_prince_pauper,
 )
-from swaplab.symmetry import GeometricDiagonalModel, parity_swap
+from swaplab.reporting import render_json
+from swaplab.symmetry import GeometricDiagonalModel, certify_lemma1, parity_swap
 
 from test_linalg import permutation_matrix
 
@@ -516,3 +517,27 @@ def test_multiworld_peak_below_one_product_vector():
         tracemalloc.stop()
     assert report.passed
     assert peak < 16 * 34**3
+
+
+OFF_GRID = dict(M=7, delta=0.3, g=0.7, hbar=0.7, T=1.3)
+SHORT_TIMES = dict(sample_times=(0.0, 0.3, 0.7))
+
+
+@pytest.mark.parametrize(
+    "run, base",
+    [(run_prince_pauper, {}), (run_multiworld, {"scenario": "multiworld", "k": 2})],
+    ids=["prince-pauper", "multiworld-k2"],
+)
+@pytest.mark.parametrize(
+    "overrides",
+    [{}, OFF_GRID, SHORT_TIMES, {**OFF_GRID, **SHORT_TIMES}, {"tol": 1e-30}],
+    ids=["desk", "off-grid", "short-times", "off-grid-short-times", "tight"],
+)
+def test_run_swap_certificate_renders_as_certify_lemma1(run, base, overrides):
+    # a run reads lemma 1's swap residual off its worlds' evolution at T,
+    # whether T is a sample time or evolved after them; alone, lemma 1 evolves
+    # the ready kets to T itself. The two records render byte for byte alike
+    config = RunConfig(**base, **overrides)
+    (certificate,) = run(config).swap_certificates
+    alone = certify_lemma1(qubit_setup(config), tol=config.tol)
+    assert render_json(certificate) == render_json(alone)

@@ -13,7 +13,7 @@ from swaplab.linalg import (
 from swaplab.measurement import (
     MeasurementSetup,
     ObservableSpec,
-    circulant_columns,
+    evolved_ready,
     interaction_hamiltonian,
     make_pointer_grid,
     pointer_basis_state,
@@ -41,6 +41,39 @@ SWAP_BOUND = RESIDUAL_BOUNDS["swap_residual"]
 def qubit_setup(half_width=8, spacing=0.25, coupling=1.0, duration=1.0):
     grid = make_pointer_grid(half_width, spacing)
     return MeasurementSetup(ObservableSpec((1.0, -1.0)), grid, coupling, duration)
+
+
+def circulant_columns(spectrum, t, hbar):
+    """First columns of the pointer blocks of exp(-i H t / hbar) for a
+    centred-DFT spectrum, one row per block. Each block is circulant, so its
+    first column, the evolved first basis vector of the block, fixes it."""
+    n_points = spectrum.dft_size
+    starts = np.zeros((spectrum.dim // n_points, n_points), dtype=complex)
+    starts[:, 0] = 1.0
+    return spectrum.evolve(starts.reshape(-1), t, hbar).reshape(starts.shape)
+
+
+def circulant_swap_residual(setup, perm):
+    """Lemma 1's swap residual from circulant columns, an oracle independent
+    of the summed ready kets: U(T) ready(s) is block s's evolved first column,
+    rotated to the pointer centre, in an otherwise zero state."""
+    observable, grid = setup.observable, setup.grid
+    columns = circulant_columns(pointer_spectrum(setup), setup.duration, grid.hbar)
+    inverse = linalg.permutation_inverse(perm, setup.total_dim)
+
+    def evolved_ready_ket(system_index):
+        state = np.zeros(columns.shape, dtype=complex)
+        state[system_index] = np.roll(columns[system_index], grid.center_index)
+        return state.reshape(-1)
+
+    negation = observable.negation_index()
+    residuals = []
+    for i in range(observable.n_eigenvalues):
+        for a in range(observable.degeneracy):
+            lhs = evolved_ready_ket(observable.system_index(i, a))[inverse]
+            rhs = evolved_ready_ket(observable.system_index(int(negation[i]), a))
+            residuals.append(np.linalg.norm(lhs - rhs))
+    return float(np.max(residuals))
 
 
 def dense_evolution(setup, t):
@@ -195,15 +228,30 @@ class TestCertifyLemma1:
     def test_nan_swap_residual_fails(self, monkeypatch):
         # a NaN in the last branch's evolved ready state; max() from 0.0
         # would drop it
-        def nan_last_block(spectrum, t, hbar):
-            columns = circulant_columns(spectrum, t, hbar).copy()
-            columns[-1] = np.nan
-            return columns
+        def nan_last_block(setup, spectrum, times):
+            for rows in evolved_ready(setup, spectrum, times):
+                rows[-1] = np.nan
+                yield rows
 
-        monkeypatch.setattr(symmetry, "circulant_columns", nan_last_block)
+        monkeypatch.setattr(symmetry, "evolved_ready", nan_last_block)
         certificate = certify_lemma1(qubit_setup())
         assert np.isnan(certificate.swap_residual)
         assert not certificate.passed
+
+    @pytest.mark.parametrize("eigenvalues", [(1.0, -1.0), (2.0, 1.0, -1.0, -2.0)])
+    @pytest.mark.parametrize("half_width", [8, 40])
+    def test_swap_residual_matches_circulant_columns(self, eigenvalues, half_width):
+        # the summed-ready-ket evolution against the circulant-column oracle,
+        # with two degeneracy labels per eigenvalue
+        grid = make_pointer_grid(half_width, 0.25)
+        setup = MeasurementSetup(ObservableSpec(eigenvalues, degeneracy=2), grid, 0.3, 1.0)
+        certificate = certify_lemma1(setup)
+        assert certificate.passed
+        oracle = circulant_swap_residual(setup, parity_swap(setup))
+        assert abs(certificate.swap_residual - oracle) <= 1e-15
+        corrupted = corrupted_swap(setup)
+        residual = certify_lemma1(setup, swap=corrupted).swap_residual
+        assert abs(residual - circulant_swap_residual(setup, corrupted)) <= 1e-15
 
     def test_nan_intertwining_residual_fails(self):
         # the phase 1e300 * 1e10 overflows at the second sample time only
@@ -607,6 +655,8 @@ class TestDenseOracle:
             assert conjugation <= 1e-13
             assert dense["momentum_twin_distance"] <= 1e-12
         else:
+            assert certificate.construction == "custom"
+            assert certificate.note == symmetry.NOT_CARRIED_NOTE
             assert certificate.commutator_residual is None
             assert certificate.intertwining_residual is None
             assert certificate.cross_construction_distance is None
