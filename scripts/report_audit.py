@@ -17,7 +17,8 @@ off-grid pointer runs and the ladder with ``phase_insensitive`` both ways,
 the ladder at several outcome pairs, ``--tol 1e-30`` on every command and
 scenario, custom sample times, zero coupling, three rejected configs, and
 runs whose evolution takes several batches or evolves T apart from sample
-times that stop short of it, lemma 1 among them, alone and in a run.
+times that stop short of it, lemma 1 among them, alone and in a run, and
+multiworld's one-factor case off the grid both ways and at ``--tol 1e-30``.
 """
 
 import contextlib
@@ -115,6 +116,13 @@ def jobs() -> list:
         (("run",), {"scenario": "multiworld", "k": 2, "M": 2000, **times}),
         (("run",), {"scenario": "prince-pauper", "M": 2000, **times}),
     ]
+    # multiworld's one-factor case where its residuals are nonzero: off the
+    # grid both ways, and with every check failing
+    listed += [
+        (("run",), {"scenario": "multiworld", "k": 1, **OFF_GRID, "phase_insensitive": flag})
+        for flag in (False, True)
+    ]
+    listed.append((("run", *tight), {"scenario": "multiworld", "k": 1}))
     return listed
 
 

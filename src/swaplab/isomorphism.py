@@ -8,12 +8,15 @@ The swaps checked here are basis permutations, given as index arrays (perm[j]
 is the image of basis ket j): S is applied by gather, S v = v[inverse], and an
 index array that is not a bijection is rejected as not unitary.
 
-A triple's Hamiltonian is a ``Spectrum`` H = W^dag diag(w) W on every
-production path. When both triples share the basis map W and W carries S onto
-the same index array, S H_a S^dag - H_b = W^dag diag(w_a[inverse] - w_b) W,
-so the Hamiltonian residual is |w_a[inverse] - w_b| at O(dim). A dense
-Hamiltonian, kept for the oracles, is evolved through its own dense
-exponential and conjugated by gather, S H S^dag = H[inverse][:, inverse].
+``check_isomorphism`` compares two triples. A triple's Hamiltonian is a
+``Spectrum`` H = W^dag diag(w) W, or a dense operator kept for the oracles.
+When both triples share the basis map W and W carries S onto the same index
+array, S H_a S^dag - H_b = W^dag diag(w_a[inverse] - w_b) W, so the
+Hamiltonian residual is |w_a[inverse] - w_b| at O(dim). A dense Hamiltonian
+is evolved through its own dense exponential and conjugated by gather,
+S H S^dag = H[inverse][:, inverse]. The runs build no triple: their world
+engine (``scenario``) reads the same state residual and report rule off
+one evolution of its worlds.
 
 Distinctness is operationalized against fixed, named reference observables,
 each given as its real diagonal in the working basis: two states describe
@@ -120,6 +123,17 @@ class IsomorphismReport:
     tolerance: float
     passed: bool
 
+    @classmethod
+    def judged(cls, times, residuals, hamiltonian_residual, tolerance) -> IsomorphismReport:
+        """The report of these residuals, passing when each is within tolerance:
+        one comparison per residual, as max() would drop a NaN that is not first."""
+        passed = (
+            all(r <= tolerance for r in residuals)
+            and hamiltonian_residual is not None
+            and hamiltonian_residual <= tolerance
+        )
+        return cls(tuple(times), tuple(residuals), hamiltonian_residual, tolerance, passed)
+
 
 def _hamiltonian_residual(a, b, swap: np.ndarray, inverse: np.ndarray) -> float | None:
     """|S H_a S^dag - H_b|_F, or None when neither form below applies."""
@@ -159,61 +173,19 @@ def check_isomorphism(
     The Hamiltonian residual is None, and the check fails, when the two
     Hamiltonians are spectra whose shared basis map does not carry S, or are
     of different kinds."""
-    final_time = triple_a.sample_times[-1]
-    return compare_evolutions(swap, triple_a, triple_b, final_time, tolerance, phase_insensitive)[0]
-
-
-def compare_evolutions(
-    swap: np.ndarray,
-    triple_a: EvolutionTriple,
-    triple_b: EvolutionTriple,
-    final_time: float,
-    tolerance: float = 1e-10,
-    phase_insensitive: bool = False,
-) -> tuple:
-    """``check_isomorphism``'s report, and the two triples' states at
-    ``final_time``, from one evolution of each triple: the states at the last
-    sample time when it is ``final_time``, else one more time in the batch."""
     if triple_a.dim != triple_b.dim:
         raise DimensionError(f"triple dims differ: {triple_a.dim} vs {triple_b.dim}")
     times = triple_a.sample_times
     if triple_b.sample_times != times:
         raise ValueError("the two triples must share their sample times")
     inverse = permutation_inverse(swap, triple_a.dim)
-
-    extra = () if final_time == times[-1] else (final_time,)
-    pairs = zip(triple_a.evolutions(times + extra), triple_b.evolutions(times + extra))
-    residual = _hamiltonian_residual(triple_a.hamiltonian, triple_b.hamiltonian, swap, inverse)
-    report, finals = compare_states(
-        pairs, times, bool(extra), inverse, residual, tolerance, phase_insensitive
-    )
-    del pairs  # frees the spectral coefficients before the copies below
-    return report, tuple(ComplexVector(state) for state in finals)
-
-
-def compare_states(
-    pairs, times, final_apart, inverse, hamiltonian_residual, tolerance, phase_insensitive
-) -> tuple:
-    """The isomorphism report of the pairs (a, b), b compared with S a = a[inverse],
-    that ``pairs`` yields at each of ``times`` and then, when ``final_apart``,
-    at the final time; and the last pair yielded, the one at the final time."""
     # one pair of states at a time, so memory does not grow with the sample count
-    residuals = []
-    for _ in times:
-        finals = None  # no earlier pair is held while the next one is evolved
-        finals = next(pairs)
-        residuals.append(_state_residual(finals[0][inverse], finals[1], phase_insensitive))
-    if final_apart:
-        finals = None
-        finals = next(pairs)
-    # one comparison per residual: max() would drop a NaN that is not first
-    passed = (
-        all(r <= tolerance for r in residuals)
-        and hamiltonian_residual is not None
-        and hamiltonian_residual <= tolerance
-    )
-    report = IsomorphismReport(times, tuple(residuals), hamiltonian_residual, tolerance, passed)
-    return report, finals
+    residuals = [
+        _state_residual(a[inverse], b, phase_insensitive)
+        for a, b in zip(triple_a.evolutions(times), triple_b.evolutions(times))
+    ]
+    residual = _hamiltonian_residual(triple_a.hamiltonian, triple_b.hamiltonian, swap, inverse)
+    return IsomorphismReport.judged(times, residuals, residual, tolerance)
 
 
 def distinctness_witness(

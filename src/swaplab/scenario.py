@@ -12,16 +12,18 @@ Three runs are provided:
   continuous-spectrum surrogate (geometric diagonal ladder) connected by an
   exactly H-preserving scaling swap.
 
-The first and the last share one two-world runner (``_two_worlds``), which
-builds the report of a compared pair; each keeps only its own setup,
-reference frame, labels and readouts. Each pointer run evolves its summed
-ready kets once (``evolved_ready``): the blocks are both qubit worlds, and at
-T lemma 1's swap residual, which shares the run's ``sign_flip``.
+One world engine (``_worlds``) builds every report: the 2^k worlds of k
+identical factors, each ending in one of two outcome states. Prince-pauper is
+multiworld's k = 1 case, and classical-level runs the engine at k = 1 on the
+ladder; each run keeps only its own setup, frame, labels and readouts. Each
+pointer run evolves its summed ready kets once (``evolved_ready``): the
+blocks are both qubit worlds, and at T lemma 1's swap residual, which shares
+the run's ``sign_flip``.
 
 The ready state is modeled as the calibrated pointer zeta = 0 basis state per
 factor; "wealth" narratives reduce to outcome sign patterns in the labels.
 Every Hamiltonian is a ``Spectrum``; no run builds a dim x dim operator.
-Multiworld builds nothing on the product space: a pair's state residual is
+At k >= 2 nothing is built on the product space: a pair's state residual is
 computed from per-factor inner products (``product_distance``), and its
 Hamiltonian-conjugation residual from the exact per-factor Frobenius
 factorization (each factor deviation is traceless, so cross terms vanish).
@@ -36,14 +38,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .isomorphism import (
-    EvolutionTriple,
-    compare_evolutions,
-    compare_states,
-    distinctness_witness,
-    is_distinct,
-)
-from .linalg import ComplexVector, Spectrum, frobenius_norm
+from .isomorphism import IsomorphismReport, _state_residual, distinctness_witness, is_distinct
+from .linalg import ComplexVector, Spectrum, frobenius_norm, permutation_inverse
 from .measurement import (
     MeasurementSetup,
     ObservableSpec,
@@ -55,7 +51,6 @@ from .measurement import (
 )
 from .symmetry import (
     GeometricDiagonalModel,
-    SwapCertificate,
     certify_lemma1,
     certify_lemma2,
     locate_eigenvalue,
@@ -116,82 +111,6 @@ def reference_observables(setup: MeasurementSetup) -> tuple:
     return (("pointer_position", pointer), ("system_observable", system))
 
 
-def _two_worlds(
-    certificate: SwapCertificate,
-    compared: tuple,
-    starts: tuple,
-    swap: np.ndarray,
-    config: RunConfig,
-    frame: tuple,
-    labels: tuple,
-    read,
-    distinct_required: bool = True,
-) -> ScenarioReport:
-    """The report of two worlds that start in ``starts``, with ``compared`` their
-    isomorphism report under ``swap`` and final states: that isomorphism and its
-    t = 0 residual, and the witnesses of ``frame`` (one pointer observable and
-    ``system_observable``) on the final states, which ``read`` turns into readouts."""
-    iso, finals = compared
-    # |S a - b| as |a - S^dag b|: the swap's inverse has checked it is a bijection
-    initial_residual = float(np.linalg.norm(starts[0].amplitudes - starts[1].amplitudes[swap]))
-
-    witnesses = distinctness_witness(*finals, frame, config.tol)
-    distinct = is_distinct(witnesses)
-    pair = PairCertificate(
-        world_a=labels[0],
-        world_b=labels[1],
-        state_residual=float(np.max(iso.state_residuals)),
-        hamiltonian_residual=iso.hamiltonian_residual,
-        pointer_gaps=tuple(w.gap for w in witnesses if w.observable != "system_observable"),
-        system_gaps=tuple(w.gap for w in witnesses if w.observable == "system_observable"),
-        witnesses=witnesses,
-        isomorphic=iso.passed,
-        distinct=distinct,
-    )
-    passed = (
-        certificate.passed
-        and iso.passed
-        and initial_residual <= config.tol
-        and (distinct or not distinct_required)
-    )
-    return ScenarioReport(
-        world_labels=labels,
-        readouts=tuple(WorldReadout(label, read(final)) for label, final in zip(labels, finals)),
-        swap_certificates=(certificate,),
-        isomorphism_reports=(iso,),
-        pairs=(pair,),
-        passed=passed,
-    )
-
-
-def run_prince_pauper(config: RunConfig) -> ScenarioReport:
-    """Single qubit: both outcome worlds share the triple, differ observably.
-    One evolution of their summed ready kets serves both worlds and lemma 1."""
-    setup = qubit_setup(config)
-    flip = sign_flip(setup)
-    spectrum, swap, inverse, factor = flip
-    times = config.sample_times
-    # T evolves in the same batch as the sample times, once when it is the last
-    extra = () if times[-1] == config.T else (config.T,)
-    worlds = evolved_ready(setup, spectrum, times + extra)
-    weights = spectrum.weights
-    deviation = None if factor is None else frobenius_norm(weights[inverse] - weights)
-    iso, finals = compare_states(
-        worlds, times, bool(extra), inverse, deviation, config.tol, config.phase_insensitive
-    )
-    del worlds  # frees the spectral coefficients before the copies below
-    return _two_worlds(
-        certify_lemma1(setup, tol=config.tol, flip=flip, evolved=finals),
-        (iso, tuple(ComplexVector(state) for state in finals)),
-        tuple(ready_state(setup, system_basis_state(setup.observable, s)) for s in (0, 1)),
-        swap,
-        config,
-        reference_observables(setup),
-        ("+", "-"),
-        lambda state: (readout(state, setup),),
-    )
-
-
 def _gram_table(x: np.ndarray, y: np.ndarray) -> list:
     """Inner products <u, v> for u, v in (y, x - y, x), as Python complexes."""
     vectors = (y, x - y, x)
@@ -217,101 +136,156 @@ def product_distance(tables, differing) -> float:
     return math.sqrt(max(0.0, total.real))
 
 
-def run_multiworld(config: RunConfig) -> ScenarioReport:
-    """k independent simultaneous measurements: 2^k isomorphic, distinct worlds."""
-    k = config.k
-    setup = qubit_setup(config)
-    factor_dim = setup.total_dim
+def _worlds(
+    config: RunConfig,
+    k: int,
+    evolve,
+    inverse: np.ndarray,
+    weights: np.ndarray,
+    start_residual: float,
+    certify,
+    build_frame,
+    outcomes,
+    read,
+    distinct_required: bool = True,
+) -> ScenarioReport:
+    """The report of the 2^k worlds of k identical factors, each ending in one
+    of two outcome states. ``evolve(times)`` yields a factor's two states
+    (a, b) at each time; they are compared under the swap S a = a[inverse]
+    on the spectrum of ``weights``, and ``start_residual`` is |S a - b| at
+    t = 0. ``certify`` turns the states at T into the swap certificate;
+    ``build_frame()`` builds the reference observables once the evolution is
+    freed; ``outcomes`` labels the two states, and ``read`` turns a final
+    state into its tuple of readout tables.
+
+    At k = 1 the pair's state residual is ``_state_residual`` (phase-minimized
+    when the config asks), the isomorphism report is kept and witness names
+    carry no factor index. At k >= 2 residuals come from per-factor Gram
+    tables and are literal, an upper bound on the phase-minimized ones; no
+    isomorphism report is built and witnesses are named per factor ``[f]``."""
     tolerance = config.tol
-    flip = sign_flip(setup)
-    spectrum, _, inverse_perm, _ = flip
-    # |S H S^dag - H|_F on one factor; the basis map carries the parity swap
-    # (certify_lemma1 checks it), so it is read off the weights
-    factor_deviation = frobenius_norm(spectrum.weights[inverse_perm] - spectrum.weights)
     times = config.sample_times
-    # T evolves in the same batch as the sample times, once when it is the last
-    extra = () if times[-1] == config.T else (config.T,)
-    worlds = evolved_ready(setup, spectrum, times + extra)
-
     patterns = list(itertools.product((0, 1), repeat=k))
-    labels = ["".join("+" if s == 0 else "-" for s in pattern) for pattern in patterns]
-    n_worlds = len(patterns)
-    pair_worlds = list(itertools.combinations(range(n_worlds), 2))
-    differing = [[f for f in range(k) if patterns[i][f] != patterns[j][f]] for i, j in pair_worlds]
+    labels = ["".join(outcomes[s] for s in pattern) for pattern in patterns]
+    pair_worlds = list(itertools.combinations(range(len(patterns)), 2))
+    factor_outcomes = [list(zip(patterns[i], patterns[j])) for i, j in pair_worlds]
+    differing = [[f for f, (a, b) in enumerate(pair) if a != b] for pair in factor_outcomes]
+    # |S H S^dag - H|_F on one factor: the spectrum's basis map carries the
+    # swap (certify_lemma1 checks a pointer's; the ladder's is the identity)
+    deviation = frobenius_norm(weights[inverse] - weights)
 
-    # each factor of a pair holds one of two states at a sample time, swapped
-    # (x = S a, y = b) where the worlds differ and equal elsewhere, so four
-    # Gram tables per time serve every pair: no product-space state is built
+    # T evolves in the same batch as the sample times, once when it is the last
+    stream = evolve(times if times[-1] == config.T else times + (config.T,))
     residuals = np.zeros((len(times), len(pair_worlds)))
-    for row, states in zip(residuals, worlds):
+    for row in residuals:
+        states = None  # no earlier pair is held while the next one is evolved
+        states = next(stream)
+        if k == 1:
+            row[0] = _state_residual(states[0][inverse], states[1], config.phase_insensitive)
+            continue
+        # each factor of a pair holds one of two states, swapped (x = S a, y = b)
+        # where the worlds differ and equal elsewhere, so four Gram tables per
+        # time serve every pair: no product-space state is built
         tables = {
-            (a, b): _gram_table(states[a][inverse_perm] if a != b else states[a], states[b])
+            (a, b): _gram_table(states[a][inverse] if a != b else states[a], states[b])
             for a, b in itertools.product((0, 1), repeat=2)
         }
-        for n, (i, j) in enumerate(pair_worlds):
-            factor_tables = [tables[(a, b)] for a, b in zip(patterns[i], patterns[j])]
-            row[n] = product_distance(factor_tables, differing[n])
-    # one maximum over the sample times, which keeps a NaN that max() would drop
-    state_residuals = residuals.max(axis=0)
-    if extra:
-        states = next(worlds)
-    del worlds  # frees the spectral coefficients before the copies below
-    certificate = certify_lemma1(setup, tol=tolerance, flip=flip, evolved=states)
+        for n, pair in enumerate(factor_outcomes):
+            row[n] = product_distance([tables[outcome] for outcome in pair], differing[n])
+    if times[-1] != config.T:
+        states = None
+        states = next(stream)
+    del stream  # frees the spectral coefficients before the copies below
+    certificate = certify(states)
     final_states = [ComplexVector(state) for state in states]
-    readout_tables = [readout(state, setup) for state in final_states]
-    frame = reference_observables(setup)
+    del states
+    readout_tables = [read(state) for state in final_states]
+    frame = build_frame()
     # a pair's witnesses are its factors' witnesses, and each factor ends in
-    # one of two states, so four witness calls, renamed per factor, serve every pair
+    # one of two states, so one witness call per outcome pair that occurs,
+    # named once per factor, serves every pair
     factor_witnesses = {}
-    for a, b in itertools.product((0, 1), repeat=2):
+    for a, b in sorted(set(itertools.chain.from_iterable(factor_outcomes))):
         found = distinctness_witness(final_states[a], final_states[b], frame, tolerance)
-        factor_witnesses[(a, b)] = [
+        factor_witnesses[(a, b)] = [found] if k == 1 else [
             tuple(replace(w, observable=f"{w.observable}[{f}]") for w in found) for f in range(k)
         ]
 
+    # one maximum over the sample times, which keeps a NaN that max() would drop
+    state_residuals = residuals.max(axis=0)
+    factor_dim = final_states[0].dim
     pairs = []
     for n, (i, j) in enumerate(pair_worlds):
         state_residual = float(state_residuals[n])
-        hamiltonian_residual = float(
-            factor_deviation * np.sqrt(len(differing[n]) * factor_dim ** (k - 1))
+        hamiltonian_residual = deviation * math.sqrt(len(differing[n]) * factor_dim ** (k - 1))
+        witnesses = tuple(
+            w for f, outcome in enumerate(factor_outcomes[n]) for w in factor_witnesses[outcome][f]
         )
-        factors = [
-            factor_witnesses[(a, b)][f] for f, (a, b) in enumerate(zip(patterns[i], patterns[j]))
-        ]
-        witnesses = tuple(w for factor in factors for w in factor)
-        isomorphic = state_residual <= tolerance and hamiltonian_residual <= tolerance
-        distinct = is_distinct(witnesses)
         pairs.append(
             PairCertificate(
                 world_a=labels[i],
                 world_b=labels[j],
                 state_residual=state_residual,
                 hamiltonian_residual=hamiltonian_residual,
-                pointer_gaps=tuple(pointer.gap for pointer, _ in factors),
-                system_gaps=tuple(system.gap for _, system in factors),
+                # by name: the ladder's frame puts its system observable first
+                pointer_gaps=tuple(w.gap for w in witnesses if w.observable.startswith("pointer")),
+                system_gaps=tuple(w.gap for w in witnesses if w.observable.startswith("system")),
                 witnesses=witnesses,
-                isomorphic=isomorphic,
-                distinct=distinct,
+                # at k = 1 this is the isomorphism report's pass rule
+                isomorphic=state_residual <= tolerance and hamiltonian_residual <= tolerance,
+                distinct=is_distinct(witnesses),
             )
         )
 
     readouts = tuple(
-        WorldReadout(labels[i], tuple(readout_tables[s] for s in patterns[i]))
-        for i in range(n_worlds)
+        WorldReadout(labels[i], tuple(table for s in pattern for table in readout_tables[s]))
+        for i, pattern in enumerate(patterns)
     )
+    reports = ()
+    if k == 1:
+        reports = (IsomorphismReport.judged(times, residuals[:, 0].tolist(), deviation, tolerance),)
     passed = (
         certificate.passed
-        and n_worlds == 2**k
-        and all(p.isomorphic for p in pairs)
-        and all(p.distinct for p in pairs)
+        and start_residual <= tolerance
+        and len(patterns) == 2**k
+        and all(p.isomorphic and (p.distinct or not distinct_required) for p in pairs)
     )
     return ScenarioReport(
         world_labels=tuple(labels),
         readouts=readouts,
         swap_certificates=(certificate,),
-        isomorphism_reports=(),
+        isomorphism_reports=reports,
         pairs=tuple(pairs),
         passed=passed,
+    )
+
+
+def run_prince_pauper(config: RunConfig) -> ScenarioReport:
+    """Single qubit: both outcome worlds share the triple, differ observably.
+    Multiworld's k = 1 case: the config guards force k = 1 here."""
+    return run_multiworld(config)
+
+
+def run_multiworld(config: RunConfig) -> ScenarioReport:
+    """k independent simultaneous measurements: 2^k isomorphic, distinct worlds.
+    One evolution of the summed ready kets serves every world and lemma 1."""
+    setup = qubit_setup(config)
+    flip = sign_flip(setup)
+    spectrum, _, inverse, _ = flip
+    plus, minus = (ready_state(setup, system_basis_state(setup.observable, s)) for s in (0, 1))
+    start_residual = float(np.linalg.norm(plus.amplitudes[inverse] - minus.amplitudes))
+    del plus, minus  # the evolution holds no ready ket
+    return _worlds(
+        config,
+        config.k,
+        lambda times: evolved_ready(setup, spectrum, times),
+        inverse,
+        spectrum.weights,
+        start_residual,
+        lambda states: certify_lemma1(setup, tol=config.tol, flip=flip, evolved=states),
+        lambda: reference_observables(setup),
+        "+-",
+        lambda state: (readout(state, setup),),
     )
 
 
@@ -340,27 +314,27 @@ def run_classical_level(config: RunConfig) -> ScenarioReport:
     """Two macroscopically different readings connected by an H-preserving swap."""
     value_from, value_to = config.lambda1, config.lambda2
     model = build_diagonal_model(config)
-    starts = tuple(
-        ComplexVector(model.sector_state(*locate_eigenvalue(model, value), 0))
-        for value in (value_from, value_to)
-    )
-    observables = (
-        ("system_observable", _model_observable(model)),
-        ("pointer_momentum", _model_momentum(model)),
-    )
-    swap = scaling_permutation(model)
+    # certified before the ladder's spectrum is built, which its evolution holds
     certificate = certify_lemma2(model, value_from, value_to, config.tol, config.sample_times)
-    hamiltonian = Spectrum(model.diagonal_weights())
-    triples = [
-        EvolutionTriple(hamiltonian, start, config.sample_times, config.hbar) for start in starts
+    swap = scaling_permutation(model)
+    inverse = permutation_inverse(swap, model.dim)  # raises unless a bijection
+    starts = [
+        model.sector_state(*locate_eigenvalue(model, value), 0) for value in (value_from, value_to)
     ]
-    return _two_worlds(
-        certificate,
-        compare_evolutions(swap, *triples, config.T, config.tol, config.phase_insensitive),
-        starts,
-        swap,
+    spectrum = Spectrum(model.diagonal_weights())
+    return _worlds(
         config,
-        observables,
+        1,
+        # one evolution per start: at lambda1 = lambda2 the two are the same state
+        lambda times: zip(*(spectrum.evolutions(start, times, config.hbar) for start in starts)),
+        inverse,
+        spectrum.weights,
+        float(np.linalg.norm(starts[0][inverse] - starts[1])),
+        lambda states: certificate,
+        lambda: (
+            ("system_observable", _model_observable(model)),
+            ("pointer_momentum", _model_momentum(model)),
+        ),
         (f"outcome {value_from:g}", f"outcome {value_to:g}"),
         lambda state: (),
         distinct_required=value_from != value_to,

@@ -340,6 +340,8 @@ def _prince_pauper(config) -> dict:
 
 
 def _multiworld(config) -> dict:
+    if config.k == 1:  # prince-pauper is multiworld's one-factor case
+        return _prince_pauper(config)
     k, tol = config.k, config.tol
     factor = _PointerFactor(config)
     certificate = factor.certificate(config)

@@ -5,7 +5,6 @@ from swaplab.isomorphism import (
     EvolutionTriple,
     _phase_minimized_distance,
     check_isomorphism,
-    compare_evolutions,
     distinctness_witness,
     is_distinct,
 )
@@ -153,30 +152,6 @@ def random_states(seed, count=2, dim=34):
     rng = np.random.default_rng(seed)
     states = rng.standard_normal((count, dim)) + 1j * rng.standard_normal((count, dim))
     return states / np.linalg.norm(states, axis=1, keepdims=True)
-
-
-class TestCompareEvolutions:
-    @pytest.mark.parametrize("final_time", [1.0, 0.6, 2.0])
-    def test_final_states_come_from_the_same_evolution(self, monkeypatch, final_time):
-        grid = make_pointer_grid(8, 0.25)
-        setup = MeasurementSetup(ObservableSpec((1.0, -1.0)), grid, 1.0, 1.0)
-        spectrum = pointer_spectrum(setup)
-        starts = [ready_state(setup, system_basis_state(setup.observable, s)) for s in (0, 1)]
-        plus, minus = (EvolutionTriple(spectrum, start, SAMPLE_TIMES) for start in starts)
-        swap = parity_swap(setup)
-        expected = [triple.states_at((final_time,))[0].amplitudes for triple in (plus, minus)]
-        transforms = []
-        for name in ("fft", "ifft"):
-            transform = getattr(np.fft, name)
-            monkeypatch.setattr(
-                np.fft, name, lambda *a, _t=transform, **k: transforms.append(1) or _t(*a, **k)
-            )
-        report, finals = compare_evolutions(swap, plus, minus, final_time)
-        # one transform each way per triple, whether or not T is a sample time
-        assert len(transforms) == 4
-        assert report == check_isomorphism(swap, plus, minus)
-        for final, state in zip(finals, expected):
-            assert np.array_equal(final.amplitudes, state)
 
 
 class TestPhaseMinimizedDistance:

@@ -1,4 +1,7 @@
+import contextlib
+import io
 import itertools
+import json
 import tracemalloc
 from dataclasses import replace
 from functools import reduce
@@ -7,6 +10,7 @@ import numpy as np
 import pytest
 
 from swaplab import scenario
+from swaplab.cli import main
 from swaplab.config import ConfigError, RunConfig, parse_config
 from swaplab.isomorphism import distinctness_witness
 from swaplab.linalg import (
@@ -34,7 +38,7 @@ from swaplab.scenario import (
     run_multiworld,
     run_prince_pauper,
 )
-from swaplab.reporting import render_json
+from swaplab.reporting import emit_report, render_json
 from swaplab.symmetry import GeometricDiagonalModel, certify_lemma1, parity_swap
 
 from test_linalg import permutation_matrix
@@ -541,3 +545,71 @@ def test_run_swap_certificate_renders_as_certify_lemma1(run, base, overrides):
     (certificate,) = run(config).swap_certificates
     alone = certify_lemma1(qubit_setup(config), tol=config.tol)
     assert render_json(certificate) == render_json(alone)
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {},
+        {**OFF_GRID, "phase_insensitive": False},
+        {**OFF_GRID, "phase_insensitive": True},
+        SHORT_TIMES,
+        {"g": 0.0},
+        {"M": 2000},
+    ],
+    ids=["desk", "off-grid", "off-grid-phase-insensitive", "short-times", "zero-coupling", "M2000"],
+)
+def test_multiworld_one_factor_reports_as_prince_pauper(overrides):
+    # prince-pauper is multiworld's k = 1 case: rendered under one config
+    # echo, the two reports are the same bytes
+    config = RunConfig(**overrides)
+    one_factor = run_multiworld(replace(config, scenario="multiworld", k=1))
+    assert emit_report(one_factor, config) == emit_report(run_prince_pauper(config), config)
+
+
+def test_multiworld_one_factor_fails_as_prince_pauper(tmp_path):
+    # at tol 1e-30 both runs fail the same checks: the same stderr lines and
+    # exit code, and the same report once the config echo names one scenario
+    results = []
+    for payload in ({"scenario": "prince-pauper"}, {"scenario": "multiworld", "k": 1}):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(["run", str(path), "--tol", "1e-30"])
+        results.append((code, stdout.getvalue(), stderr.getvalue()))
+    (pp_code, pp_out, pp_err), (mw_code, mw_out, mw_err) = results
+    assert pp_code == mw_code == 3
+    assert pp_err == mw_err and pp_err
+    assert mw_out.count('"scenario": "multiworld"') == 1
+    assert mw_out.replace('"scenario": "multiworld"', '"scenario": "prince-pauper"') == pp_out
+
+
+@pytest.mark.parametrize(
+    "run, config",
+    [
+        (run_prince_pauper, RunConfig()),
+        (run_classical_level, RunConfig(scenario="classical-level", lambda1=1.0, lambda2=2.0)),
+    ],
+    ids=["prince-pauper", "classical-level"],
+)
+def test_nan_state_residual_fails_the_one_factor_run(monkeypatch, run, config):
+    # the second call is the second sample time; its NaN must survive the
+    # maximum over the later times, into the isomorphism report and the pair
+    calls = []
+    residual = scenario._state_residual
+
+    def nan_on_second_call(mapped, state_b, phase_insensitive):
+        calls.append(1)
+        return np.nan if len(calls) == 2 else residual(mapped, state_b, phase_insensitive)
+
+    monkeypatch.setattr(scenario, "_state_residual", nan_on_second_call)
+    report = run(config)
+    (iso,) = report.isomorphism_reports
+    (pair,) = report.pairs
+    assert np.isnan(iso.state_residuals[1])
+    assert not any(np.isnan(r) for i, r in enumerate(iso.state_residuals) if i != 1)
+    assert np.isnan(pair.state_residual)
+    assert not iso.passed
+    assert not pair.isomorphic
+    assert not report.passed

@@ -319,6 +319,8 @@ def test_production_paths_make_no_unitarity_check(tmp_path, monkeypatch, words, 
         (["run"], [], {"scenario": "classical-level"}, 0),
         (["certify", "lemma1"], [], {}, 4),
         (["export-distribution"], ["--time", "0.37"], {}, 2),
+        # prince-pauper's one-factor case, through the same engine
+        (["run"], [], {"scenario": "multiworld", "k": 1}, 4),
     ],
 )
 def test_fft_calls_per_job(tmp_path, monkeypatch, words, extra, config, calls):
