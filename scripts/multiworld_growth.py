@@ -10,6 +10,8 @@ import argparse
 import sys
 import time
 
+import numpy as np
+
 from swaplab.config import RunConfig
 from swaplab.scenario import run_multiworld
 
@@ -29,8 +31,9 @@ def main() -> int:
         start = time.perf_counter()
         result = run_multiworld(config)
         elapsed = time.perf_counter() - start
-        state_residual = max(p.state_residual for p in result.pairs)
-        hamiltonian_residual = max(p.hamiltonian_residual for p in result.pairs)
+        # np.max keeps a NaN that max() would drop when it is not first
+        state_residual = np.max([p.state_residual for p in result.pairs])
+        hamiltonian_residual = np.max([p.hamiltonian_residual for p in result.pairs])
         min_gap = min(max(p.pointer_gaps) for p in result.pairs)
         all_passed = all_passed and result.passed
         print(

@@ -1,16 +1,17 @@
 """Deterministic report and data export.
 
-Reports are rendered with sorted keys and fixed 17-significant-digit float
-formatting so identical runs produce byte-identical files. Undefined pointer
-statistics (zero-probability branches) serialize as JSON null, never NaN;
-non-finite numbers are rejected as numerical failures.
+Reports are rendered with sorted keys (from key plans cached per record type)
+and 17-significant-digit floats, so identical runs produce byte-identical
+files. Undefined pointer statistics (zero-probability branches) serialize as
+JSON null, never NaN; non-finite numbers are rejected as numerical failures.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
-from dataclasses import is_dataclass
+from dataclasses import fields, is_dataclass
 
 import numpy as np
 
@@ -55,8 +56,8 @@ def render_json(value, indent: int = 0) -> str:
 
     Each container is rendered once per depth: a record that the value holds
     several times (a witness shared by many pairs, a readout by many worlds)
-    is looked up by identity and depth. The value keeps every container it
-    holds alive for the whole call, so no identity is reused."""
+    is looked up by identity and depth; the value keeps every container alive
+    for the whole call, so no identity is reused. Keys come from ``_plan``."""
     return _render(value, indent, {})
 
 
@@ -73,6 +74,14 @@ def _render(value, indent: int, rendered: dict) -> str:
     return text
 
 
+@functools.lru_cache(maxsize=256)
+def _plan(shape, indent: int) -> tuple:
+    """(key, its line up to the value) per key of a record type or key tuple, sorted."""
+    keys = [f.name for f in fields(shape)] if isinstance(shape, type) else shape
+    child = "  " * (indent + 1)
+    return tuple((key, f"{child}{_quote(str(key))}: ") for key in sorted(keys))
+
+
 def _render_container(value, indent: int, rendered: dict) -> str:
     """A value whose type is not in ``_SCALARS``: a container, or a scalar
     of a subclass or another numpy type (bool and numpy.bool_ have none)."""
@@ -83,23 +92,17 @@ def _render_container(value, indent: int, rendered: dict) -> str:
     if isinstance(value, str):
         return _quote(value)
     if is_dataclass(value):
-        value = vars(value)
-    pad = "  " * indent
-    child = pad + "  "
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = [
-            f"{child}{_quote(str(key))}: {_render(value[key], indent + 1, rendered)}"
-            for key in sorted(value)
-        ]
-        return "{\n" + ",\n".join(items) + f"\n{pad}}}"
-    if isinstance(value, (list, tuple)):
-        if len(value) == 0:
-            return "[]"
-        items = [f"{child}{_render(item, indent + 1, rendered)}" for item in value]
-        return "[\n" + ",\n".join(items) + f"\n{pad}]"
-    raise TypeError(f"cannot serialize {type(value).__name__} into a report")
+        plan, value = _plan(type(value), indent), vars(value)
+    elif isinstance(value, dict):
+        plan = _plan(tuple(value), indent)
+    elif isinstance(value, (list, tuple)):
+        child = "  " * (indent + 1)
+        items = [child + _render(item, indent + 1, rendered) for item in value]
+        return "[\n" + ",\n".join(items) + "\n" + "  " * indent + "]" if items else "[]"
+    else:
+        raise TypeError(f"cannot serialize {type(value).__name__} into a report")
+    items = [line + _render(value[key], indent + 1, rendered) for key, line in plan]
+    return "{\n" + ",\n".join(items) + "\n" + "  " * indent + "}" if items else "{}"
 
 
 #: the report type of each certificate record

@@ -15,30 +15,29 @@ Three runs are provided:
 One world engine (``_worlds``) builds every report: the 2^k worlds of k
 identical factors, each ending in one of two outcome states. Prince-pauper is
 multiworld's k = 1 case, and classical-level runs the engine at k = 1 on the
-ladder; each run keeps only its own setup, frame, labels and readouts. Each
-pointer run evolves its summed ready kets once (``evolved_ready``): the
-blocks are both qubit worlds, and at T lemma 1's swap residual, which shares
-the run's ``sign_flip``.
-
-The ready state is modeled as the calibrated pointer zeta = 0 basis state per
-factor; "wealth" narratives reduce to outcome sign patterns in the labels.
-Every Hamiltonian is a ``Spectrum``; no run builds a dim x dim operator.
-At k >= 2 nothing is built on the product space: a pair's state residual is
-computed from per-factor inner products (``product_distance``), and its
-Hamiltonian-conjugation residual from the exact per-factor Frobenius
-factorization (each factor deviation is traceless, so cross terms vanish).
+ladder. Each pointer run evolves its summed ready kets once
+(``evolved_ready``): the blocks are both qubit worlds, and at T lemma 1's
+swap residual. The ready state is the calibrated pointer zeta = 0 basis state
+per factor; every Hamiltonian is a ``Spectrum``, and no run builds a dim x dim
+operator or a product-space state. At k >= 2 the pair residuals come from
+one stacked pass over each sample time's per-factor inner products
+(``_pair_residuals``), the Hamiltonian-conjugation residuals from the exact
+per-factor Frobenius factorization (each factor deviation is traceless), and
+a pair's witnesses, gaps and ``distinct`` flag from its factors' parts.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .isomorphism import IsomorphismReport, _state_residual, distinctness_witness, is_distinct
+from .isomorphism import IsomorphismReport, Witness, distinctness_witness, is_distinct
+from .isomorphism import _state_residual
 from .linalg import ComplexVector, Spectrum, frobenius_norm, permutation_inverse
 from .measurement import (
     MeasurementSetup,
@@ -111,29 +110,53 @@ def reference_observables(setup: MeasurementSetup) -> tuple:
     return (("pointer_position", pointer), ("system_observable", system))
 
 
-def _gram_table(x: np.ndarray, y: np.ndarray) -> list:
-    """Inner products <u, v> for u, v in (y, x - y, x), as Python complexes."""
-    vectors = (y, x - y, x)
-    return [[complex(np.vdot(u, v)) for v in vectors] for u in vectors]
+def _gram_row(states, inverse: np.ndarray) -> list:
+    """One time's inner products, as Python complexes: 0j, then <u, v> for u, v
+    in (y, x - y, x), at x, y = S s_0, s_1 and then at x, y = S s_1, s_0."""
+    row = [0j]
+    for x, y in ((states[0][inverse], states[1]), (states[1][inverse], states[0])):
+        vectors = (y, x - y, x)
+        row += [complex(np.vdot(u, v)) for u in vectors for v in vectors]
+    return row
 
 
-def product_distance(tables, differing) -> float:
-    """|x_1 (x) ... (x) x_k - y_1 (x) ... (x) y_k| from the per-factor tables
-    ``_gram_table(x_f, y_f)``, where x_f == y_f outside ``differing``.
+@functools.cache
+def _pair_plan(k: int) -> tuple:
+    """The 2^k world patterns, their pairs, each pair's factor outcomes and
+    differing factors D, and the ``_gram_row`` index of each (factor h, term
+    (f, g) in D x D, pair) entry; padded terms read the row's 0j."""
+    patterns = tuple(itertools.product((0, 1), repeat=k))
+    pair_worlds = tuple(itertools.combinations(range(len(patterns)), 2))
+    outcomes = tuple(tuple(zip(patterns[i], patterns[j])) for i, j in pair_worlds)
+    differing = tuple(tuple(f for f, (a, b) in enumerate(pair) if a != b) for pair in outcomes)
+    index = np.zeros((k, k * k, len(pair_worlds)), dtype=int)
+    for n, (pair, factors) in enumerate(zip(outcomes, differing)):
+        for m, (f, g) in enumerate(itertools.product(factors, repeat=2)):
+            for h, (a, b) in enumerate(pair):
+                u, v = (h > f) - (h < f) + 1, (h > g) - (h < g) + 1  # y, x - y or x
+                index[h, m, n] = 1 + 9 * a + 3 * u + v if a != b else 1 + 9 * (1 - b)
+    index.setflags(write=False)
+    return patterns, pair_worlds, outcomes, differing, index
 
-    The difference telescopes into sum_f T_f over f in ``differing``, with
+
+def _pair_residuals(rows, k: int) -> np.ndarray:
+    """|x_1 (x) ... (x) x_k - y_1 (x) ... (x) y_k| of every pair (column) at
+    every time of ``rows`` (a ``_gram_row`` each), in one stacked pass. The
+    difference telescopes into sum_f T_f over f in D, with
     T_f = y_1 (x) ... (x) y_{f-1} (x) (x_f - y_f) (x) x_{f+1} (x) ... (x) x_k,
     so its squared norm sum_{f,g} <T_f, T_g> is a sum of products of table
     entries. Every term carries two differences, so nothing cancels against 1
-    (unlike 2 - 2 Re prod <x_f, y_f>), and it is exactly 0.0 when they are."""
-    total = 0j
-    for f in differing:
-        for g in differing:
-            term = 1 + 0j
-            for h, table in enumerate(tables):
-                term *= table[(h > f) - (h < f) + 1][(h > g) - (h < g) + 1]
-            total += term
-    return math.sqrt(max(0.0, total.real))
+    (unlike 2 - 2 Re prod <x_f, y_f>), and it is exactly 0.0 when they are.
+    Products run from 1 + 0j as Python's complex ``*`` (no fused multiply-add)
+    and terms add in (f, g) order, bitwise as a loop over Python complexes."""
+    table = np.array(rows).T[_pair_plan(k)[-1]]  # (factor, term, pair, time)
+    real, imag = table.real, table.imag
+    term_real, term_imag = np.ones(real.shape[1:]), np.zeros(real.shape[1:])
+    for br, bi in zip(real, imag):
+        term_real, term_imag = term_real * br - term_imag * bi, term_real * bi + term_imag * br
+    total = functools.reduce(np.add, term_real, np.zeros(term_real.shape[1:]))
+    # keeps a NaN (max(0.0, nan) is 0.0) and never yields -0.0, rendered "-0"
+    return np.sqrt(np.where(total > 0, total, np.where(np.isnan(total), np.nan, 0.0))).T
 
 
 def _worlds(
@@ -160,38 +183,28 @@ def _worlds(
 
     At k = 1 the pair's state residual is ``_state_residual`` (phase-minimized
     when the config asks), the isomorphism report is kept and witness names
-    carry no factor index. At k >= 2 residuals come from per-factor Gram
-    tables and are literal, an upper bound on the phase-minimized ones; no
-    isomorphism report is built and witnesses are named per factor ``[f]``."""
+    carry no factor index. At k >= 2 the residuals are literal (an upper bound
+    on the phase-minimized ones), no isomorphism report is built, and a pair
+    joins its factors' witnesses, named ``[f]``, their gaps and flags."""
     tolerance = config.tol
     times = config.sample_times
-    patterns = list(itertools.product((0, 1), repeat=k))
+    patterns, pair_worlds, factor_outcomes, differing, _ = _pair_plan(k)
     labels = ["".join(outcomes[s] for s in pattern) for pattern in patterns]
-    pair_worlds = list(itertools.combinations(range(len(patterns)), 2))
-    factor_outcomes = [list(zip(patterns[i], patterns[j])) for i, j in pair_worlds]
-    differing = [[f for f, (a, b) in enumerate(pair) if a != b] for pair in factor_outcomes]
     # |S H S^dag - H|_F on one factor: the spectrum's basis map carries the
     # swap (certify_lemma1 checks a pointer's; the ladder's is the identity)
     deviation = frobenius_norm(weights[inverse] - weights)
 
     # T evolves in the same batch as the sample times, once when it is the last
     stream = evolve(times if times[-1] == config.T else times + (config.T,))
-    residuals = np.zeros((len(times), len(pair_worlds)))
-    for row in residuals:
+    rows = []  # per time: the pair's residual at k = 1, else every pair's _gram_row
+    for _ in times:
         states = None  # no earlier pair is held while the next one is evolved
         states = next(stream)
-        if k == 1:
-            row[0] = _state_residual(states[0][inverse], states[1], config.phase_insensitive)
-            continue
-        # each factor of a pair holds one of two states, swapped (x = S a, y = b)
-        # where the worlds differ and equal elsewhere, so four Gram tables per
-        # time serve every pair: no product-space state is built
-        tables = {
-            (a, b): _gram_table(states[a][inverse] if a != b else states[a], states[b])
-            for a, b in itertools.product((0, 1), repeat=2)
-        }
-        for n, pair in enumerate(factor_outcomes):
-            row[n] = product_distance([tables[outcome] for outcome in pair], differing[n])
+        rows.append(
+            [_state_residual(states[0][inverse], states[1], config.phase_insensitive)]
+            if k == 1
+            else _gram_row(states, inverse)
+        )
     if times[-1] != config.T:
         states = None
         states = next(stream)
@@ -201,39 +214,43 @@ def _worlds(
     del states
     readout_tables = [read(state) for state in final_states]
     frame = build_frame()
-    # a pair's witnesses are its factors' witnesses, and each factor ends in
-    # one of two states, so one witness call per outcome pair that occurs,
-    # named once per factor, serves every pair
-    factor_witnesses = {}
+    # one witness call per outcome pair serves every pair; factor f's part of
+    # it holds the witnesses named for f, their gaps by name (the ladder's
+    # frame lists its system observable first) and whether any is distinct
+    parts = {}
     for a, b in sorted(set(itertools.chain.from_iterable(factor_outcomes))):
         found = distinctness_witness(final_states[a], final_states[b], frame, tolerance)
-        factor_witnesses[(a, b)] = [found] if k == 1 else [
-            tuple(replace(w, observable=f"{w.observable}[{f}]") for w in found) for f in range(k)
+        gaps = [
+            tuple(w.gap for w in found if w.observable.startswith(o)) for o in ("pointer", "system")
         ]
+        for f in range(k):
+            named = found if k == 1 else tuple(
+                Witness(f"{w.observable}[{f}]", w.expectation_a, w.expectation_b, w.gap, w.distinct)
+                for w in found
+            )
+            parts[f, (a, b)] = (named, *gaps, is_distinct(found))
 
     # one maximum over the sample times, which keeps a NaN that max() would drop
+    residuals = np.array(rows) if k == 1 else _pair_residuals(rows, k)
     state_residuals = residuals.max(axis=0)
     factor_dim = final_states[0].dim
     pairs = []
-    for n, (i, j) in enumerate(pair_worlds):
+    for n, ((i, j), pair) in enumerate(zip(pair_worlds, factor_outcomes)):
         state_residual = float(state_residuals[n])
         hamiltonian_residual = deviation * math.sqrt(len(differing[n]) * factor_dim ** (k - 1))
-        witnesses = tuple(
-            w for f, outcome in enumerate(factor_outcomes[n]) for w in factor_witnesses[outcome][f]
-        )
+        witnesses, pointer, system, distinct = zip(*[parts[f, o] for f, o in enumerate(pair)])
         pairs.append(
             PairCertificate(
                 world_a=labels[i],
                 world_b=labels[j],
                 state_residual=state_residual,
                 hamiltonian_residual=hamiltonian_residual,
-                # by name: the ladder's frame puts its system observable first
-                pointer_gaps=tuple(w.gap for w in witnesses if w.observable.startswith("pointer")),
-                system_gaps=tuple(w.gap for w in witnesses if w.observable.startswith("system")),
-                witnesses=witnesses,
+                pointer_gaps=sum(pointer, ()),
+                system_gaps=sum(system, ()),
+                witnesses=sum(witnesses, ()),
                 # at k = 1 this is the isomorphism report's pass rule
                 isomorphic=state_residual <= tolerance and hamiltonian_residual <= tolerance,
-                distinct=is_distinct(witnesses),
+                distinct=any(distinct),
             )
         )
 

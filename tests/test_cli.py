@@ -1,18 +1,25 @@
 import copy
 import json
 import re
-from dataclasses import is_dataclass
+from dataclasses import dataclass, is_dataclass, make_dataclass
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from swaplab import reporting
 from swaplab.cli import build_parser, main
 from swaplab.config import SCENARIOS, parse_config
 from swaplab.measurement import evolve, ready_state, system_basis_state
 from swaplab.isomorphism import IsomorphismReport, Witness
 from swaplab.reporting import emit_distribution_csv, emit_report, failed_checks, render_json
-from swaplab.scenario import ScenarioReport, qubit_setup, run_multiworld, run_prince_pauper
+from swaplab.scenario import (
+    ScenarioReport,
+    qubit_setup,
+    run_classical_level,
+    run_multiworld,
+    run_prince_pauper,
+)
 from swaplab.linalg import ComplexVector
 
 #: every ladder weight is a normal float, but g * ratio^-1 = 1.87e300 squared is not
@@ -61,6 +68,39 @@ class TestRenderJson:
         text = emit_report(report, config)
         for twin in (copy.deepcopy(report), unshared(report)):
             assert emit_report(twin, config) == text
+
+    def test_record_renders_as_its_fields_in_a_dict(self):
+        # field order (zeta, alpha, mid) is not key order (alpha, mid, zeta)
+        record = Unsorted(zeta=0.5, alpha=[1, 2], mid={"b": None, "a": True})
+        text = render_json({"outer": record, "list": [record]})
+        fields = {"zeta": 0.5, "alpha": [1, 2], "mid": {"b": None, "a": True}}
+        for twin in (fields, dict(sorted(fields.items())), dict(reversed(fields.items()))):
+            assert render_json({"outer": twin, "list": [twin]}) == text
+        assert list(json.loads(text)["outer"]) == ["alpha", "mid", "zeta"]
+
+    def test_two_reports_render_alike_in_either_order(self):
+        # the key plans are cached per record type and dict key tuple: two
+        # reports rendered one after the other in one process, a ladder and a
+        # multiworld one, match the same reports rendered in the other order
+        # from an empty cache, and two record types of one name keep their keys
+        runs = [
+            (run_classical_level, parse_config('{"scenario": "classical-level"}')),
+            (run_multiworld, parse_config('{"scenario": "multiworld", "k": 2}')),
+        ]
+        reports = [(run(config), config) for run, config in runs]
+        texts = [emit_report(report, config) for report, config in reports]
+        reporting._plan.cache_clear()
+        assert [emit_report(r, c) for r, c in reversed(reports)] == texts[::-1]
+        first, second = (make_dataclass("Record", names) for names in (["b", "a"], ["c", "a"]))
+        assert json.loads(render_json(first(1, 2))) == {"a": 2, "b": 1}
+        assert json.loads(render_json(second(3, 4))) == {"a": 4, "c": 3}
+
+
+@dataclass(frozen=True)
+class Unsorted:
+    zeta: float
+    alpha: list
+    mid: dict
 
 
 def unshared(value):

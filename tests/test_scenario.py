@@ -2,6 +2,7 @@ import contextlib
 import io
 import itertools
 import json
+import math
 import tracemalloc
 from dataclasses import replace
 from functools import reduce
@@ -27,11 +28,11 @@ from swaplab.measurement import (
     system_basis_state,
 )
 from swaplab.scenario import (
-    _gram_table,
+    _gram_row,
     _model_momentum,
     _model_observable,
+    _pair_residuals,
     build_diagonal_model,
-    product_distance,
     qubit_setup,
     reference_observables,
     run_classical_level,
@@ -52,6 +53,79 @@ def small_config(**overrides):
 
 def multiworld_config(k, **overrides):
     return small_config(scenario="multiworld", k=k, **overrides)
+
+
+def _gram_table(x: np.ndarray, y: np.ndarray) -> list:
+    """Inner products <u, v> for u, v in (y, x - y, x), as Python complexes."""
+    vectors = (y, x - y, x)
+    return [[complex(np.vdot(u, v)) for v in vectors] for u in vectors]
+
+
+def product_distance(tables, differing) -> float:
+    """Oracle of the stacked pass: |x_1 (x) ... (x) x_k - y_1 (x) ... (x) y_k|
+    from the per-factor tables ``_gram_table(x_f, y_f)``, where x_f == y_f
+    outside ``differing``, one Python complex term at a time: the sum over
+    f, g in ``differing`` of the products of each factor's table entries.
+    A NaN total stays NaN (max(0.0, nan) would be 0.0)."""
+    total = 0j
+    for f in differing:
+        for g in differing:
+            term = 1 + 0j
+            for h, table in enumerate(tables):
+                term *= table[(h > f) - (h < f) + 1][(h > g) - (h < g) + 1]
+            total += term
+    return 0.0 if total.real <= 0.0 else math.sqrt(total.real)
+
+
+def loop_pair_residuals(states_per_time, inverse, k) -> np.ndarray:
+    """Every pair's residual at every time, pair by pair through four Gram
+    tables per time and ``product_distance``: the (time, pair) array the
+    stacked pass must match bit for bit."""
+    patterns = list(itertools.product((0, 1), repeat=k))
+    pairs = [list(zip(patterns[i], patterns[j])) for i, j in itertools.combinations(range(2**k), 2)]
+    rows = []
+    for states in states_per_time:
+        tables = {
+            (a, b): _gram_table(states[a][inverse] if a != b else states[a], states[b])
+            for a, b in itertools.product((0, 1), repeat=2)
+        }
+        row = []
+        for pair in pairs:
+            differing = [f for f, (a, b) in enumerate(pair) if a != b]
+            row.append(product_distance([tables[o] for o in pair], differing))
+        rows.append(row)
+    return np.array(rows)
+
+
+def near_swapped_states(rng, dim, inverse, scale, times=3) -> list:
+    """Per time, two unit states (rows) with row 1 within about ``scale`` of
+    row 0 swapped, as the evolved ready kets of a run."""
+
+    def unit(v):
+        return v / np.linalg.norm(v)
+
+    def random_unit():
+        return unit(rng.normal(size=dim) + 1j * rng.normal(size=dim))
+
+    states = []
+    for _ in range(times):
+        first = random_unit()
+        states.append(np.stack([first, unit(first[inverse] + scale * random_unit())]))
+    return states
+
+
+def nan_evolved_ready(at: int):
+    """``evolved_ready`` with NaN put into row 0 (the + world) at time ``at``."""
+    evolved_ready = scenario.evolved_ready
+
+    def evolved(setup, spectrum, times):
+        for n, states in enumerate(evolved_ready(setup, spectrum, times)):
+            if n == at:
+                states = states.copy()
+                states[0, 0] = np.nan
+            yield states
+
+    return evolved
 
 
 class TestScenarioConfig:
@@ -190,47 +264,69 @@ class TestMultiworld:
         assert pair.state_residual == pytest.approx(dense, abs=1e-11)
 
     def test_product_distance_matches_dense_kron(self):
-        # x_f = S a_f and y_f = b_f on differing factors, x_f = y_f = a_f
-        # elsewhere; the dense side applies the Kronecker product of swaps
+        # the stacked pass against the dense world states: x_f = S s_a and
+        # y_f = s_b where a pair's worlds differ, x_f = y_f = s_a elsewhere, so
+        # the dense side applies S on the differing factors
         rng = np.random.default_rng(7)
         dim = 5
         perm = rng.permutation(dim)
         assert not np.array_equal(perm[perm], np.arange(dim))  # not an involution
         swap = permutation_matrix(perm).entries
         inverse = np.argsort(perm)
-
-        def unit(v):
-            return v / np.linalg.norm(v)
-
-        def random_unit():
-            return unit(rng.normal(size=dim) + 1j * rng.normal(size=dim))
-
         for k in (1, 2, 3):
-            for size in range(1, k + 1):
-                for differing in itertools.combinations(range(k), size):
-                    for scale in (1e-14, 1e-10, 1e-6, 1e-2, 1.0):
-                        a = [random_unit() for _ in range(k)]
-                        b = [
-                            unit(a[f][inverse] + scale * random_unit()) if f in differing else a[f]
-                            for f in range(k)
-                        ]
-                        x = [a[f][inverse] if f in differing else a[f] for f in range(k)]
-                        tables = [_gram_table(x[f], b[f]) for f in range(k)]
-                        s_total = reduce(
-                            np.kron, [swap if f in differing else np.eye(dim) for f in range(k)]
-                        )
-                        dense = np.linalg.norm(s_total @ reduce(np.kron, a) - reduce(np.kron, b))
-                        factored = product_distance(tables, differing)
-                        assert abs(factored - dense) <= 1e-15 + 1e-12 * dense
-                        assert dense > 0.1 * scale
+            patterns = list(itertools.product((0, 1), repeat=k))
+            for scale in (1e-14, 1e-10, 1e-6, 1e-2, 1.0):
+                (states,) = near_swapped_states(rng, dim, inverse, scale, times=1)
+                (stacked,) = _pair_residuals([_gram_row(states, inverse)], k)
+                for n, (i, j) in enumerate(itertools.combinations(range(2**k), 2)):
+                    p, q = patterns[i], patterns[j]
+                    factors = [swap if a != b else np.eye(dim) for a, b in zip(p, q)]
+                    s_total = reduce(np.kron, factors)
+                    world_a, world_b = (reduce(np.kron, [states[s] for s in w]) for w in (p, q))
+                    dense = np.linalg.norm(s_total @ world_a - world_b)
+                    assert abs(stacked[n] - dense) <= 1e-15 + 1e-12 * dense
+                    assert dense > 0.1 * scale
 
     def test_product_distance_is_zero_when_every_factor_matches(self):
+        # S is an involution and s_1 = S s_0 exactly, so every difference
+        # x_f - y_f is exactly zero, and so is every term: 0.0, never -0.0
         rng = np.random.default_rng(3)
-        states = [rng.normal(size=6) + 1j * rng.normal(size=6) for _ in range(3)]
-        tables = [_gram_table(state, state.copy()) for state in states]
-        for size in (1, 2, 3):
-            for differing in itertools.combinations(range(3), size):
-                assert product_distance(tables, differing) == 0.0
+        inverse = np.arange(6)[::-1].copy()
+        first = rng.normal(size=6) + 1j * rng.normal(size=6)
+        rows = [_gram_row(np.stack([first, first[inverse]]), inverse)]
+        for k in (1, 2, 3):
+            residuals = _pair_residuals(rows, k)
+            assert residuals.shape == (1, 2**k * (2**k - 1) // 2)
+            assert np.all(residuals == 0.0) and not np.any(np.signbit(residuals))
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_stacked_pass_matches_the_pair_loop_bitwise(self, k):
+        # NumPy's complex multiply may fuse multiply-adds where Python's
+        # complex * does not; the stacked pass forms each product as Python
+        # does and sums the terms in the loop's order, so no bit moves
+        rng = np.random.default_rng(100 + k)
+        dim = 7
+        inverse = rng.permutation(dim)
+        for scale in (1e-14, 1e-12, 1e-10, 1e-8, 1e-6, 1e-4, 1e-2, 1.0):
+            states = near_swapped_states(rng, dim, inverse, scale)
+            stacked = _pair_residuals([_gram_row(row, inverse) for row in states], k)
+            looped = loop_pair_residuals(states, inverse, k)
+            assert stacked.shape == looped.shape == (3, 2**k * (2**k - 1) // 2)
+            assert np.array_equal(stacked, looped)
+            assert np.all(stacked > 0.0)
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_stacked_pass_keeps_a_nan(self, k):
+        # a NaN in one state at one time makes that time's every pair NaN in
+        # both, where max(0.0, nan) once made it 0.0; the other times match
+        rng = np.random.default_rng(200 + k)
+        inverse = rng.permutation(6)
+        states = near_swapped_states(rng, 6, inverse, 1e-9)
+        states[1][0, 2] = np.nan
+        stacked = _pair_residuals([_gram_row(row, inverse) for row in states], k)
+        assert np.array_equal(stacked, loop_pair_residuals(states, inverse, k), equal_nan=True)
+        assert np.all(np.isnan(stacked[1]))
+        assert not np.any(np.isnan(stacked[[0, 2]]))
 
     def test_off_grid_pairs_match_dense_product_residuals(self):
         # off the grid the swapped worlds differ at the rounding level, so
@@ -290,19 +386,32 @@ class TestMultiworld:
         assert run_multiworld(replace(config, phase_insensitive=True)) == literal
 
     def test_nan_pair_residual_is_not_isomorphic(self, monkeypatch):
-        # the second call is the second pair at the first sample time; its
-        # NaN must survive the maximum over the later times
-        calls = []
-
-        def nan_on_second_call(tables, differing):
-            calls.append(differing)
-            return np.nan if len(calls) == 2 else product_distance(tables, differing)
-
-        monkeypatch.setattr(scenario, "product_distance", nan_on_second_call)
+        # a NaN in one evolved state at the first sample time reaches every
+        # pair, since each differing factor reads both states; it must
+        # survive the maximum over the later, finite times
+        monkeypatch.setattr(scenario, "evolved_ready", nan_evolved_ready(0))
         report = run_multiworld(multiworld_config(2))
-        assert np.isnan(report.pairs[1].state_residual)
-        assert [pair.isomorphic for pair in report.pairs] == [True, False, True, True, True, True]
+        assert all(np.isnan(pair.state_residual) for pair in report.pairs)
+        assert [pair.isomorphic for pair in report.pairs] == [False] * 6
         assert not report.passed
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_nan_state_fails_the_run_at_every_k(self, tmp_path, monkeypatch, k):
+        # a NaN in the + world at the second sample time: no pair is
+        # isomorphic, the report fails, and the CLI exits 4 (a non-finite
+        # residual cannot be rendered) at k >= 2 as at k = 1
+        monkeypatch.setattr(scenario, "evolved_ready", nan_evolved_ready(1))
+        report = run_multiworld(RunConfig(scenario="multiworld", k=k))
+        assert len(report.pairs) == 2**k * (2**k - 1) // 2
+        assert not any(pair.isomorphic for pair in report.pairs)
+        assert not report.passed
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"scenario": "multiworld", "k": k}))
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            assert main(["run", str(path)]) == 4
+        assert "non-finite value nan" in stderr.getvalue()
+        assert stdout.getvalue() == ""
 
     def test_rejects_large_k(self):
         with pytest.raises(ConfigError):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from swaplab.cli import main
+from swaplab.config import RunConfig
 from swaplab import linalg
 from swaplab import measurement
 from swaplab.isomorphism import EvolutionTriple
@@ -26,6 +27,7 @@ from swaplab.measurement import (
     ready_state,
     system_basis_state,
 )
+from swaplab.scenario import run_multiworld
 from swaplab.symmetry import corrupted_swap, parity_swap
 
 from dense_reference import dft_matrix
@@ -339,3 +341,16 @@ def test_fft_calls_per_job(tmp_path, monkeypatch, words, extra, config, calls):
         )
     assert main([*words, str(path), *extra]) == 0
     assert len(counted) == calls
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_inner_products_per_multiworld_run(monkeypatch, k):
+    # at each of the 5 sample times the pairs read 18 distinct inner products
+    # (two 3x3 tables; a factor whose worlds agree reads <y, y> of one of
+    # them), and the 4 outcome pairs' witnesses take 2 expectations per state
+    # of 2 observables: 18 * 5 + 16 = 106 calls, where 36 per time were 196
+    counted = []
+    vdot = np.vdot
+    monkeypatch.setattr(np, "vdot", lambda *a: counted.append(1) or vdot(*a))
+    assert run_multiworld(RunConfig(scenario="multiworld", k=k)).passed
+    assert len(counted) == 18 * 5 + 16
