@@ -17,8 +17,10 @@ off-grid pointer runs and the ladder with ``phase_insensitive`` both ways,
 the ladder at several outcome pairs, ``--tol 1e-30`` on every command and
 scenario, custom sample times, zero coupling, three rejected configs, and
 runs whose evolution takes several batches or evolves T apart from sample
-times that stop short of it, lemma 1 among them, alone and in a run, and
-multiworld's one-factor case off the grid both ways and at ``--tol 1e-30``.
+times that stop short of it, lemma 1 among them, alone and in a run,
+multiworld's one-factor case off the grid both ways and at ``--tol 1e-30``,
+ladders whose rungs lie within the eigenvalue lookup's reach of each other,
+and the ladder at range 12.
 """
 
 import contextlib
@@ -123,6 +125,14 @@ def jobs() -> list:
         for flag in (False, True)
     ]
     listed.append((("run", *tight), {"scenario": "multiworld", "k": 1}))
+    # ladders whose rungs lie closer together than locate_eigenvalue's 1e-9
+    # relative reach (the second closer than tol too), and a larger ladder
+    for close in (
+        {"lambda1": 1.0, "lambda2": 1.0000000005, "ratio_exponent_range": 1},
+        {"lambda1": 1.9999999999999998, "lambda2": 2.0, "ratio_exponent_range": 2},
+    ):
+        listed += [(("run",), {**LADDER, **close}), (("certify", "lemma2"), {**LADDER, **close})]
+    listed.append((("run",), {**LADDER, "ratio_exponent_range": 12, "lambda2": 1.01}))
     return listed
 
 

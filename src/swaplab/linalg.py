@@ -187,10 +187,11 @@ class Spectrum:
     every time evolution in the package goes through ``evolutions``. Such a W
     carries a swap sigma x tau, tau the identity or the reversal of the
     trailing factor, onto the same index array, because the centred DFT maps
-    reversal to reversal (``carried_factor``).
+    reversal to reversal (``carried_factor``). A diagonal one may keep its
+    weights as a table of their distinct values (``on_levels``).
     """
 
-    __slots__ = ("weights", "dft_size")
+    __slots__ = ("weights", "dft_size", "levels", "level_index")
 
     def __init__(self, weights, dft_size: int = 1):
         values = np.asarray(weights)
@@ -206,6 +207,17 @@ class Spectrum:
             )
         self.weights = _freeze(values)
         self.dft_size = dft_size
+        self.levels, self.level_index = self.weights, None  # no table: every weight a level
+
+    @classmethod
+    def on_levels(cls, levels, level_index) -> Spectrum:
+        """The diagonal spectrum with weights ``levels[level_index]``, keeping the table."""
+        index = _freeze(np.array(level_index))
+        if index.dtype.kind not in "iu" or index.min(initial=0) < 0:
+            raise DimensionError("level_index must hold nonnegative integers")
+        spectrum = cls(np.asarray(levels)[index])  # rejects complex levels as it does weights
+        spectrum.levels, spectrum.level_index = _freeze(np.array(levels, dtype=float)), index
+        return spectrum
 
     @property
     def dim(self) -> int:
@@ -232,6 +244,11 @@ class Spectrum:
                 return tau
         return None
 
+    def phases(self, t: float, hbar: float = 1.0) -> np.ndarray:
+        """exp(-i w t / hbar) per weight as ((-i w) t) / hbar, once per level if tabled."""
+        phases = np.exp(-1j * self.levels * t / hbar)
+        return phases if self.level_index is None else phases[self.level_index]
+
     def evolutions(self, amplitudes, times, hbar: float = 1.0):
         """exp(-i H t / hbar) applied to a vector, or to each column of a
         matrix, for each t in ``times``, yielded one C-contiguous array at a
@@ -257,8 +274,7 @@ class Spectrum:
         column = (self.dim,) + (1,) * (coefficients.ndim - 1)
         batch = np.empty((len(times),) + coefficients.shape, dtype=complex)
         for phased, t in zip(batch, times):
-            phases = np.exp(-1j * self.weights * t / hbar)
-            np.multiply(phases.reshape(column), coefficients, out=phased)
+            np.multiply(self.phases(t, hbar).reshape(column), coefficients, out=phased)
         return self.from_eigen(batch.reshape((-1,) + coefficients.shape[1:])).reshape(batch.shape)
 
     def evolve(self, amplitudes, t: float, hbar: float = 1.0) -> np.ndarray:

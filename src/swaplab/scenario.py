@@ -38,7 +38,7 @@ import numpy as np
 
 from .isomorphism import IsomorphismReport, Witness, distinctness_witness, is_distinct
 from .isomorphism import _state_residual
-from .linalg import ComplexVector, Spectrum, frobenius_norm, permutation_inverse
+from .linalg import ComplexVector, frobenius_norm
 from .measurement import (
     MeasurementSetup,
     ObservableSpec,
@@ -52,8 +52,7 @@ from .symmetry import (
     GeometricDiagonalModel,
     certify_lemma1,
     certify_lemma2,
-    locate_eigenvalue,
-    scaling_permutation,
+    scaling_ladder,
     sign_flip,
 )
 
@@ -307,11 +306,11 @@ def run_multiworld(config: RunConfig) -> ScenarioReport:
 
 
 def _model_observable(model: GeometricDiagonalModel) -> np.ndarray:
-    return model.spread(np.reshape(model.a_eigenvalues(), (2, -1, 1, 1, 1)))
+    return model.spread(np.reshape(model.a_eigenvalues, (2, -1, 1, 1, 1)))
 
 
 def _model_momentum(model: GeometricDiagonalModel) -> np.ndarray:
-    return model.spread(np.reshape(np.outer([1.0, -1.0], model.powers()), (1, 1, 1, 2, -1)))
+    return model.spread(np.reshape(np.outer([1.0, -1.0], model.powers), (1, 1, 1, 2, -1)))
 
 
 def build_diagonal_model(config: RunConfig) -> GeometricDiagonalModel:
@@ -331,14 +330,11 @@ def run_classical_level(config: RunConfig) -> ScenarioReport:
     """Two macroscopically different readings connected by an H-preserving swap."""
     value_from, value_to = config.lambda1, config.lambda2
     model = build_diagonal_model(config)
-    # certified before the ladder's spectrum is built, which its evolution holds
-    certificate = certify_lemma2(model, value_from, value_to, config.tol, config.sample_times)
-    swap = scaling_permutation(model)
-    inverse = permutation_inverse(swap, model.dim)  # raises unless a bijection
-    starts = [
-        model.sector_state(*locate_eigenvalue(model, value), 0) for value in (value_from, value_to)
-    ]
-    spectrum = Spectrum(model.diagonal_weights())
+    sectors, spectrum, _, inverse = ladder = scaling_ladder(model, value_from, value_to)
+    certificate = certify_lemma2(
+        model, value_from, value_to, config.tol, config.sample_times, ladder
+    )
+    starts = [model.sector_state(*sector, 0) for sector in sectors]
     return _worlds(
         config,
         1,

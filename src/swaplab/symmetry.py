@@ -33,20 +33,18 @@ cyclic group: the diagonal weight depends on the total exponent reduced modulo
 the cycle length (canonicalized into [exponent_min, exponent_max]), so mapped
 basis entries are bitwise identical and the commutator vanishes exactly. The
 unbounded ladder is recovered as the cycle length grows; wrapped index pairs
-are this model's analogue of the pointer grid's periodic wraparound.
+are this model's analogue of the pointer grid's periodic wraparound. The
+weights take 2 * cycle_length values, kept as the spectrum's level table.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (
-    Spectrum,
-    frobenius_norm,
-    permutation_inverse,
-)
+from .linalg import Spectrum, _freeze, frobenius_norm, permutation_inverse
 from .measurement import (
     MeasurementSetup,
     ObservableSpec,
@@ -78,7 +76,7 @@ class SwapCertificate:
 
 def _spectral_certificate(
     construction: str,
-    weights: np.ndarray,
+    spectrum: Spectrum,
     perm: np.ndarray,
     times,
     hbar: float,
@@ -89,17 +87,18 @@ def _spectral_certificate(
 ) -> SwapCertificate:
     """The certificate of a swap ``perm`` that the spectrum's basis map
     carries onto the same index array, so that in the eigenbasis it is the
-    same permutation of diag(weights) (module docstring): the commutator
+    same permutation of diag(w) (module docstring): the commutator
     |w[perm] - w| / |w|, and the intertwining residual, the largest
-    |phi[perm] - phi| over ``times`` with phi = exp(-i w t / hbar). Maxima
-    and the pass rule keep a NaN, which max() would drop when not first."""
+    |phi[perm] - phi| over ``times`` with phi the spectrum's ``phases``.
+    Maxima and the pass rule keep a NaN, which max() would drop when not first."""
+    weights = spectrum.weights
     commutator = frobenius_norm(weights[perm] - weights)
     hnorm = frobenius_norm(weights)
     commutator_residual = commutator / hnorm if hnorm > 0 else commutator
     # one phase array at a time, so memory does not grow with the sample count
     deviations = [
         frobenius_norm(phases[perm] - phases)
-        for phases in (np.exp(-1j * weights * t / hbar) for t in times)
+        for phases in (spectrum.phases(t, hbar) for t in times)
     ]
     intertwining_residual = float(np.max(deviations))
     residuals = (commutator_residual, swap_residual, intertwining_residual, cross_distance)
@@ -198,7 +197,7 @@ def certify_lemma1(
         return SwapCertificate(construction, swap_residual, passed=False, note=NOT_CARRIED_NOTE)
     return _spectral_certificate(
         construction,
-        spectrum.weights,
+        spectrum,
         perm,
         [fraction * setup.duration for fraction in SAMPLE_FRACTIONS],
         setup.grid.hbar,
@@ -273,36 +272,37 @@ class GeometricDiagonalModel:
     def sector_state(self, sign_sys: int, m_index: int, label: int) -> np.ndarray:
         """Unit vector spread evenly over one (sign, exponent, label) sector."""
         state = np.zeros(self.axes, dtype=complex)
-        state[sign_sys, m_index, label] = 1.0
-        state = state.reshape(-1)
-        return state / np.linalg.norm(state)
+        state[sign_sys, m_index, label] = 1.0 / np.sqrt(2 * self.cycle_length)
+        return state.reshape(-1)
 
+    @functools.cached_property
     def powers(self) -> np.ndarray:
         """ratio**(exponent_min + r) for r in range(cycle_length): the one
         table every eigenvalue and weight reads, so wrapped index orbits stay
-        bitwise equal on the diagonal."""
-        return np.array(
-            [self.ratio ** (self.exponent_min + r) for r in range(self.cycle_length)]
-        )
+        bitwise equal on the diagonal. Built once per model, read-only."""
+        powers = [self.ratio ** (self.exponent_min + r) for r in range(self.cycle_length)]
+        return _freeze(np.array(powers))
 
-    def a_eigenvalues(self) -> tuple:
-        powers = self.powers().tolist()
-        return tuple(
-            sign * self.base_eigenvalue * power for sign in (1.0, -1.0) for power in powers
+    @functools.cached_property
+    def a_eigenvalues(self) -> np.ndarray:
+        """(+base * powers, -base * powers), built once per model, read-only."""
+        return _freeze(np.outer([1.0, -1.0], self.base_eigenvalue * self.powers).ravel())
+
+    def spectrum(self) -> Spectrum:
+        """The Hamiltonian on its level table: -g * lambda * p is level (sign_sys !=
+        sign_p) * cycle_length + reduced[m, k] of (-scale, +scale) * powers."""
+        length = self.cycle_length
+        scale = self.coupling * self.base_eigenvalue
+        exponents = np.arange(length)
+        reduced = (self.exponent_min + exponents[:, None] + exponents[None, :]) % length
+        flipped = np.array([[0, length], [length, 0]]).reshape(2, 1, 1, 2, 1)
+        return Spectrum.on_levels(
+            np.concatenate((-scale * self.powers, scale * self.powers)),
+            self.spread(flipped + reduced.reshape(1, length, 1, 1, length)),
         )
 
     def diagonal_weights(self) -> np.ndarray:
-        length = self.cycle_length
-        powers = self.powers()
-        scale = self.coupling * self.base_eigenvalue
-        signs = np.array([1.0, -1.0])
-        exponents = np.arange(length)
-        reduced = (self.exponent_min + exponents[:, None] + exponents[None, :]) % length
-        sig_s = signs.reshape(2, 1, 1, 1, 1)
-        sig_p = signs.reshape(1, 1, 1, 2, 1)
-        return self.spread(
-            -scale * sig_s * sig_p * powers[reduced].reshape(1, length, 1, 1, length)
-        )
+        return self.spectrum().weights
 
 
 def scaling_permutation(model: GeometricDiagonalModel) -> np.ndarray:
@@ -322,12 +322,22 @@ NORMALIZATION_NOTE = (
 
 
 def locate_eigenvalue(model: GeometricDiagonalModel, value: float) -> tuple:
+    """(sign, exponent) index of the rung nearest ``value``, within 1e-9 relative."""
     if value == 0:
         raise ValueError("swap endpoints must be nonzero eigenvalues")
-    for index, candidate in enumerate(model.a_eigenvalues()):
-        if abs(candidate - value) <= 1e-9 * abs(value):
-            return divmod(index, model.cycle_length)  # (sign index, exponent index)
-    raise ValueError(f"{value} is not an eigenvalue of the geometric model")
+    distances = np.abs(model.a_eigenvalues - value)
+    index = int(np.argmin(distances))
+    if not distances[index] <= 1e-9 * abs(value):
+        raise ValueError(f"{value} is not an eigenvalue of the geometric model")
+    return divmod(index, model.cycle_length)
+
+
+def scaling_ladder(model: GeometricDiagonalModel, eigenvalue_from: float, eigenvalue_to: float):
+    """The outcomes' (sign, exponent) sectors, the model's spectrum, the scaling
+    swap and its inverse (a bijection check): what lemma 2 and the worlds share."""
+    sectors = tuple(locate_eigenvalue(model, value) for value in (eigenvalue_from, eigenvalue_to))
+    perm = scaling_permutation(model)
+    return sectors, model.spectrum(), perm, permutation_inverse(perm, model.dim)
 
 
 def certify_lemma2(
@@ -336,13 +346,15 @@ def certify_lemma2(
     eigenvalue_to: float,
     tol: float = 1e-10,
     sample_times: tuple = (0.0, 0.5, 1.0),
+    ladder: tuple = None,
 ) -> SwapCertificate:
     """Certify the scaling swap: exact commutation with the diagonal Hamiltonian
     and intertwining with its evolution at ``sample_times``, and mapping of the
     eigenvalue_from branch family onto the eigenvalue_to family, for every
-    degeneracy label (index-level and by the norm each sector keeps)."""
-    sign_from, m_from = locate_eigenvalue(model, eigenvalue_from)
-    sign_to, m_to = locate_eigenvalue(model, eigenvalue_to)
+    degeneracy label (index-level and by the norm each sector keeps). A run
+    passes the ``scaling_ladder`` its worlds share."""
+    ladder = ladder or scaling_ladder(model, eigenvalue_from, eigenvalue_to)
+    ((sign_from, m_from), (sign_to, m_to)), spectrum, perm, inverse = ladder
 
     if eigenvalue_from == eigenvalue_to:
         return SwapCertificate(
@@ -361,27 +373,17 @@ def certify_lemma2(
             f"outcome ratio {requested_ratio} does not match the model ratio {model.ratio}"
         )
 
-    perm = scaling_permutation(model)
-    inverse = permutation_inverse(perm, model.dim)  # raises unless a bijection
-
     index = model.basis_indices()
     # index[sign_to, m_to, label, sign_p, k - 1], for every label, sign_p and k
     targets = np.roll(index[sign_to, m_to], 1, axis=-1)
     mapping_exact = np.array_equal(perm[index[sign_from, m_from]], targets)
     # the norm each swapped source sector keeps inside its target sector
     sector_deficits = [
-        abs(1.0 - np.linalg.norm(model.sector_state(sign_from, m_from, label)[inverse][sector]))
+        abs(1.0 - np.linalg.norm(model.sector_state(sign_from, m_from, label)[inverse[sector]]))
         for label, sector in enumerate(index[sign_to, m_to].reshape(model.degeneracy, -1))
     ]
     swap_residual = float(np.max([0.0 if mapping_exact else 1.0, *sector_deficits]))
     return _spectral_certificate(
-        "scaling",
-        model.diagonal_weights(),
-        perm,
-        sample_times,
-        model.hbar,
-        swap_residual,
-        None,
-        tol,
+        "scaling", spectrum, perm, sample_times, model.hbar, swap_residual, None, tol,
         NORMALIZATION_NOTE,
     )

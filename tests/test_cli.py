@@ -25,6 +25,11 @@ from swaplab.linalg import ComplexVector
 #: every ladder weight is a normal float, but g * ratio^-1 = 1.87e300 squared is not
 OVERFLOWING_LADDER = {"ratio_exponent_range": 1, "lambda1": -1.0, "lambda2": -1e-300, "g": 1.87}
 
+#: ladders whose rungs lie closer together than the 1e-9 relative reach of
+#: ``locate_eigenvalue``, and (the second) closer than tol
+CLOSE_RUNGS = {"lambda1": 1.0, "lambda2": 1.0000000005, "ratio_exponent_range": 1}
+TWIN_RUNGS = {"lambda1": 1.9999999999999998, "lambda2": 2.0, "ratio_exponent_range": 2}
+
 
 def write_config(tmp_path, payload, name="config.json"):
     path = tmp_path / name
@@ -248,6 +253,25 @@ class TestCliCommands:
     def test_guard_violations_exit_2(self, tmp_path, capsys, payload, flags):
         assert main(["run", write_config(tmp_path, payload), *flags]) == 2
         assert capsys.readouterr().err.startswith("config error: ")
+
+    @pytest.mark.parametrize("command", [("run",), ("certify", "lemma2")])
+    def test_rungs_closer_than_the_locate_reach_pass(self, tmp_path, capsys, command):
+        # the rungs 0.9999999995, 1 and 1.0000000005 all lie within 1e-9 of 1.0;
+        # each outcome sits on its own nearest rung, so both commands pass
+        payload = {**CLOSE_RUNGS, "scenario": "classical-level"}
+        assert main([*command, write_config(tmp_path, payload)]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_rungs_closer_than_tol_fail_only_distinctness(self, tmp_path, capsys):
+        # outcomes 2e-16 apart on neighbouring rungs: the swap carries one onto
+        # the other exactly, but no reference gap can exceed tol
+        payload = {**TWIN_RUNGS, "scenario": "classical-level"}
+        assert main(["run", write_config(tmp_path, payload)]) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            "pair-certificate outcome 2 vs outcome 2 distinct false: "
+            "no reference gap exceeds tol 1e-10"
+        ]
+        assert main(["certify", "lemma2", write_config(tmp_path, payload)]) == 0
 
     @pytest.mark.parametrize(
         "command, scenario",

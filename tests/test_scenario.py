@@ -10,7 +10,7 @@ from functools import reduce
 import numpy as np
 import pytest
 
-from swaplab import scenario
+from swaplab import scenario, symmetry
 from swaplab.cli import main
 from swaplab.config import ConfigError, RunConfig, parse_config
 from swaplab.isomorphism import distinctness_witness
@@ -449,12 +449,14 @@ class TestClassicalLevel:
     def test_second_world_holds_lambda2(self, monkeypatch):
         # a shift of two exponents, (m, k) -> (m+2, k-2), is a bijection that
         # commutes with H, but it carries the lambda1 world onto outcome
-        # lambda1 * ratio^2 = 4, not onto the lambda2 = 2 world the report names
+        # lambda1 * ratio^2 = 4, not onto the lambda2 = 2 world the report names;
+        # the worlds and lemma 2 share the one swap, so both catch it
         def double_shift(model):
             return np.roll(model.basis_indices(), (-2, 2), axis=(1, 4)).reshape(-1)
 
-        monkeypatch.setattr(scenario, "scaling_permutation", double_shift)
+        monkeypatch.setattr(symmetry, "scaling_permutation", double_shift)
         report = run_classical_level(RunConfig(scenario="classical-level"))
+        assert report.swap_certificates[0].swap_residual == 1.0
         witnesses = {w.observable: w for w in report.pairs[0].witnesses}
         assert witnesses["system_observable"].expectation_b == pytest.approx(2.0, abs=1e-12)
         iso = report.isomorphism_reports[0]

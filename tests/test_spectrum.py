@@ -118,6 +118,28 @@ class TestSpectrumConstructors:
             Spectrum(np.zeros(n_weights), dft_size)
         assert Spectrum(np.zeros(3 * n_weights), 3).dft_size == 3
 
+    def test_level_table_evolves_as_its_weights(self):
+        levels, index = np.array([-2.0, 0.5, -0.0]), np.array([1, 0, 2, 2, 0])
+        leveled = Spectrum.on_levels(levels, index)
+        assert np.array_equal(leveled.weights, levels[index])
+        assert leveled.dft_size == 1 and Spectrum(np.ones(5)).level_index is None
+        state = random_state(5)
+        got = leveled.evolve(state, 0.4, 1.3)
+        assert got.tobytes() == Spectrum(levels[index]).evolve(state, 0.4, 1.3).tobytes()
+
+    @pytest.mark.parametrize(
+        "levels, index, error",
+        [
+            (np.ones(2), np.array([0, -1]), DimensionError),
+            (np.ones(2), np.array([0.0, 1.0]), DimensionError),
+            (np.ones(2), np.array([[0, 1]]), DimensionError),
+            (np.array([1 + 1e-3j, 2]), np.array([0, 1]), KindError),
+        ],
+    )
+    def test_level_table_rejects_bad_tables(self, levels, index, error):
+        with pytest.raises(error):
+            Spectrum.on_levels(levels, index)
+
 
 def per_time_evolution(spectrum, amplitudes, t, hbar):
     """W^dag exp(-i w t / hbar) W applied for one time, as a call per time does."""
@@ -341,6 +363,34 @@ def test_fft_calls_per_job(tmp_path, monkeypatch, words, extra, config, calls):
         )
     assert main([*words, str(path), *extra]) == 0
     assert len(counted) == calls
+
+
+@pytest.mark.parametrize(
+    "words, config, elements",
+    [
+        # a pointer run exponentiates its M = 8 weights (dim 34) at the 5 sample
+        # times for the evolution and again for lemma 1's certificate
+        (["run"], {"scenario": "prince-pauper"}, 340),
+        (["run"], {"scenario": "multiworld", "k": 3}, 340),
+        (["certify", "lemma1"], {}, 204),
+        (["export-distribution", "--time", "0.37"], {}, 34),
+        # the ladder at r = 5 has 968 weights on 22 levels: one exponential per
+        # level at each of 5 times for each of 2 starts and the certificate
+        (["run"], {"scenario": "classical-level", "ratio_exponent_range": 5}, 330),
+        (["certify", "lemma2"], {"scenario": "classical-level", "ratio_exponent_range": 5}, 110),
+    ],
+)
+def test_complex_exp_elements_per_job(tmp_path, monkeypatch, words, config, elements):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    counted = []
+    exp = np.exp
+    monkeypatch.setattr(
+        np, "exp", lambda x, *a, **k: counted.append(np.size(x) * np.iscomplexobj(x)) or exp(x, *a, **k)
+    )
+    split = 2 if words[0] == "certify" else 1
+    assert main([*words[:split], str(path), *words[split:]]) == 0
+    assert sum(counted) == elements
 
 
 @pytest.mark.parametrize("k", [2, 3])

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -253,13 +255,24 @@ class TestCertifyLemma1:
         residual = certify_lemma1(setup, swap=corrupted).swap_residual
         assert abs(residual - circulant_swap_residual(setup, corrupted)) <= 1e-15
 
-    def test_nan_intertwining_residual_fails(self):
+    @staticmethod
+    def overflowing_certificate(spectrum):
         # the phase 1e300 * 1e10 overflows at the second sample time only
-        weights = np.array([1e300, 1e300, 1.0, 1.0])
         with np.errstate(over="ignore", invalid="ignore"):
-            certificate = symmetry._spectral_certificate(
-                "custom", weights, np.array([1, 0, 3, 2]), (0.0, 1e10), 1.0, 0.0, None, 1e-10
+            return symmetry._spectral_certificate(
+                "custom", spectrum, np.array([1, 0, 3, 2]), (0.0, 1e10), 1.0, 0.0, None, 1e-10
             )
+
+    def test_nan_intertwining_residual_fails(self):
+        certificate = self.overflowing_certificate(Spectrum(np.array([1e300, 1e300, 1.0, 1.0])))
+        assert certificate.commutator_residual == 0.0
+        assert np.isnan(certificate.intertwining_residual)
+        assert not certificate.passed
+
+    def test_nan_intertwining_residual_fails_on_levels(self):
+        # the same weights on a level table, whose level 1e300 overflows alike
+        spectrum = Spectrum.on_levels(np.array([1e300, 1.0]), np.array([0, 0, 1, 1]))
+        certificate = self.overflowing_certificate(spectrum)
         assert certificate.commutator_residual == 0.0
         assert np.isnan(certificate.intertwining_residual)
         assert not certificate.passed
@@ -296,7 +309,7 @@ class TestGeometricDiagonalModel:
 
     def test_eigenvalue_set(self):
         model = diagonal_model(ratio=3.0, span=1)
-        values = sorted(model.a_eigenvalues())
+        values = sorted(model.a_eigenvalues)
         assert values == sorted([s * 3.0**m for s in (1, -1) for m in (-1, 0, 1)])
 
     def test_invalid_ratio_rejected(self):
@@ -370,6 +383,22 @@ class TestCertifyLemma2:
         with pytest.raises(ValueError, match="ratio"):
             certify_lemma2(diagonal_model(ratio=2.0), 1.0, 8.0)
 
+    @pytest.mark.parametrize(
+        "lambda1, lambda2, span, sectors",
+        [
+            # rungs 0.9999999995, 1 and 1.0000000005: all within 1e-9 of 1.0
+            (1.0, 1.0000000005, 1, ((0, 1), (0, 2))),
+            # rungs 2e-16 apart: all five within 1e-9 of either outcome
+            (1.9999999999999998, 2.0, 2, ((0, 2), (0, 3))),
+        ],
+    )
+    def test_outcomes_sit_on_their_nearest_rungs(self, lambda1, lambda2, span, sectors):
+        model = GeometricDiagonalModel(lambda2 / lambda1, -span, span, base_eigenvalue=lambda1)
+        assert (locate_eigenvalue(model, lambda1), locate_eigenvalue(model, lambda2)) == sectors
+        certificate = certify_lemma2(model, lambda1, lambda2)
+        assert certificate.swap_residual == 0.0
+        assert certificate.passed
+
     def test_unknown_eigenvalue_rejected(self):
         with pytest.raises(ValueError, match="eigenvalue"):
             certify_lemma2(diagonal_model(ratio=2.0, span=1), 0.7, 1.4)
@@ -429,7 +458,7 @@ def scaling_permutation_loops(model):
 
 def diagonal_weights_loops(model):
     length = model.cycle_length
-    powers = model.powers()
+    powers = model.powers
     scale = model.coupling * model.base_eigenvalue
     weights = np.empty(model.dim)
     for sign_sys, sig_s in enumerate((1.0, -1.0)):
@@ -489,6 +518,30 @@ class TestLoopOracles:
                 for label in range(model.degeneracy):
                     expected = sector_state_loops(model, sign, m, label)
                     assert np.array_equal(model.sector_state(sign, m, label), expected)
+
+
+class TestLevelTable:
+    @pytest.mark.parametrize("span", [1, 2, 5, 12])
+    def test_weights_and_phases_bitwise(self, span):
+        # the level table against the loop oracle's weights, values and sign
+        # bits (g = 0 gives -0.0 where the two signs agree), and the gathered
+        # phases against exponentiating every weight
+        times = (0.0, 0.3, 1.0, 2.5, 17.0)
+        for ratio, coupling, degeneracy, hbar in itertools.product(
+            (2.0, 1.01, 7.0, 0.5, 1.0), (1.0, 0.0, 0.3, 1e-300), (1, 2), (1.0, 0.7)
+        ):
+            model = GeometricDiagonalModel(
+                ratio, -span, span, coupling=coupling, degeneracy=degeneracy, hbar=hbar
+            )
+            spectrum = model.spectrum()
+            assert spectrum.levels.size == 2 * model.cycle_length
+            oracle = diagonal_weights_loops(model)
+            assert np.array_equal(spectrum.weights, oracle)
+            assert np.array_equal(np.signbit(spectrum.weights), np.signbit(oracle))
+            assert np.array_equal(model.diagonal_weights(), oracle)
+            for t in times:
+                direct = np.exp(-1j * oracle * t / hbar)
+                assert spectrum.phases(t, hbar).tobytes() == direct.tobytes()
 
 
 def dense_lemma1(setup, perm):
