@@ -20,7 +20,9 @@ runs whose evolution takes several batches or evolves T apart from sample
 times that stop short of it, lemma 1 among them, alone and in a run,
 multiworld's one-factor case off the grid both ways and at ``--tol 1e-30``,
 ladders whose rungs lie within the eigenvalue lookup's reach of each other,
-and the ladder at range 12.
+and the ladder at range 12, where its one evolution of both starts takes two
+batches: with one start serving both worlds, with sample times that stop
+short of T, and both at ``--tol 1e-30``.
 """
 
 import contextlib
@@ -133,6 +135,15 @@ def jobs() -> list:
     ):
         listed += [(("run",), {**LADDER, **close}), (("certify", "lemma2"), {**LADDER, **close})]
     listed.append((("run",), {**LADDER, "ratio_exponent_range": 12, "lambda2": 1.01}))
+    # 5000 amplitudes: three times per transform call, so T lands in a batch
+    # of its own or shares one, and at lambda1 = lambda2 one start is both worlds
+    wide = {**LADDER, "ratio_exponent_range": 12}
+    shared = {"lambda1": 2.0, "lambda2": 2.0}
+    listed += [
+        (("run",), {**wide, **shared}),
+        (("run",), {**wide, "lambda2": 1.01, **times}),
+        (("run", *tight), {**wide, **shared, **times}),
+    ]
     return listed
 
 

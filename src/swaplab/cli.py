@@ -29,13 +29,14 @@ from .measurement import evolve, ready_state, system_basis_state
 from .reporting import emit_distribution_csv, emit_report, failed_checks
 from .scenario import (
     ScenarioReport,
-    build_diagonal_model,
+    ladder_factor,
+    qubit_factor,
     qubit_setup,
     run_classical_level,
     run_multiworld,
     run_prince_pauper,
 )
-from .symmetry import certify_lemma1, certify_lemma2
+from .symmetry import certify_lemma1
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -107,15 +108,10 @@ def _dispatch_run(config: RunConfig) -> ScenarioReport:
     if kind == "classical-level":
         return run_classical_level(config)
     if kind == "certify-lemma1":
-        certificate = certify_lemma1(qubit_setup(config), tol=config.tol)
+        factor = qubit_factor(config)
+        certificate = certify_lemma1(factor.setup, tol=config.tol, factor=factor)
     else:
-        certificate = certify_lemma2(
-            build_diagonal_model(config),
-            config.lambda1,
-            config.lambda2,
-            tol=config.tol,
-            sample_times=config.sample_times,
-        )
+        certificate = ladder_factor(config).certificate
     # a lone certificate is a report without worlds, isomorphisms or pairs
     return ScenarioReport(
         world_labels=(),

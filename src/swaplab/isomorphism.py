@@ -8,15 +8,13 @@ The swaps checked here are basis permutations, given as index arrays (perm[j]
 is the image of basis ket j): S is applied by gather, S v = v[inverse], and an
 index array that is not a bijection is rejected as not unitary.
 
-``check_isomorphism`` compares two triples. A triple's Hamiltonian is a
-``Spectrum`` H = W^dag diag(w) W, or a dense operator kept for the oracles.
-When both triples share the basis map W and W carries S onto the same index
-array, S H_a S^dag - H_b = W^dag diag(w_a[inverse] - w_b) W, so the
-Hamiltonian residual is |w_a[inverse] - w_b| at O(dim). A dense Hamiltonian
-is evolved through its own dense exponential and conjugated by gather,
-S H S^dag = H[inverse][:, inverse]. The runs build no triple: their world
-engine (``scenario``) reads the same state residual and report rule off
-one evolution of its worlds.
+``check_isomorphism`` compares two triples, the dense check of acceptance
+criterion 3: a triple's Hamiltonian is a dense operator, evolved through its
+own dense exponential and conjugated by gather, S H S^dag =
+H[inverse][:, inverse]. The runs build no triple: their world engine
+(``scenario``) reads the same state residual and report rule off one
+spectral evolution of its worlds, and the Hamiltonian residual off the
+weights, |w[inverse] - w|.
 
 Distinctness is operationalized against fixed, named reference observables,
 each given as its real diagonal in the working basis: two states describe
@@ -40,7 +38,6 @@ from .linalg import (
     DenseOperator,
     DimensionError,
     KindError,
-    Spectrum,
     frobenius_norm,
     hermitian_exponential,
     permutation_inverse,
@@ -51,21 +48,20 @@ from .linalg import (
 class EvolutionTriple:
     """Hamiltonian + unit initial state + sampled times, with hbar.
 
-    The Hamiltonian is a ``Spectrum``, through which states are evolved, or a
-    hermitian-tagged ``DenseOperator`` for the dense oracles, evolved through
-    ``hermitian_exponential``. Either way a triple evolves under the operator
-    it reports.
+    The Hamiltonian is a hermitian-tagged ``DenseOperator``, through whose
+    ``hermitian_exponential`` states are evolved, so a triple evolves under
+    the operator it reports.
     """
 
-    hamiltonian: Spectrum | DenseOperator
+    hamiltonian: DenseOperator
     initial_state: ComplexVector
     sample_times: tuple
     hbar: float = 1.0
 
     def __post_init__(self):
         object.__setattr__(self, "sample_times", tuple(float(t) for t in self.sample_times))
-        if not isinstance(self.hamiltonian, Spectrum) and self.hamiltonian.kind != HERMITIAN:
-            raise KindError("the triple's Hamiltonian must be hermitian-tagged")
+        if not (isinstance(self.hamiltonian, DenseOperator) and self.hamiltonian.kind == HERMITIAN):
+            raise KindError("the triple's Hamiltonian must be a hermitian-tagged DenseOperator")
         if self.hamiltonian.dim != self.initial_state.dim:
             raise DimensionError(
                 f"Hamiltonian dim {self.hamiltonian.dim} != state dim {self.initial_state.dim}"
@@ -85,23 +81,10 @@ class EvolutionTriple:
     def dim(self) -> int:
         return self.hamiltonian.dim
 
-    def evolutions(self, times):
-        """Amplitudes of exp(-i H t / hbar) |initial> at the given times,
-        yielded one at a time: a spectrum evolves them in batches
-        (``Spectrum.evolutions``), a dense H one exponential per time."""
-        initial = self.initial_state.amplitudes
-        if isinstance(self.hamiltonian, Spectrum):
-            yield from self.hamiltonian.evolutions(initial, times, self.hbar)
-        else:
-            for t in times:
-                yield hermitian_exponential(self.hamiltonian, t / self.hbar).entries @ initial
-
     def states_at(self, times) -> list:
         """Evolved states exp(-i H t / hbar) |initial> at the given times."""
-        return [ComplexVector(amplitudes) for amplitudes in self.evolutions(times)]
-
-    def states(self) -> list:
-        return self.states_at(self.sample_times)
+        hamiltonian, start = self.hamiltonian, self.initial_state
+        return [hermitian_exponential(hamiltonian, t / self.hbar) @ start for t in times]
 
 
 @dataclass(frozen=True)
@@ -119,7 +102,7 @@ class Witness:
 class IsomorphismReport:
     sample_times: tuple
     state_residuals: tuple
-    hamiltonian_residual: float | None
+    hamiltonian_residual: float
     tolerance: float
     passed: bool
 
@@ -127,24 +110,8 @@ class IsomorphismReport:
     def judged(cls, times, residuals, hamiltonian_residual, tolerance) -> IsomorphismReport:
         """The report of these residuals, passing when each is within tolerance:
         one comparison per residual, as max() would drop a NaN that is not first."""
-        passed = (
-            all(r <= tolerance for r in residuals)
-            and hamiltonian_residual is not None
-            and hamiltonian_residual <= tolerance
-        )
+        passed = all(r <= tolerance for r in residuals) and hamiltonian_residual <= tolerance
         return cls(tuple(times), tuple(residuals), hamiltonian_residual, tolerance, passed)
-
-
-def _hamiltonian_residual(a, b, swap: np.ndarray, inverse: np.ndarray) -> float | None:
-    """|S H_a S^dag - H_b|_F, or None when neither form below applies."""
-    if isinstance(a, DenseOperator) and isinstance(b, DenseOperator):
-        return frobenius_norm(a.entries[np.ix_(inverse, inverse)] - b.entries)
-    shared_basis = (
-        isinstance(a, Spectrum) and isinstance(b, Spectrum) and a.dft_size == b.dft_size
-    )
-    if shared_basis and a.carried_factor(swap) is not None:
-        return frobenius_norm(a.weights[inverse] - b.weights)
-    return None
 
 
 def _phase_minimized_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -169,22 +136,19 @@ def check_isomorphism(
     phase_insensitive: bool = False,
 ) -> IsomorphismReport:
     """Residuals of S|psi(t)> = |phi(t)> and S H S^-1 = H' at the sampled times,
-    for the swap S given as an index array; a non-bijection raises KindError.
-    The Hamiltonian residual is None, and the check fails, when the two
-    Hamiltonians are spectra whose shared basis map does not carry S, or are
-    of different kinds."""
+    for the swap S given as an index array; a non-bijection raises KindError."""
     if triple_a.dim != triple_b.dim:
         raise DimensionError(f"triple dims differ: {triple_a.dim} vs {triple_b.dim}")
     times = triple_a.sample_times
     if triple_b.sample_times != times:
         raise ValueError("the two triples must share their sample times")
     inverse = permutation_inverse(swap, triple_a.dim)
-    # one pair of states at a time, so memory does not grow with the sample count
     residuals = [
-        _state_residual(a[inverse], b, phase_insensitive)
-        for a, b in zip(triple_a.evolutions(times), triple_b.evolutions(times))
+        _state_residual(a.amplitudes[inverse], b.amplitudes, phase_insensitive)
+        for a, b in zip(triple_a.states_at(times), triple_b.states_at(times))
     ]
-    residual = _hamiltonian_residual(triple_a.hamiltonian, triple_b.hamiltonian, swap, inverse)
+    h_a, h_b = triple_a.hamiltonian.entries, triple_b.hamiltonian.entries
+    residual = frobenius_norm(h_a[np.ix_(inverse, inverse)] - h_b)
     return IsomorphismReport.judged(times, residuals, residual, tolerance)
 
 

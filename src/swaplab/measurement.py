@@ -15,6 +15,8 @@ Conventions:
     momentum basis, so evolving is an FFT along the pointer axis, a phase and
     an inverse FFT. The dense ``interaction_hamiltonian`` is an oracle; no
     certificate builds it
+  * a ``Factor`` is a measured factor as data, the pointer's or the ladder's;
+    ``evolved_ready`` evolves its worlds once
 """
 
 from __future__ import annotations
@@ -202,17 +204,64 @@ def pointer_spectrum(setup: MeasurementSetup) -> Spectrum:
     return Spectrum(weights.reshape(-1), setup.grid.n_points)
 
 
-def evolved_ready(setup: MeasurementSetup, spectrum: Spectrum, times):
-    """Row s: U(t) ready(s) per system ket s at each of ``times``, from one
-    evolution of the summed unit ready kets. H never mixes system blocks and
-    a zero row stays zero through FFT, phase and inverse FFT, so each row,
-    full length kept, is bitwise the evolution of its own ket."""
-    dim = setup.observable.system_dim
-    starts = (ready_state(setup, basis_vector(dim, s)).require_unit() for s in range(dim))
-    for state in spectrum.evolutions(sum(v.amplitudes for v in starts), times, setup.grid.hbar):
-        rows = np.zeros((dim, dim, setup.grid.n_points), dtype=complex)
-        rows[np.arange(dim), np.arange(dim)] = state.reshape(dim, -1)
-        yield rows.reshape(dim, -1)
+#: the factor a reference observable's local diagonal acts on
+SYSTEM, POINTER = "system", "pointer"
+
+
+@dataclass(frozen=True, eq=False)
+class Factor:
+    """One measured factor as data: H as ``spectrum``, and the swap S as the
+    index array ``swap`` with S v = v[inverse]. The basis is (system ket,
+    pointer) in C order, ``block`` pointer amplitudes per system ket. World w
+    starts in e_{starts[w]} (x) ``ready``, labelled ``outcomes[w]``; a run
+    needs the two distinct when ``distinct_required``. ``frame`` holds the
+    reference observables as (name, local diagonal, SYSTEM or POINTER). Only
+    the pointer has a ``setup``, for branch readouts and lemma 1 on the rows
+    at T; only the ladder has a ``certificate``, lemma 2's, which reads no state."""
+
+    spectrum: Spectrum
+    swap: np.ndarray
+    inverse: np.ndarray
+    block: int
+    ready: np.ndarray
+    starts: tuple
+    outcomes: tuple
+    distinct_required: bool
+    frame: tuple
+    hbar: float
+    setup: MeasurementSetup | None = None
+    certificate: object = None
+
+    def ready_sum(self, kets) -> np.ndarray:
+        """The sum of e_s (x) ready over the distinct kets s, one row per system ket."""
+        state = np.zeros((self.spectrum.dim // self.block, self.block), dtype=complex)
+        state[list(kets)] = self.ready
+        return state
+
+    def reference_frame(self) -> tuple:
+        """(name, diagonal on the factor's basis) per reference observable:
+        a system diagonal repeated over each block, a pointer one tiled."""
+        blocks = self.spectrum.dim // self.block
+        return tuple(
+            (name, np.repeat(values, self.block) if axis == SYSTEM else np.tile(values, blocks))
+            for name, values, axis in self.frame
+        )
+
+
+def evolved_ready(factor: Factor, times, kets=None):
+    """Row i: U(t) (e_s (x) ready) for s = kets[i] (the world starts by
+    default) at each of ``times``, from one evolution of ``ready_sum(kets)``.
+    H never mixes system blocks and a zero block stays zero through FFT,
+    phase and inverse FFT, so each row, full length kept, is the evolution
+    of its own ket: bitwise on its block, and +0.0 off it."""
+    kets = factor.starts if kets is None else tuple(kets)
+    start = factor.ready_sum(kets)
+    for state in factor.spectrum.evolutions(start.reshape(-1), times, factor.hbar):
+        blocks = state.reshape(start.shape)
+        rows = np.zeros((len(kets), *start.shape), dtype=complex)
+        for row, ket in zip(rows, kets):
+            row[ket] = blocks[ket]
+        yield rows.reshape(len(kets), -1)
 
 
 def translation_map(grid: PointerGrid, steps: int) -> DenseOperator:

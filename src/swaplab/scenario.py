@@ -12,14 +12,18 @@ Three runs are provided:
   continuous-spectrum surrogate (geometric diagonal ladder) connected by an
   exactly H-preserving scaling swap.
 
-One world engine (``_worlds``) builds every report: the 2^k worlds of k
-identical factors, each ending in one of two outcome states. Prince-pauper is
+One world engine (``_worlds(config, factor, k)``) builds every report: the
+2^k worlds of k copies of one ``Factor`` record (``qubit_factor`` or
+``ladder_factor``): spectrum, swap and inverse, pointer ``block`` size and
+``ready`` amplitudes (the zeta = 0 ket; 1/sqrt(2L) everywhere on the
+ladder), the system kets that ``starts`` the two worlds, their ``outcomes``,
+``distinct_required``, and the ``frame`` as local diagonals. Prince-pauper is
 multiworld's k = 1 case, and classical-level runs the engine at k = 1 on the
-ladder. Each pointer run evolves its summed ready kets once
-(``evolved_ready``): the blocks are both qubit worlds, and at T lemma 1's
-swap residual. The ready state is the calibrated pointer zeta = 0 basis state
-per factor; every Hamiltonian is a ``Spectrum``, and no run builds a dim x dim
-operator or a product-space state. At k >= 2 the pair residuals come from
+ladder. Every run evolves the sum of its start kets once (``evolved_ready``),
+rows split per system block: both worlds, and for the qubit at T lemma 1's
+swap residual; a classical-level run at r = 5 exponentiates 22 levels at 5
+times for it and 5 more for lemma 2, 220 elements. Every Hamiltonian is a ``Spectrum``, and no run builds a
+dim x dim operator or a product-space state. At k >= 2 the pair residuals come from
 one stacked pass over each sample time's per-factor inner products
 (``_pair_residuals``), the Hamiltonian-conjugation residuals from the exact
 per-factor Frobenius factorization (each factor deviation is traceless), and
@@ -31,7 +35,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -40,20 +44,19 @@ from .isomorphism import IsomorphismReport, Witness, distinctness_witness, is_di
 from .isomorphism import _state_residual
 from .linalg import ComplexVector, frobenius_norm
 from .measurement import (
+    Factor,
     MeasurementSetup,
     ObservableSpec,
     evolved_ready,
     make_pointer_grid,
     readout,
-    ready_state,
-    system_basis_state,
 )
 from .symmetry import (
     GeometricDiagonalModel,
     certify_lemma1,
     certify_lemma2,
-    scaling_ladder,
-    sign_flip,
+    scaling_factor,
+    sign_flip_factor,
 )
 
 if TYPE_CHECKING:  # config imports this module, so the type is named in annotations only
@@ -99,14 +102,6 @@ class ScenarioReport:
 def qubit_setup(config: RunConfig) -> MeasurementSetup:
     grid = make_pointer_grid(config.M, config.delta, config.hbar)
     return MeasurementSetup(ObservableSpec(QUBIT_EIGENVALUES), grid, config.g, config.T)
-
-
-def reference_observables(setup: MeasurementSetup) -> tuple:
-    """The fixed observable frame that operationalizes physical distinctness,
-    as real diagonals on the (system x pointer) basis."""
-    pointer = np.tile(setup.grid.zeta, setup.observable.system_dim)
-    system = np.repeat(setup.observable.values(), setup.grid.n_points)
-    return (("pointer_position", pointer), ("system_observable", system))
 
 
 def _gram_row(states, inverse: np.ndarray) -> list:
@@ -158,27 +153,12 @@ def _pair_residuals(rows, k: int) -> np.ndarray:
     return np.sqrt(np.where(total > 0, total, np.where(np.isnan(total), np.nan, 0.0))).T
 
 
-def _worlds(
-    config: RunConfig,
-    k: int,
-    evolve,
-    inverse: np.ndarray,
-    weights: np.ndarray,
-    start_residual: float,
-    certify,
-    build_frame,
-    outcomes,
-    read,
-    distinct_required: bool = True,
-) -> ScenarioReport:
-    """The report of the 2^k worlds of k identical factors, each ending in one
-    of two outcome states. ``evolve(times)`` yields a factor's two states
-    (a, b) at each time; they are compared under the swap S a = a[inverse]
-    on the spectrum of ``weights``, and ``start_residual`` is |S a - b| at
-    t = 0. ``certify`` turns the states at T into the swap certificate;
-    ``build_frame()`` builds the reference observables once the evolution is
-    freed; ``outcomes`` labels the two states, and ``read`` turns a final
-    state into its tuple of readout tables.
+def _worlds(config: RunConfig, factor: Factor, k: int) -> ScenarioReport:
+    """The report of the 2^k worlds of k copies of ``factor``, each ending in
+    one of its two outcome states (a, b), compared under the swap
+    S a = a[inverse]. The certificate is the factor's own (the ladder's) or
+    lemma 1 on the rows at T; the frame is expanded once the evolution is
+    freed, and only a factor with a pointer setup has branch readouts.
 
     At k = 1 the pair's state residual is ``_state_residual`` (phase-minimized
     when the config asks), the isomorphism report is kept and witness names
@@ -188,13 +168,17 @@ def _worlds(
     tolerance = config.tol
     times = config.sample_times
     patterns, pair_worlds, factor_outcomes, differing, _ = _pair_plan(k)
-    labels = ["".join(outcomes[s] for s in pattern) for pattern in patterns]
+    labels = ["".join(factor.outcomes[s] for s in pattern) for pattern in patterns]
+    inverse, weights = factor.inverse, factor.spectrum.weights
     # |S H S^dag - H|_F on one factor: the spectrum's basis map carries the
     # swap (certify_lemma1 checks a pointer's; the ladder's is the identity)
     deviation = frobenius_norm(weights[inverse] - weights)
+    start_a, start_b = (factor.ready_sum([s]).reshape(-1) for s in factor.starts)
+    start_residual = float(np.linalg.norm(start_a[inverse] - start_b))
+    del start_a, start_b
 
     # T evolves in the same batch as the sample times, once when it is the last
-    stream = evolve(times if times[-1] == config.T else times + (config.T,))
+    stream = evolved_ready(factor, times if times[-1] == config.T else times + (config.T,))
     rows = []  # per time: the pair's residual at k = 1, else every pair's _gram_row
     for _ in times:
         states = None  # no earlier pair is held while the next one is evolved
@@ -208,11 +192,14 @@ def _worlds(
         states = None
         states = next(stream)
     del stream  # frees the spectral coefficients before the copies below
-    certificate = certify(states)
+    certificate = factor.certificate
+    if certificate is None:  # lemma 1 reads the rows at T
+        certificate = certify_lemma1(factor.setup, tol=tolerance, factor=factor, evolved=states)
     final_states = [ComplexVector(state) for state in states]
     del states
-    readout_tables = [read(state) for state in final_states]
-    frame = build_frame()
+    setup = factor.setup  # only a pointer has branch readouts
+    readout_tables = [() if setup is None else (readout(s, setup),) for s in final_states]
+    frame = factor.reference_frame()
     # one witness call per outcome pair serves every pair; factor f's part of
     # it holds the witnesses named for f, their gaps by name (the ladder's
     # frame lists its system observable first) and whether any is distinct
@@ -264,7 +251,7 @@ def _worlds(
         certificate.passed
         and start_residual <= tolerance
         and len(patterns) == 2**k
-        and all(p.isomorphic and (p.distinct or not distinct_required) for p in pairs)
+        and all(p.isomorphic and (p.distinct or not factor.distinct_required) for p in pairs)
     )
     return ScenarioReport(
         world_labels=tuple(labels),
@@ -285,32 +272,23 @@ def run_prince_pauper(config: RunConfig) -> ScenarioReport:
 def run_multiworld(config: RunConfig) -> ScenarioReport:
     """k independent simultaneous measurements: 2^k isomorphic, distinct worlds.
     One evolution of the summed ready kets serves every world and lemma 1."""
-    setup = qubit_setup(config)
-    flip = sign_flip(setup)
-    spectrum, _, inverse, _ = flip
-    plus, minus = (ready_state(setup, system_basis_state(setup.observable, s)) for s in (0, 1))
-    start_residual = float(np.linalg.norm(plus.amplitudes[inverse] - minus.amplitudes))
-    del plus, minus  # the evolution holds no ready ket
-    return _worlds(
-        config,
-        config.k,
-        lambda times: evolved_ready(setup, spectrum, times),
-        inverse,
-        spectrum.weights,
-        start_residual,
-        lambda states: certify_lemma1(setup, tol=config.tol, flip=flip, evolved=states),
-        lambda: reference_observables(setup),
-        "+-",
-        lambda state: (readout(state, setup),),
+    return _worlds(config, qubit_factor(config), config.k)
+
+
+def qubit_factor(config: RunConfig) -> Factor:
+    """The measured qubit: the pointer factor of ``qubit_setup`` under the parity swap."""
+    return sign_flip_factor(qubit_setup(config))
+
+
+def ladder_factor(config: RunConfig) -> Factor:
+    """The ladder factor of ``build_diagonal_model`` under the scaling swap,
+    with its lemma-2 certificate: it reads no state, so it is computed once."""
+    model = build_diagonal_model(config)
+    factor = scaling_factor(model, config.lambda1, config.lambda2)
+    certificate = certify_lemma2(
+        model, config.lambda1, config.lambda2, config.tol, config.sample_times, factor
     )
-
-
-def _model_observable(model: GeometricDiagonalModel) -> np.ndarray:
-    return model.spread(np.reshape(model.a_eigenvalues, (2, -1, 1, 1, 1)))
-
-
-def _model_momentum(model: GeometricDiagonalModel) -> np.ndarray:
-    return model.spread(np.reshape(np.outer([1.0, -1.0], model.powers), (1, 1, 1, 2, -1)))
+    return replace(factor, certificate=certificate)
 
 
 def build_diagonal_model(config: RunConfig) -> GeometricDiagonalModel:
@@ -328,27 +306,4 @@ def build_diagonal_model(config: RunConfig) -> GeometricDiagonalModel:
 
 def run_classical_level(config: RunConfig) -> ScenarioReport:
     """Two macroscopically different readings connected by an H-preserving swap."""
-    value_from, value_to = config.lambda1, config.lambda2
-    model = build_diagonal_model(config)
-    sectors, spectrum, _, inverse = ladder = scaling_ladder(model, value_from, value_to)
-    certificate = certify_lemma2(
-        model, value_from, value_to, config.tol, config.sample_times, ladder
-    )
-    starts = [model.sector_state(*sector, 0) for sector in sectors]
-    return _worlds(
-        config,
-        1,
-        # one evolution per start: at lambda1 = lambda2 the two are the same state
-        lambda times: zip(*(spectrum.evolutions(start, times, config.hbar) for start in starts)),
-        inverse,
-        spectrum.weights,
-        float(np.linalg.norm(starts[0][inverse] - starts[1])),
-        lambda states: certificate,
-        lambda: (
-            ("system_observable", _model_observable(model)),
-            ("pointer_momentum", _model_momentum(model)),
-        ),
-        (f"outcome {value_from:g}", f"outcome {value_to:g}"),
-        lambda state: (),
-        distinct_required=value_from != value_to,
-    )
+    return _worlds(config, ladder_factor(config), 1)

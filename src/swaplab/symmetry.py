@@ -13,7 +13,9 @@ dim x dim Hamiltonian or propagator is formed. One certificate function
 (``_spectral_certificate``) reads both residuals off the weights for both
 lemmas; each lemma adds its own swap residual, lemma 1 from the rows U(T)
 ready(s) of one evolution of the summed ready kets (``evolved_ready``), which
-a pointer run shares with its worlds. Two families are certified:
+a pointer run shares with its worlds. Each family's swap, spectrum and worlds
+form one ``Factor`` record (``sign_flip_factor``, ``scaling_factor``), which
+the lemma and the world engine share. Two families are certified:
 
 * the sign-flip swap (``parity_swap``): the basis permutation sending
   (lambda, a, zeta) to (-lambda, a, -zeta). It commutes with H = -g A x p_Z
@@ -46,6 +48,9 @@ import numpy as np
 
 from .linalg import Spectrum, _freeze, frobenius_norm, permutation_inverse
 from .measurement import (
+    POINTER,
+    SYSTEM,
+    Factor,
     MeasurementSetup,
     ObservableSpec,
     evolved_ready,
@@ -141,16 +146,16 @@ def corrupted_swap(setup: MeasurementSetup) -> np.ndarray:
     return perm
 
 
-def _cross_construction(spectrum: Spectrum, factor: np.ndarray) -> float:
+def _cross_construction(spectrum: Spectrum, tau: np.ndarray) -> float:
     """sqrt(system_dim) |(tau - W^dag tau W) P|_F for the swap sigma x tau, with
     tau applied in the momentum basis through the spectrum's own maps and P
     the pointer centre column and its two neighbours (all columns at N = 3).
     W^dag tau W = tau exactly (module docstring), so this reads the FFT maps'
     rounding at O(N log N); a miscentred map makes it O(1). Squares are
     summed down each column, as in the same sum over all N columns."""
-    n = factor.size
+    n = tau.size
     columns = np.eye(n, 3, 1 - n // 2, dtype=complex)
-    deviation = columns[factor] - spectrum.from_eigen(spectrum.to_eigen(columns)[factor])
+    deviation = columns[tau] - spectrum.from_eigen(spectrum.to_eigen(columns)[tau])
     squares = (deviation.real**2 + deviation.imag**2).sum(axis=0)
     return float(np.sqrt(spectrum.dim // n * squares.sum()))
 
@@ -162,18 +167,28 @@ NOT_CARRIED_NOTE = (
 )
 
 
-def sign_flip(setup: MeasurementSetup, swap: np.ndarray = None) -> tuple:
-    """The pointer spectrum, the index array of a sign-flip swap (the parity
-    swap by default), its inverse, which checks it is a bijection, and the
-    factor the basis map carries (None if none): what lemma 1 and the worlds share."""
+def sign_flip_factor(setup: MeasurementSetup, swap: np.ndarray = None) -> Factor:
+    """The pointer factor of ``setup`` under a sign-flip swap (the parity
+    swap by default): worlds + and - start in the kets of the first
+    eigenvalue and its negation with the pointer ready at zeta = 0."""
     perm = parity_swap(setup) if swap is None else np.asarray(swap)
     inverse = permutation_inverse(perm, setup.total_dim)  # raises unless a bijection
-    spectrum = pointer_spectrum(setup)
-    return spectrum, perm, inverse, spectrum.carried_factor(perm)
+    grid, observable = setup.grid, setup.observable
+    partner = int(observable.negation_index()[0])
+    frame = (
+        ("pointer_position", grid.zeta, POINTER),
+        ("system_observable", observable.values(), SYSTEM),
+    )
+    ready = np.eye(1, grid.n_points, grid.center_index).ravel()
+    starts = (observable.system_index(0), observable.system_index(partner))
+    return Factor(
+        pointer_spectrum(setup), perm, inverse, grid.n_points, ready, starts, "+-",
+        partner != 0, frame, grid.hbar, setup=setup,
+    )
 
 
 def certify_lemma1(
-    setup: MeasurementSetup, tol: float = 1e-10, swap: np.ndarray = None, flip=None, evolved=None
+    setup: MeasurementSetup, tol: float = 1e-10, swap: np.ndarray = None, factor=None, evolved=None
 ) -> SwapCertificate:
     """Certify a sign-flip swap given as an index array (the position-basis
     parity swap by default) on the pointer spectrum: unitarity, commutation
@@ -181,28 +196,29 @@ def certify_lemma1(
     weights, outcome inversion on evolved ready states in the position basis,
     and agreement with the momentum-basis construction. A swap that the
     spectrum's basis map does not carry fails, with those three fields None.
-    A run passes its worlds' ``sign_flip`` and rows U(T) ready(s) (``evolved``)."""
-    spectrum, perm, inverse, factor = sign_flip(setup, swap) if flip is None else flip
+    A run passes its worlds' ``Factor`` and their rows U(T) ready(s), one per
+    system ket (``evolved``)."""
+    factor = sign_flip_factor(setup, swap) if factor is None else factor
+    spectrum, inverse = factor.spectrum, factor.inverse
+    negation = _system_negation(setup.observable)
     if evolved is None:
-        evolved = next(evolved_ready(setup, spectrum, (setup.duration,)))
+        evolved = next(evolved_ready(factor, (setup.duration,), range(negation.size)))
     # |S U(T) ready(lambda, a) - U(T) ready(-lambda, a)| per branch, in the position basis
-    residuals = [
-        np.linalg.norm(evolved[s][inverse] - evolved[partner])
-        for s, partner in enumerate(_system_negation(setup.observable))
-    ]
+    residuals = [np.linalg.norm(evolved[s][inverse] - evolved[p]) for s, p in enumerate(negation)]
     swap_residual = float(np.max(residuals))  # max() would drop a NaN that is not first
     construction = "position-basis" if swap is None else "custom"
 
-    if factor is None:
+    carried = spectrum.carried_factor(factor.swap)
+    if carried is None:
         return SwapCertificate(construction, swap_residual, passed=False, note=NOT_CARRIED_NOTE)
     return _spectral_certificate(
         construction,
         spectrum,
-        perm,
+        factor.swap,
         [fraction * setup.duration for fraction in SAMPLE_FRACTIONS],
         setup.grid.hbar,
         swap_residual,
-        _cross_construction(spectrum, factor),
+        _cross_construction(spectrum, carried),
         tol,
     )
 
@@ -265,10 +281,6 @@ class GeometricDiagonalModel:
         """Every basis index, laid out over the axes."""
         return np.arange(self.dim).reshape(self.axes)
 
-    def spread(self, values) -> np.ndarray:
-        """Flat basis array of `values` broadcast over the axes."""
-        return np.broadcast_to(values, self.axes).flatten()
-
     def sector_state(self, sign_sys: int, m_index: int, label: int) -> np.ndarray:
         """Unit vector spread evenly over one (sign, exponent, label) sector."""
         state = np.zeros(self.axes, dtype=complex)
@@ -296,9 +308,10 @@ class GeometricDiagonalModel:
         exponents = np.arange(length)
         reduced = (self.exponent_min + exponents[:, None] + exponents[None, :]) % length
         flipped = np.array([[0, length], [length, 0]]).reshape(2, 1, 1, 2, 1)
+        index = flipped + reduced.reshape(1, length, 1, 1, length)
         return Spectrum.on_levels(
             np.concatenate((-scale * self.powers, scale * self.powers)),
-            self.spread(flipped + reduced.reshape(1, length, 1, 1, length)),
+            np.broadcast_to(index, self.axes).flatten(),
         )
 
     def diagonal_weights(self) -> np.ndarray:
@@ -332,12 +345,25 @@ def locate_eigenvalue(model: GeometricDiagonalModel, value: float) -> tuple:
     return divmod(index, model.cycle_length)
 
 
-def scaling_ladder(model: GeometricDiagonalModel, eigenvalue_from: float, eigenvalue_to: float):
-    """The outcomes' (sign, exponent) sectors, the model's spectrum, the scaling
-    swap and its inverse (a bijection check): what lemma 2 and the worlds share."""
-    sectors = tuple(locate_eigenvalue(model, value) for value in (eigenvalue_from, eigenvalue_to))
+def scaling_factor(model: GeometricDiagonalModel, value_from: float, value_to: float) -> Factor:
+    """The ladder as a factor under the scaling swap: system (sign_sys, m,
+    label), pointer (sign_p, k), and worlds starting in the outcomes' label-0
+    kets with the pointer spread evenly."""
+    values = (value_from, value_to)
+    sectors = [locate_eigenvalue(model, value) for value in values]
     perm = scaling_permutation(model)
-    return sectors, model.spectrum(), perm, permutation_inverse(perm, model.dim)
+    block = 2 * model.cycle_length
+    frame = (
+        ("system_observable", np.repeat(model.a_eigenvalues, model.degeneracy), SYSTEM),
+        ("pointer_momentum", np.outer([1.0, -1.0], model.powers).ravel(), POINTER),
+    )
+    ready = np.full(block, 1.0 / np.sqrt(block))
+    starts = tuple(model.degeneracy * (sign * model.cycle_length + m) for sign, m in sectors)
+    outcomes = tuple(f"outcome {value:g}" for value in values)
+    return Factor(
+        model.spectrum(), perm, permutation_inverse(perm, model.dim), block, ready, starts,
+        outcomes, value_from != value_to, frame, model.hbar,
+    )
 
 
 def certify_lemma2(
@@ -346,15 +372,18 @@ def certify_lemma2(
     eigenvalue_to: float,
     tol: float = 1e-10,
     sample_times: tuple = (0.0, 0.5, 1.0),
-    ladder: tuple = None,
+    factor: Factor = None,
 ) -> SwapCertificate:
     """Certify the scaling swap: exact commutation with the diagonal Hamiltonian
     and intertwining with its evolution at ``sample_times``, and mapping of the
     eigenvalue_from branch family onto the eigenvalue_to family, for every
     degeneracy label (index-level and by the norm each sector keeps). A run
-    passes the ``scaling_ladder`` its worlds share."""
-    ladder = ladder or scaling_ladder(model, eigenvalue_from, eigenvalue_to)
-    ((sign_from, m_from), (sign_to, m_to)), spectrum, perm, inverse = ladder
+    passes the ``scaling_factor`` its worlds share."""
+    factor = scaling_factor(model, eigenvalue_from, eigenvalue_to) if factor is None else factor
+    spectrum, perm, inverse = factor.spectrum, factor.swap, factor.inverse
+    (sign_from, m_from), (sign_to, m_to) = (
+        divmod(start // model.degeneracy, model.cycle_length) for start in factor.starts
+    )
 
     if eigenvalue_from == eigenvalue_to:
         return SwapCertificate(

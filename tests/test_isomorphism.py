@@ -15,7 +15,6 @@ from swaplab.linalg import (
     DenseOperator,
     DimensionError,
     KindError,
-    Spectrum,
     basis_vector,
     random_unitary,
 )
@@ -67,9 +66,16 @@ class TestEvolutionTriple:
             unitary = DenseOperator(np.eye(plus.dim), UNITARY)
             EvolutionTriple(unitary, plus.initial_state, SAMPLE_TIMES)
 
+    def test_requires_dense_hamiltonian(self, world_pair):
+        # the runs read their spectra off one evolution of their worlds; a
+        # triple is the dense oracle, so a spectrum is not its Hamiltonian
+        setup, plus, _ = world_pair
+        with pytest.raises(KindError, match="DenseOperator"):
+            EvolutionTriple(pointer_spectrum(setup), plus.initial_state, SAMPLE_TIMES)
+
     def test_states_are_normalized(self, world_pair):
         _, plus, _ = world_pair
-        for state in plus.states():
+        for state in plus.states_at(SAMPLE_TIMES):
             assert abs(state.norm() - 1.0) <= 1e-12
 
 
@@ -82,10 +88,10 @@ class TestCheckIsomorphism:
         assert report.hamiltonian_residual == 0.0
 
     def test_nan_state_residual_fails(self):
-        # the phase 1e300 * 1e10 overflows, so the state at the second time is
+        # the phase 1e150 * 1e200 overflows, so the state at the second time is
         # NaN; max() would drop it after the first residual
-        spectrum = Spectrum(np.array([1e300, 1e300, 1.0, 1.0]))
-        triple = EvolutionTriple(spectrum, ComplexVector(np.full(4, 0.5)), (0.0, 1e10))
+        hamiltonian = DenseOperator(np.diag([1e150, 1e150, 1.0, 1.0]), HERMITIAN)
+        triple = EvolutionTriple(hamiltonian, ComplexVector(np.full(4, 0.5)), (0.0, 1e200))
         with np.errstate(over="ignore", invalid="ignore"):
             report = check_isomorphism(np.array([1, 0, 3, 2]), triple, triple)
         assert report.state_residuals[0] == 0.0
@@ -188,56 +194,21 @@ class TestPhaseMinimizedDistance:
         assert _phase_minimized_distance(a, b) == np.sqrt(2.0)
 
 
-@pytest.fixture(scope="module")
-def spectral_pair(world_pair):
-    setup, plus, minus = world_pair
-    spectrum = pointer_spectrum(setup)
-    return (
-        setup,
-        EvolutionTriple(spectrum, plus.initial_state, SAMPLE_TIMES),
-        EvolutionTriple(spectrum, minus.initial_state, SAMPLE_TIMES),
-    )
-
-
 class TestSpectralHamiltonianResidual:
-    def test_parity_swap_is_exact(self, spectral_pair):
-        setup, plus, minus = spectral_pair
-        report = check_isomorphism(parity_swap(setup), plus, minus, tolerance=1e-10)
-        assert report.passed
-        assert report.hamiltonian_residual == 0.0
+    # a spectrum is the runs' Hamiltonian, whose residual the world engine
+    # reads off its weights; the dense checks refuse it before any residual
+    def test_mixed_kinds_fail_without_residual(self, world_pair):
+        setup, dense_plus, minus = world_pair
+        with pytest.raises(KindError, match="DenseOperator"):
+            spectral_minus = EvolutionTriple(pointer_spectrum(setup), minus.initial_state, SAMPLE_TIMES)
+            check_isomorphism(parity_swap(setup), dense_plus, spectral_minus)
 
-    def test_weights_of_two_hamiltonians(self, world_pair, spectral_pair):
-        # |S H_a S^dag - H_b|_F for two couplings of one grid, against the dense gather
-        setup, plus, _ = spectral_pair
-        other = MeasurementSetup(setup.observable, setup.grid, 0.6, setup.duration)
-        stronger = EvolutionTriple(pointer_spectrum(other), plus.initial_state, SAMPLE_TIMES)
-        swap = parity_swap(setup)
-        report = check_isomorphism(swap, plus, stronger)
-        inverse = np.argsort(swap)
-        a, b = interaction_hamiltonian(setup).entries, interaction_hamiltonian(other).entries
-        dense = np.linalg.norm(a[np.ix_(inverse, inverse)] - b)
-        assert report.hamiltonian_residual == pytest.approx(dense, rel=1e-12)
-        assert not report.passed
-
-    def test_uncarried_swap_fails_without_residual(self, spectral_pair):
-        _, plus, minus = spectral_pair
-        shuffle = np.random.default_rng(0).permutation(plus.dim)
-        report = check_isomorphism(shuffle, plus, minus)
-        assert report.hamiltonian_residual is None
-        assert not report.passed
-
-    def test_mixed_kinds_fail_without_residual(self, world_pair, spectral_pair):
-        setup, dense_plus, _ = world_pair
-        _, _, minus = spectral_pair
-        report = check_isomorphism(parity_swap(setup), dense_plus, minus)
-        assert report.hamiltonian_residual is None
-        assert not report.passed
-
-    def test_basis_transport_needs_dense_hamiltonians(self, spectral_pair):
-        setup, plus, minus = spectral_pair
+    def test_basis_transport_needs_dense_hamiltonian(self, world_pair):
+        setup, plus, minus = world_pair
         basis = [basis_vector(plus.dim, i) for i in range(plus.dim)]
-        with pytest.raises(KindError, match="dense"):
-            basis_transport_check(parity_swap(setup), basis, plus, minus, SAMPLE_TIMES)
+        with pytest.raises(KindError, match="DenseOperator"):
+            spectral_minus = EvolutionTriple(pointer_spectrum(setup), minus.initial_state, SAMPLE_TIMES)
+            basis_transport_check(parity_swap(setup), basis, plus, spectral_minus, SAMPLE_TIMES)
 
 
 class TestBasisTransport:
@@ -276,17 +247,16 @@ class TestDistinctness:
     def test_pointer_gap_between_worlds(self, world_pair):
         setup, plus, minus = world_pair
         pointer = np.tile(setup.grid.zeta, setup.observable.system_dim)
-        final_plus = plus.states()[-1]
-        final_minus = minus.states()[-1]
+        final_plus = plus.states_at(SAMPLE_TIMES)[-1]
+        final_minus = minus.states_at(SAMPLE_TIMES)[-1]
         witnesses = distinctness_witness(final_plus, final_minus, [("pointer", pointer)])
         assert witnesses[0].gap == pytest.approx(2.0, abs=1e-9)
         assert is_distinct(witnesses)
 
     def test_identity_observable_never_distinguishes(self, world_pair):
         _, plus, minus = world_pair
-        witnesses = distinctness_witness(
-            plus.states()[-1], minus.states()[-1], [("identity", np.ones(plus.dim))]
-        )
+        final_plus, final_minus = plus.states_at((1.0,))[0], minus.states_at((1.0,))[0]
+        witnesses = distinctness_witness(final_plus, final_minus, [("identity", np.ones(plus.dim))])
         assert witnesses[0].gap <= 1e-12
 
     def test_non_hermitian_observable_rejected(self, world_pair):

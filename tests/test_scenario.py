@@ -29,18 +29,17 @@ from swaplab.measurement import (
 )
 from swaplab.scenario import (
     _gram_row,
-    _model_momentum,
-    _model_observable,
     _pair_residuals,
     build_diagonal_model,
+    ladder_factor,
+    qubit_factor,
     qubit_setup,
-    reference_observables,
     run_classical_level,
     run_multiworld,
     run_prince_pauper,
 )
 from swaplab.reporting import emit_report, render_json
-from swaplab.symmetry import GeometricDiagonalModel, certify_lemma1, parity_swap
+from swaplab.symmetry import GeometricDiagonalModel, certify_lemma1, parity_swap, scaling_factor
 
 from test_linalg import permutation_matrix
 
@@ -115,11 +114,11 @@ def near_swapped_states(rng, dim, inverse, scale, times=3) -> list:
 
 
 def nan_evolved_ready(at: int):
-    """``evolved_ready`` with NaN put into row 0 (the + world) at time ``at``."""
+    """``evolved_ready`` with NaN put into row 0 (the first world) at time ``at``."""
     evolved_ready = scenario.evolved_ready
 
-    def evolved(setup, spectrum, times):
-        for n, states in enumerate(evolved_ready(setup, spectrum, times)):
+    def evolved(factor, times, kets=None):
+        for n, states in enumerate(evolved_ready(factor, times, kets)):
             if n == at:
                 states = states.copy()
                 states[0, 0] = np.nan
@@ -446,6 +445,22 @@ class TestClassicalLevel:
         with pytest.raises(ConfigError, match="nonzero"):
             RunConfig(scenario="classical-level", lambda1=0.0, lambda2=2.0)
 
+    def test_nan_world_row_exits_numerical(self, tmp_path, monkeypatch):
+        # the ladder's worlds come from the one evolution entry point, so a
+        # NaN in its first world's row at the second sample time fails the
+        # report and the CLI exits 4: a non-finite residual cannot be rendered
+        monkeypatch.setattr(scenario, "evolved_ready", nan_evolved_ready(1))
+        report = run_classical_level(RunConfig(scenario="classical-level"))
+        assert np.isnan(report.isomorphism_reports[0].state_residuals[1])
+        assert not report.pairs[0].isomorphic and not report.passed
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"scenario": "classical-level"}))
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            assert main(["run", str(path)]) == 4
+        assert "non-finite value nan" in stderr.getvalue()
+        assert stdout.getvalue() == ""
+
     def test_second_world_holds_lambda2(self, monkeypatch):
         # a shift of two exponents, (m, k) -> (m+2, k-2), is a bijection that
         # commutes with H, but it carries the lambda1 world onto outcome
@@ -517,8 +532,10 @@ def model_momentum_loops(model):
     ],
 )
 def test_model_observables_match_loop_oracles(model):
-    assert np.array_equal(_model_observable(model), model_observable_loops(model))
-    assert np.array_equal(_model_momentum(model), model_momentum_loops(model))
+    value = model.base_eigenvalue
+    (_, observable), (_, momentum) = scaling_factor(model, value, value).reference_frame()
+    assert np.array_equal(observable, model_observable_loops(model))
+    assert np.array_equal(momentum, model_momentum_loops(model))
 
 
 # Witness oracle: a reference observable is its real diagonal, and every
@@ -538,13 +555,14 @@ def assert_witnesses_match_dense(state_a, state_b, frame):
 
 @pytest.mark.parametrize("M", [1, 8, 50])
 def test_pointer_frame_witnesses_match_dense_oracle(M):
-    setup = qubit_setup(RunConfig(M=M, delta=2.0 / M**0.5, g=0.7, T=1.3, hbar=0.9))
-    spectrum = pointer_spectrum(setup)
+    factor = qubit_factor(RunConfig(M=M, delta=2.0 / M**0.5, g=0.7, T=1.3, hbar=0.9))
+    setup, spectrum = factor.setup, factor.spectrum
     # an unequal superposition, so both frames see nonzero expectations
     system = ComplexVector(np.array([0.6, 0.8j]))
     start = ready_state(setup, system).amplitudes
     plus = ready_state(setup, system_basis_state(setup.observable, 0)).amplitudes
-    frame = reference_observables(setup)
+    frame = factor.reference_frame()
+    assert [name for name, _ in frame] == ["pointer_position", "system_observable"]
     for t in (0.37, setup.duration):
         state_a = ComplexVector(spectrum.evolve(start, t, setup.grid.hbar))
         state_b = ComplexVector(spectrum.evolve(plus, t, setup.grid.hbar))
@@ -556,10 +574,8 @@ def test_ladder_frame_witnesses_match_dense_oracle(r):
     config = RunConfig(scenario="classical-level", ratio_exponent_range=r, g=0.8, hbar=0.6)
     model = build_diagonal_model(config)
     spectrum = Spectrum(model.diagonal_weights())
-    frame = (
-        ("system_observable", _model_observable(model)),
-        ("pointer_momentum", _model_momentum(model)),
-    )
+    frame = ladder_factor(config).reference_frame()
+    assert [name for name, _ in frame] == ["system_observable", "pointer_momentum"]
     # a generic state spread over every basis ket, and one sector state
     generic = np.exp(0.3j * np.arange(model.dim) ** 2) * (1.0 + np.arange(model.dim) / model.dim)
     generic /= np.linalg.norm(generic)

@@ -10,6 +10,8 @@ from swaplab import linalg
 from swaplab import measurement
 from swaplab.isomorphism import EvolutionTriple
 from swaplab.linalg import (
+    HERMITIAN,
+    DenseOperator,
     DimensionError,
     KindError,
     Spectrum,
@@ -27,8 +29,14 @@ from swaplab.measurement import (
     ready_state,
     system_basis_state,
 )
-from swaplab.scenario import run_multiworld
-from swaplab.symmetry import corrupted_swap, parity_swap
+from swaplab.scenario import build_diagonal_model, run_multiworld
+from swaplab.symmetry import (
+    corrupted_swap,
+    locate_eigenvalue,
+    parity_swap,
+    scaling_factor,
+    sign_flip_factor,
+)
 
 from dense_reference import dft_matrix
 
@@ -185,32 +193,61 @@ class TestBatchedEvolution:
         assert len(counted) == calls
 
 
+def pointer_rows_case(degeneracy, half_width):
+    """A pointer factor, every system ket, and each ket's ready state."""
+    grid = make_pointer_grid(half_width, SPACING, HBAR)
+    observable = ObservableSpec((1.0, -1.0), degeneracy=degeneracy)
+    setup = MeasurementSetup(observable, grid, 0.8, DURATION)
+    kets = range(observable.system_dim)
+    starts = [ready_state(setup, linalg.basis_vector(len(kets), s)).amplitudes for s in kets]
+    return sign_flip_factor(setup), kets, starts
+
+
+def ladder_rows_case(r, lambda1, lambda2):
+    """A ladder factor, its world starts, and each outcome's sector state."""
+    config = RunConfig(
+        scenario="classical-level", ratio_exponent_range=r, lambda1=lambda1, lambda2=lambda2,
+        g=0.8, hbar=HBAR,
+    )
+    model = build_diagonal_model(config)
+    values = (lambda1, lambda2)
+    starts = [model.sector_state(*locate_eigenvalue(model, value), 0) for value in values]
+    return scaling_factor(model, *values), None, starts
+
+
+#: evolved_ready inputs by id: pointer (degeneracy-half_width) and ladder
+#: factors, the last with lambda1 = lambda2, where one start serves both worlds
+ROW_SPLIT_CASES = {
+    **{
+        f"{d}-{m}": (pointer_rows_case, (d, m))
+        for d, m in [(1, 1), (1, 8), (1, 150), (1, 2000), (2, 8)]
+    },
+    **{f"ladder-{r}": (ladder_rows_case, (r, 1.0, 2.0)) for r in (1, 5, 12)},
+    "ladder-12-one-start": (ladder_rows_case, (12, 2.0, 2.0)),
+}
+
+
 class TestEvolvedReady:
     TIMES = (0.0, 0.25, 0.37, 0.75, 1.0)
 
-    @pytest.mark.parametrize(
-        "degeneracy, half_width", [(1, 1), (1, 8), (1, 150), (1, 2000), (2, 8)]
-    )
+    @pytest.mark.parametrize("case", ROW_SPLIT_CASES.values(), ids=ROW_SPLIT_CASES.keys())
     @pytest.mark.parametrize("one_time_per_batch", [False, True])
-    def test_rows_equal_each_ready_kets_own_evolution(
-        self, monkeypatch, degeneracy, half_width, one_time_per_batch
-    ):
+    def test_rows_equal_each_ready_kets_own_evolution(self, monkeypatch, case, one_time_per_batch):
         # H never mixes system blocks and a zero row stays exactly zero through
         # the FFT, phase and inverse FFT: block s of one evolution of the summed
-        # ready kets is bitwise the evolution of ready(s) alone
-        grid = make_pointer_grid(half_width, SPACING, HBAR)
-        observable = ObservableSpec((1.0, -1.0), degeneracy=degeneracy)
-        setup = MeasurementSetup(observable, grid, 0.8, DURATION)
+        # ready kets is the evolution of ready(s) alone. Off its block a lone
+        # evolution holds phase * 0, which may be -0.0 where the rows hold
+        # +0.0, so values are compared, not bytes
+        build, args = case
+        factor, kets, starts = build(*args)
         if one_time_per_batch:
             monkeypatch.setattr(linalg, "EVOLVE_BATCH", 1)
-        spectrum = pointer_spectrum(setup)
-        split = list(evolved_ready(setup, spectrum, self.TIMES))
+        split = list(evolved_ready(factor, self.TIMES, kets))
         assert len(split) == len(self.TIMES)
-        for s in range(observable.system_dim):
-            start = ready_state(setup, linalg.basis_vector(observable.system_dim, s))
-            alone = list(spectrum.evolutions(start.amplitudes, self.TIMES, HBAR))
+        for s, start in enumerate(starts):
+            alone = list(factor.spectrum.evolutions(start, self.TIMES, HBAR))
             for rows, state in zip(split, alone, strict=True):
-                assert rows.shape == (observable.system_dim, setup.total_dim)
+                assert rows.shape == (len(starts), factor.spectrum.dim)
                 assert rows[s].flags.c_contiguous
                 assert np.array_equal(rows[s], state)
 
@@ -251,30 +288,21 @@ class TestCarriedFactor:
 
 
 class TestSpectrumTriple:
-    def test_spectrum_is_the_hamiltonian(self):
-        setup = degenerate_setup(8)
-        spectrum = pointer_spectrum(setup)
-        start = ready_state(setup, system_basis_state(setup.observable, 0, 1))
-        triple = EvolutionTriple(spectrum, start, (0.0, 0.37), HBAR)
-        assert triple.hamiltonian is spectrum and triple.dim == setup.total_dim
-        expected = spectrum.evolve(start.amplitudes, 0.37, HBAR)
-        assert np.array_equal(triple.states()[1].amplitudes, expected)
-
     def test_matching_spectrum_gives_the_dense_states(self):
         # the dense H is evolved through its own exponential, not the spectrum
         setup = degenerate_setup(8)
         start = ready_state(setup, system_basis_state(setup.observable, 0, 1))
         times = (0.0, 0.37, DURATION)
-        spectral = EvolutionTriple(pointer_spectrum(setup), start, times, HBAR)
+        spectral = pointer_spectrum(setup).evolutions(start.amplitudes, times, HBAR)
         dense = EvolutionTriple(interaction_hamiltonian(setup), start, times, HBAR)
-        for a, b in zip(spectral.states(), dense.states()):
-            assert np.linalg.norm(a.amplitudes - b.amplitudes) <= 1e-12
+        for a, b in zip(spectral, dense.states_at(times), strict=True):
+            assert np.linalg.norm(a - b.amplitudes) <= 1e-12
 
     def test_dimension_checked(self):
         setup = degenerate_setup(2)
         start = ready_state(setup, system_basis_state(setup.observable, 0))
         with pytest.raises(DimensionError):
-            EvolutionTriple(Spectrum(np.zeros(3)), start, (0.0,), HBAR)
+            EvolutionTriple(DenseOperator(np.zeros((3, 3)), HERMITIAN), start, (0.0,), HBAR)
 
 
 def _no_eigh(*args, **kwargs):
@@ -375,8 +403,9 @@ def test_fft_calls_per_job(tmp_path, monkeypatch, words, extra, config, calls):
         (["certify", "lemma1"], {}, 204),
         (["export-distribution", "--time", "0.37"], {}, 34),
         # the ladder at r = 5 has 968 weights on 22 levels: one exponential per
-        # level at each of 5 times for each of 2 starts and the certificate
-        (["run"], {"scenario": "classical-level", "ratio_exponent_range": 5}, 330),
+        # level at each of 5 times for the one evolution of both starts and
+        # again for the certificate
+        (["run"], {"scenario": "classical-level", "ratio_exponent_range": 5}, 220),
         (["certify", "lemma2"], {"scenario": "classical-level", "ratio_exponent_range": 5}, 110),
     ],
 )
