@@ -22,7 +22,8 @@ multiworld's one-factor case off the grid both ways and at ``--tol 1e-30``,
 ladders whose rungs lie within the eigenvalue lookup's reach of each other,
 and the ladder at range 12, where its one evolution of both starts takes two
 batches: with one start serving both worlds, with sample times that stop
-short of T, and both at ``--tol 1e-30``.
+short of T, and both at ``--tol 1e-30``, and multiworld k = 3 at the
+sample-count bound and one time over it.
 """
 
 import contextlib
@@ -143,6 +144,11 @@ def jobs() -> list:
         (("run",), {**wide, **shared}),
         (("run",), {**wide, "lambda2": 1.01, **times}),
         (("run", *tight), {**wide, **shared, **times}),
+    ]
+    # config.MAX_SAMPLE_TIMES: at the bound a run exits 0, one time over it 2
+    listed += [
+        (("run",), {"scenario": "multiworld", "k": 3, "sample_times": [i / n for i in range(n)]})
+        for n in (1000, 1001)
     ]
     return listed
 

@@ -30,7 +30,6 @@ from .reporting import emit_distribution_csv, emit_report, failed_checks
 from .scenario import (
     ScenarioReport,
     ladder_factor,
-    qubit_factor,
     qubit_setup,
     run_classical_level,
     run_multiworld,
@@ -108,8 +107,7 @@ def _dispatch_run(config: RunConfig) -> ScenarioReport:
     if kind == "classical-level":
         return run_classical_level(config)
     if kind == "certify-lemma1":
-        factor = qubit_factor(config)
-        certificate = certify_lemma1(factor.setup, tol=config.tol, factor=factor)
+        certificate = certify_lemma1(qubit_setup(config), tol=config.tol)
     else:
         certificate = ladder_factor(config).certificate
     # a lone certificate is a report without worlds, isomorphisms or pairs

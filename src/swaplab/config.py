@@ -33,6 +33,10 @@ MAX_QUBITS = 3
 #: (prince-pauper, M = 131071) peaked at 147 MB RSS, ~235 B per basis state
 #: over the 29 MB interpreter, so every run that parses stays under 200 MB
 MAX_DIM = 2**19
+#: sample times a run may read: multiworld's pair table grows ~23 KB per time
+#: at k = 3, and multiworld k = 3 at M = 131071 with this many times peaked at
+#: 144 MB RSS, so the 200 MB budget above still holds
+MAX_SAMPLE_TIMES = 1000
 LAMBDA_MAX = max(abs(value) for value in QUBIT_EIGENVALUES)
 
 
@@ -93,6 +97,11 @@ class RunConfig:
         if self.seed < 0:
             raise ConfigError(f"seed must be a nonnegative integer, got {self.seed}")
         times = self.sample_times
+        if len(times) > MAX_SAMPLE_TIMES:
+            raise ConfigError(
+                f"sample_times: at most {MAX_SAMPLE_TIMES} times fit the memory budget, "
+                f"got {len(times)}"
+            )
         if len(times) == 0 or any(b < a for a, b in zip(times, times[1:])):
             raise ConfigError("sample_times must be a nonempty sorted list")
         if any(not 0 <= t <= self.T for t in times):

@@ -21,9 +21,10 @@ ladder), the system kets that ``starts`` the two worlds, their ``outcomes``,
 multiworld's k = 1 case, and classical-level runs the engine at k = 1 on the
 ladder. Every run evolves the sum of its start kets once (``evolved_ready``),
 rows split per system block: both worlds, and for the qubit at T lemma 1's
-swap residual; a classical-level run at r = 5 exponentiates 22 levels at 5
-times for it and 5 more for lemma 2, 220 elements. Every Hamiltonian is a ``Spectrum``, and no run builds a
-dim x dim operator or a product-space state. At k >= 2 the pair residuals come from
+swap residual; a classical-level run at r = 5 exponentiates its 22 levels at
+5 times, 110 elements, and the certificates none: they read the weights'
+drift. Every Hamiltonian is a ``Spectrum``, and no run builds a dim x dim
+operator or a product-space state. At k >= 2 the pair residuals come from
 one stacked pass over each sample time's per-factor inner products
 (``_pair_residuals``), the Hamiltonian-conjugation residuals from the exact
 per-factor Frobenius factorization (each factor deviation is traceless), and

@@ -6,16 +6,17 @@ Every swap is a basis permutation and is stored as an integer index array:
 unitary exactly when the index array is a bijection.
 
 Certificates are computed on the spectrum H = W^dag diag(w) W. When W carries
-S onto the same index array (``Spectrum.carried_factor``), H S - S H =
-W^dag (diag(w) S - S diag(w)) W has the Frobenius norm |w[perm] - w|, and
-U(t) S - S U(t) likewise |phi[perm] - phi| with phi = exp(-i w t / hbar); no
-dim x dim Hamiltonian or propagator is formed. One certificate function
-(``_spectral_certificate``) reads both residuals off the weights for both
-lemmas; each lemma adds its own swap residual, lemma 1 from the rows U(T)
-ready(s) of one evolution of the summed ready kets (``evolved_ready``), which
-a pointer run shares with its worlds. Each family's swap, spectrum and worlds
-form one ``Factor`` record (``sign_flip_factor``, ``scaling_factor``), which
-the lemma and the world engine share. Two families are certified:
+S onto the same index array (``Spectrum.carried_factor``), both residuals read
+one drift array d = w[perm] - w: H S - S H = W^dag (diag(w) S - S diag(w)) W
+has the Frobenius norm |d|, and U(t) S - S U(t) the norm |2 sin(d t / (2 hbar))|,
+since |exp(-i a t / hbar) - exp(-i b t / hbar)| = 2 |sin((a - b) t / (2 hbar))|;
+no dim x dim Hamiltonian or propagator and no phase array is formed. One certificate function
+(``_spectral_certificate``) reads both off the weights for both lemmas; each
+lemma adds its own swap residual, lemma 1 from the rows U(T) ready(s) of one
+evolution of the summed ready kets (``evolved_ready``), which a pointer run
+shares with its worlds. Each family's swap, spectrum and worlds form one
+``Factor`` record (``sign_flip_factor``, ``scaling_factor``), which the lemma
+and the world engine share. Two families are certified:
 
 * the sign-flip swap (``parity_swap``): the basis permutation sending
   (lambda, a, zeta) to (-lambda, a, -zeta). It commutes with H = -g A x p_Z
@@ -81,7 +82,7 @@ class SwapCertificate:
 
 def _spectral_certificate(
     construction: str,
-    spectrum: Spectrum,
+    weights: np.ndarray,
     perm: np.ndarray,
     times,
     hbar: float,
@@ -92,19 +93,17 @@ def _spectral_certificate(
 ) -> SwapCertificate:
     """The certificate of a swap ``perm`` that the spectrum's basis map
     carries onto the same index array, so that in the eigenbasis it is the
-    same permutation of diag(w) (module docstring): the commutator
-    |w[perm] - w| / |w|, and the intertwining residual, the largest
-    |phi[perm] - phi| over ``times`` with phi the spectrum's ``phases``.
+    same permutation of diag(weights) (module docstring), read off the drift
+    d = weights[perm] - weights: the commutator |d| / |w|, and the
+    intertwining residual, the largest |2 sin(d t / (2 hbar))| over ``times``.
     Maxima and the pass rule keep a NaN, which max() would drop when not first."""
-    weights = spectrum.weights
-    commutator = frobenius_norm(weights[perm] - weights)
+    drift = weights[perm] - weights
+    commutator = frobenius_norm(drift)
     hnorm = frobenius_norm(weights)
     commutator_residual = commutator / hnorm if hnorm > 0 else commutator
-    # one phase array at a time, so memory does not grow with the sample count
-    deviations = [
-        frobenius_norm(phases[perm] - phases)
-        for phases in (spectrum.phases(t, hbar) for t in times)
-    ]
+    # halved first, so an angle overflows no sooner than its phase w t / hbar
+    half = 0.5 * drift
+    deviations = [2.0 * frobenius_norm(np.sin(half * t / hbar)) for t in times]
     intertwining_residual = float(np.max(deviations))
     residuals = (commutator_residual, swap_residual, intertwining_residual, cross_distance)
     return SwapCertificate(
@@ -213,7 +212,7 @@ def certify_lemma1(
         return SwapCertificate(construction, swap_residual, passed=False, note=NOT_CARRIED_NOTE)
     return _spectral_certificate(
         construction,
-        spectrum,
+        spectrum.weights,
         factor.swap,
         [fraction * setup.duration for fraction in SAMPLE_FRACTIONS],
         setup.grid.hbar,
@@ -380,39 +379,30 @@ def certify_lemma2(
     degeneracy label (index-level and by the norm each sector keeps). A run
     passes the ``scaling_factor`` its worlds share."""
     factor = scaling_factor(model, eigenvalue_from, eigenvalue_to) if factor is None else factor
-    spectrum, perm, inverse = factor.spectrum, factor.swap, factor.inverse
-    (sign_from, m_from), (sign_to, m_to) = (
-        divmod(start // model.degeneracy, model.cycle_length) for start in factor.starts
-    )
-
-    if eigenvalue_from == eigenvalue_to:
-        return SwapCertificate(
-            construction="scaling",
-            commutator_residual=0.0,
-            swap_residual=0.0,
-            intertwining_residual=0.0,
-            passed=True,
-            note="identity automorphism: equal outcome eigenvalues leave nothing to swap; "
-            + NORMALIZATION_NOTE,
+    perm, inverse = factor.swap, factor.inverse
+    note, swap_residual = NORMALIZATION_NOTE, 0.0
+    if eigenvalue_from == eigenvalue_to:  # no ratio to check and no sector to map
+        note = "identity automorphism: equal outcome eigenvalues leave nothing to swap; " + note
+    else:
+        requested_ratio = eigenvalue_to / eigenvalue_from
+        if abs(requested_ratio - model.ratio) > 1e-9 * model.ratio:
+            raise ValueError(
+                f"outcome ratio {requested_ratio} does not match the model ratio {model.ratio}"
+            )
+        (sign_from, m_from), (sign_to, m_to) = (
+            divmod(start // model.degeneracy, model.cycle_length) for start in factor.starts
         )
-
-    requested_ratio = eigenvalue_to / eigenvalue_from
-    if abs(requested_ratio - model.ratio) > 1e-9 * model.ratio:
-        raise ValueError(
-            f"outcome ratio {requested_ratio} does not match the model ratio {model.ratio}"
-        )
-
-    index = model.basis_indices()
-    # index[sign_to, m_to, label, sign_p, k - 1], for every label, sign_p and k
-    targets = np.roll(index[sign_to, m_to], 1, axis=-1)
-    mapping_exact = np.array_equal(perm[index[sign_from, m_from]], targets)
-    # the norm each swapped source sector keeps inside its target sector
-    sector_deficits = [
-        abs(1.0 - np.linalg.norm(model.sector_state(sign_from, m_from, label)[inverse[sector]]))
-        for label, sector in enumerate(index[sign_to, m_to].reshape(model.degeneracy, -1))
-    ]
-    swap_residual = float(np.max([0.0 if mapping_exact else 1.0, *sector_deficits]))
+        index = model.basis_indices()
+        # index[sign_to, m_to, label, sign_p, k - 1], for every label, sign_p and k
+        targets = np.roll(index[sign_to, m_to], 1, axis=-1)
+        mapping_exact = np.array_equal(perm[index[sign_from, m_from]], targets)
+        # the norm each swapped source sector keeps inside its target sector
+        sector_deficits = [
+            abs(1.0 - np.linalg.norm(model.sector_state(sign_from, m_from, label)[inverse[sector]]))
+            for label, sector in enumerate(index[sign_to, m_to].reshape(model.degeneracy, -1))
+        ]
+        swap_residual = float(np.max([0.0 if mapping_exact else 1.0, *sector_deficits]))
     return _spectral_certificate(
-        "scaling", spectrum, perm, sample_times, model.hbar, swap_residual, None, tol,
-        NORMALIZATION_NOTE,
+        "scaling", factor.spectrum.weights, perm, sample_times, model.hbar, swap_residual, None,
+        tol, note,
     )

@@ -6,7 +6,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from swaplab.cli import main
-from swaplab.config import MAX_DIM, ConfigError, RunConfig, parse_config, serialize_config
+from swaplab.config import (
+    MAX_DIM,
+    MAX_SAMPLE_TIMES,
+    ConfigError,
+    RunConfig,
+    parse_config,
+    serialize_config,
+)
 from swaplab.scenario import build_diagonal_model, qubit_setup
 
 
@@ -65,6 +72,19 @@ class TestValidation:
     def test_sample_times_window(self):
         with pytest.raises(ConfigError, match="sample_times"):
             parse_config('{"sample_times": [0.0, 5.0]}')
+
+    def test_sample_times_count_limit(self, tmp_path, capsys):
+        # the pair table grows with the sample count, so the count has a bound
+        def payload(count):
+            times = [i / count for i in range(count)]
+            return json.dumps({"scenario": "multiworld", "k": 3, "sample_times": times})
+
+        assert len(parse_config(payload(MAX_SAMPLE_TIMES)).sample_times) == MAX_SAMPLE_TIMES
+        path = tmp_path / "config.json"
+        path.write_text(payload(MAX_SAMPLE_TIMES + 1))
+        assert main(["run", str(path)]) == 2
+        message = f"sample_times: at most {MAX_SAMPLE_TIMES} times"
+        assert message in capsys.readouterr().err
 
     def test_lambda_guard_for_scaling_scenarios(self):
         with pytest.raises(ConfigError, match="lambda1"):

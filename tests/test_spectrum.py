@@ -397,16 +397,17 @@ def test_fft_calls_per_job(tmp_path, monkeypatch, words, extra, config, calls):
     "words, config, elements",
     [
         # a pointer run exponentiates its M = 8 weights (dim 34) at the 5 sample
-        # times for the evolution and again for lemma 1's certificate
-        (["run"], {"scenario": "prince-pauper"}, 340),
-        (["run"], {"scenario": "multiworld", "k": 3}, 340),
-        (["certify", "lemma1"], {}, 204),
+        # times for the evolution only: lemma 1's certificate reads the
+        # weights' drift, and lemma 1 alone evolves to T once
+        (["run"], {"scenario": "prince-pauper"}, 170),
+        (["run"], {"scenario": "multiworld", "k": 3}, 170),
+        (["certify", "lemma1"], {}, 34),
         (["export-distribution", "--time", "0.37"], {}, 34),
         # the ladder at r = 5 has 968 weights on 22 levels: one exponential per
-        # level at each of 5 times for the one evolution of both starts and
-        # again for the certificate
-        (["run"], {"scenario": "classical-level", "ratio_exponent_range": 5}, 220),
-        (["certify", "lemma2"], {"scenario": "classical-level", "ratio_exponent_range": 5}, 110),
+        # level at each of 5 times for the one evolution of both starts, and
+        # none for the certificate, which evolves nothing
+        (["run"], {"scenario": "classical-level", "ratio_exponent_range": 5}, 110),
+        (["certify", "lemma2"], {"scenario": "classical-level", "ratio_exponent_range": 5}, 0),
     ],
 )
 def test_complex_exp_elements_per_job(tmp_path, monkeypatch, words, config, elements):

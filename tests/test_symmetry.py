@@ -255,25 +255,15 @@ class TestCertifyLemma1:
         residual = certify_lemma1(setup, swap=corrupted).swap_residual
         assert abs(residual - circulant_swap_residual(setup, corrupted)) <= 1e-15
 
-    @staticmethod
-    def overflowing_certificate(spectrum):
-        # the phase 1e300 * 1e10 overflows at the second sample time only
-        with np.errstate(over="ignore", invalid="ignore"):
-            return symmetry._spectral_certificate(
-                "custom", spectrum, np.array([1, 0, 3, 2]), (0.0, 1e10), 1.0, 0.0, None, 1e-10
-            )
-
     def test_nan_intertwining_residual_fails(self):
-        certificate = self.overflowing_certificate(Spectrum(np.array([1e300, 1e300, 1.0, 1.0])))
-        assert certificate.commutator_residual == 0.0
-        assert np.isnan(certificate.intertwining_residual)
-        assert not certificate.passed
-
-    def test_nan_intertwining_residual_fails_on_levels(self):
-        # the same weights on a level table, whose level 1e300 overflows alike
-        spectrum = Spectrum.on_levels(np.array([1e300, 1.0]), np.array([0, 0, 1, 1]))
-        certificate = self.overflowing_certificate(spectrum)
-        assert certificate.commutator_residual == 0.0
+        # the drift (2, -2, 0, 0) is finite, but its angle 1e300 / 1e-10
+        # overflows at the second sample time only, so the NaN is not first
+        with np.errstate(over="ignore", invalid="ignore"):
+            certificate = symmetry._spectral_certificate(
+                "custom", np.array([1.0, 3.0, 2.0, 2.0]), np.array([1, 0, 3, 2]), (0.0, 1e300),
+                1e-10, 0.0, None, 1.0,
+            )
+        assert certificate.commutator_residual <= 1.0
         assert np.isnan(certificate.intertwining_residual)
         assert not certificate.passed
 
@@ -732,6 +722,43 @@ class TestDenseOracle:
         probe = probe_columns(setup)
         assert certificate.cross_construction_distance == rendered_cross(setup, tau, probe)
         assert not certificate.passed
+
+    def test_sigma_only_swap_negates_the_weights(self):
+        # negative control: negating the system with the pointer fixed is
+        # carried, but it maps every weight to its negation
+        setup = qubit_setup()
+        n = setup.grid.n_points
+        perm = (np.array([1, 0])[:, None] * n + np.arange(n)).reshape(-1)
+        weights = pointer_spectrum(setup).weights
+        assert np.array_equal(weights[perm], -weights)
+        certificate = certify_lemma1(setup, swap=perm)
+        dense = dense_lemma1(setup, perm)
+        for name in ("commutator_residual", "intertwining_residual"):
+            assert dense[name] > 0.1
+            assert getattr(certificate, name) == pytest.approx(dense[name], rel=1e-12, abs=0)
+        assert not certificate.passed
+
+    @pytest.mark.parametrize("factor", ["pointer", "ladder"])
+    def test_one_ulp_drift_shows_at_every_time(self, factor):
+        # negative control: the exact zeros of a commuting swap turn nonzero
+        # when one weight moves by one ulp, at every sample time after 0
+        if factor == "pointer":
+            setup = qubit_setup()
+            weights, perm = pointer_spectrum(setup).weights, parity_swap(setup)
+        else:
+            model = diagonal_model()
+            weights, perm = model.spectrum().weights, scaling_permutation(model)
+        perturbed = weights.copy()
+        j = int(np.argmax(np.abs(weights)))
+        perturbed[j] = np.nextafter(weights[j], np.inf)
+        for t in SAMPLE_FRACTIONS[1:]:
+            exact, nudged = (
+                symmetry._spectral_certificate("custom", w, perm, (t,), 1.0, 0.0, None, 1e-10)
+                for w in (weights, perturbed)
+            )
+            assert exact.commutator_residual == exact.intertwining_residual == 0.0
+            assert nudged.commutator_residual > 0.0
+            assert nudged.intertwining_residual > 0.0
 
     @pytest.mark.parametrize("half_width", [1, 8, 50])
     @pytest.mark.parametrize("pointer", ["identity", "reversal"])
