@@ -18,24 +18,23 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from .config import ConfigError, RunConfig, parse_config
 from .linalg import ComplexVector, NumericalError
-from .measurement import evolve, ready_state, system_basis_state
+from .measurement import pointer_spectrum
 from .reporting import emit_distribution_csv, emit_report, failed_checks
 from .scenario import (
     ScenarioReport,
-    ladder_factor,
+    build_diagonal_model,
     qubit_setup,
     run_classical_level,
     run_multiworld,
     run_prince_pauper,
 )
-from .symmetry import certify_lemma1
+from .symmetry import certify_lemma1, certify_lemma2
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -80,10 +79,10 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_config(args) -> RunConfig:
     path = Path(args.config_path)
     try:
-        text = path.read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as handle:
+            text = handle.read()
     except UnicodeDecodeError as exc:  # names the file, as an OSError's message does
         raise ConfigError(f"{exc}: {str(path)!r}") from None
-    config = parse_config(text)
     overrides = {}
     if args.tol is not None:
         overrides["tol"] = args.tol
@@ -91,11 +90,9 @@ def _load_config(args) -> RunConfig:
         overrides["scenario"] = f"certify-{args.target}"
     if args.command == "export-distribution":
         # the export builds one pointer setup whatever the scenario, so the
-        # config must also pass the single-pointer guards
+        # config must pass the single-pointer guards
         overrides["scenario"] = "certify-lemma1"
-    if overrides:
-        config = replace(config, **overrides)
-    return config
+    return parse_config(text, **overrides)
 
 
 def _dispatch_run(config: RunConfig) -> ScenarioReport:
@@ -109,7 +106,9 @@ def _dispatch_run(config: RunConfig) -> ScenarioReport:
     if kind == "certify-lemma1":
         certificate = certify_lemma1(qubit_setup(config), tol=config.tol)
     else:
-        certificate = ladder_factor(config).certificate
+        outcomes = (config.lambda1, config.lambda2)
+        model = build_diagonal_model(config)
+        certificate = certify_lemma2(model, *outcomes, config.tol, config.sample_times)
     # a lone certificate is a report without worlds, isomorphisms or pairs
     return ScenarioReport(
         world_labels=(),
@@ -125,20 +124,20 @@ def _export_distribution(config: RunConfig, time: float, world: str) -> str:
     if not 0 <= time <= config.T:
         raise ConfigError(f"--time must lie in [0, {config.T}], got {time}")
     setup = qubit_setup(config)
-    if world == "plus":
-        system = system_basis_state(setup.observable, 0)
-    elif world == "minus":
-        system = system_basis_state(setup.observable, 1)
-    else:
-        system = ComplexVector(np.array([1.0, 1.0]) / np.sqrt(2))
-    state = evolve(setup, ready_state(setup, system), time)
-    return emit_distribution_csv(state, setup)
+    # the world's system ket with the pointer ready at zeta = 0, as ``ready_state`` builds it
+    state = np.zeros((2, setup.grid.n_points), dtype=complex)
+    kets = {"plus": (1.0, 0.0), "minus": (0.0, 1.0)}
+    state[:, setup.grid.center_index] = kets.get(world, np.array([1.0, 1.0]) / np.sqrt(2))
+    amplitudes = pointer_spectrum(setup).evolve(state.reshape(-1), time, setup.grid.hbar)
+    return emit_distribution_csv(ComplexVector(amplitudes), setup)
 
 
 def _write_output(out_dir: str, filename: str, text: str) -> None:
     directory = Path(out_dir)
-    directory.mkdir(parents=True, exist_ok=True)
-    (directory / filename).write_text(text, encoding="utf-8")
+    if not directory.is_dir():  # mkdir's own check raises and catches an error when it exists
+        directory.mkdir(parents=True, exist_ok=True)
+    with open(directory / filename, "w", encoding="utf-8") as handle:
+        handle.write(text)
 
 
 def main(argv=None) -> int:

@@ -201,12 +201,6 @@ def _require_finite(key, value):
         raise ConfigError(f"{key}: expected a finite number, got {value!r}")
 
 
-def _read_int(key, value):
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{key}: expected an integer, got {value!r}")
-    return value
-
-
 def _read_real(key, value):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{key}: expected a number, got {value!r}")
@@ -216,15 +210,10 @@ def _read_real(key, value):
         raise ConfigError(f"{key}: integer too large for a float") from None
 
 
-def _read_bool(key, value):
-    if not isinstance(value, bool):
-        raise ConfigError(f"{key}: expected a boolean, got {value!r}")
-    return value
-
-
-def _read_str(key, value):
-    if not isinstance(value, str):
-        raise ConfigError(f"{key}: expected a string, got {value!r}")
+def _read_exact(kind: type, expected: str, key, value):
+    # bool is an int subclass, so an integer field rejects it explicitly
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise ConfigError(f"{key}: expected {expected}, got {value!r}")
     return value
 
 
@@ -236,18 +225,19 @@ def _read_times(key, value):
 
 #: the reader of each field type, by its RunConfig annotation
 _READERS = {
-    "str": _read_str,
-    "int": _read_int,
+    "str": lambda key, value: _read_exact(str, "a string", key, value),
+    "int": lambda key, value: _read_exact(int, "an integer", key, value),
     "float": _read_real,
-    "bool": _read_bool,
+    "bool": lambda key, value: _read_exact(bool, "a boolean", key, value),
     "tuple": _read_times,
 }
 _FIELD_TYPES = {field.name: field.type for field in fields(RunConfig)}
 _FLOAT_FIELDS = tuple(name for name, kind in _FIELD_TYPES.items() if kind == "float")
 
 
-def parse_config(text: str) -> RunConfig:
-    """Parse and validate a JSON run configuration, filling defaults."""
+def parse_config(text: str, **overrides) -> RunConfig:
+    """Parse and validate a JSON run configuration, filling defaults; ``overrides``
+    replace the file's fields before the one validation."""
     try:
         raw = json.loads(text)
     except ValueError as exc:  # a decode error, or an integer past the digit limit
@@ -259,7 +249,7 @@ def parse_config(text: str) -> RunConfig:
         if key not in _FIELD_TYPES:
             raise ConfigError(f"unknown key {key!r}")
         kwargs[key] = _READERS[_FIELD_TYPES[key]](key, raw[key])
-    return RunConfig(**kwargs)
+    return RunConfig(**{**kwargs, **overrides})
 
 
 def serialize_config(config: RunConfig) -> str:

@@ -119,13 +119,13 @@ def _phase_minimized_distance(a: np.ndarray, b: np.ndarray) -> float:
     (1 if orthogonal), by subtraction: |a|^2 + |b|^2 - 2|<a, b>| cancels."""
     inner = np.vdot(b, a)
     phase = inner / abs(inner) if inner != 0 else 1.0
-    return float(np.linalg.norm(a - phase * b))
+    return frobenius_norm(a - phase * b)
 
 
 def _state_residual(mapped: np.ndarray, state_b: np.ndarray, phase_insensitive: bool) -> float:
     if phase_insensitive:
         return _phase_minimized_distance(mapped, state_b)
-    return float(np.linalg.norm(mapped - state_b))
+    return frobenius_norm(mapped - state_b)
 
 
 def check_isomorphism(

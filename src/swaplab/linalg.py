@@ -14,6 +14,8 @@ frozen, so values are safe to share across threads.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 NORM_TOL = 1e-12
@@ -44,7 +46,11 @@ class NumericalError(RuntimeError):
 
 
 def frobenius_norm(matrix) -> float:
-    return float(np.linalg.norm(matrix))
+    """|matrix|_F of a float or complex array with ``numpy.linalg.norm``'s arithmetic."""
+    x = np.asarray(matrix).ravel(order="K")
+    if x.dtype.kind == "c":
+        return math.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))
+    return math.sqrt(x.dot(x))
 
 
 def _freeze(array: np.ndarray) -> np.ndarray:
@@ -70,7 +76,7 @@ class ComplexVector:
         return self.amplitudes.size
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
+        return frobenius_norm(self.amplitudes)
 
     def require_unit(self) -> "ComplexVector":
         deviation = abs(self.norm() - 1.0)

@@ -25,26 +25,35 @@ from .symmetry import SwapCertificate
 
 #: json.dumps of a str, without the encoder object json.dumps builds per call
 _quote = json.encoder.encode_basestring_ascii
+#: a float's report text: 17 significant digits, "-0" for negative zero
+_float_text = "{:.17g}".format
 
 
 def _format_float(value: float) -> str:
     if not math.isfinite(value):
         raise ValueError(f"non-finite value {value!r} cannot appear in a report")
-    return format(value, ".17g")
+    return _float_text(value)
 
 
-def _format_bool(value) -> str:
-    return "true" if value else "false"
+class _FloatTexts(dict):
+    """One render's text of each float; a zero is not kept (0.0 and -0.0 are one key)."""
+
+    def __missing__(self, value) -> str:
+        text = _float_text(value)
+        if value:
+            self[value] = text
+        return text
+
+    def require_finite(self) -> None:  # raises for the first non-finite float rendered
+        for value in filter(lambda value: not math.isfinite(value), self):
+            _format_float(float(value))
 
 
-#: renderers of the scalar types a report holds, looked up by exact type
+#: renderers of the scalar types a report holds, looked up by exact type;
+#: each render adds its own ``_FloatTexts`` for float and numpy.float64
+_BOOL = {False: "false", True: "true"}.__getitem__
 _SCALARS = {
-    type(None): lambda value: "null",
-    bool: _format_bool,
-    np.bool_: _format_bool,
-    int: str,
-    float: _format_float,
-    np.float64: lambda value: _format_float(float(value)),
+    type(None): {None: "null"}.__getitem__, bool: _BOOL, np.bool_: _BOOL, int: str, np.int64: str,
     str: _quote,
 }
 
@@ -57,52 +66,67 @@ def render_json(value, indent: int = 0) -> str:
     Each container is rendered once per depth: a record that the value holds
     several times (a witness shared by many pairs, a readout by many worlds)
     is looked up by identity and depth; the value keeps every container alive
-    for the whole call, so no identity is reused. Keys come from ``_plan``."""
-    return _render(value, indent, {})
-
-
-def _render(value, indent: int, rendered: dict) -> str:
-    """One value of ``render_json``; ``rendered`` maps (identity, depth) to
-    the text of each container rendered so far."""
-    scalar = _SCALARS.get(type(value))
-    if scalar is not None:
-        return scalar(value)
-    key = (id(value), indent)
-    text = rendered.get(key)
-    if text is None:
-        text = rendered[key] = _render_container(value, indent, rendered)
+    for the whole call, so no identity is reused. A non-finite float raises
+    after the rendering or before its error, so the first one is named."""
+    texts = _FloatTexts()
+    scalars = {**_SCALARS, float: texts.__getitem__, np.float64: texts.__getitem__}
+    try:
+        text = _texts((value,), indent, scalars, {})[0]
+    finally:
+        texts.require_finite()
     return text
 
 
 @functools.lru_cache(maxsize=256)
 def _plan(shape, indent: int) -> tuple:
-    """(key, its line up to the value) per key of a record type or key tuple, sorted."""
-    keys = [f.name for f in fields(shape)] if isinstance(shape, type) else shape
+    """(sorted keys, template with one ``%s`` per key) of a record type or key tuple."""
+    keys = sorted(f.name for f in fields(shape)) if isinstance(shape, type) else sorted(shape)
+    lines = [f"{'  ' * (indent + 1)}{_quote(str(key)).replace('%', '%%')}: %s" for key in keys]
+    return keys, "{\n" + ",\n".join(lines) + "\n" + "  " * indent + "}" if lines else "{}"
+
+
+def _render_container(value, indent: int, scalars: dict, rendered: dict) -> str:
+    """A container, or a scalar of a subclass or another numpy type (bool and
+    numpy.bool_ have none); plain dicts, lists and tuples go first."""
+    shape = type(value)
+    if shape is dict:
+        shape = tuple(value)
+    elif shape is not list and shape is not tuple:
+        if isinstance(value, (int, np.integer)):
+            return str(int(value))
+        if isinstance(value, (float, np.floating)):
+            return _format_float(float(value))
+        if isinstance(value, str):
+            return _quote(value)
+        if is_dataclass(value):  # its plan is its record type's
+            value = vars(value)
+        elif isinstance(value, dict):
+            shape = tuple(value)
+        elif not isinstance(value, (list, tuple)):
+            raise TypeError(f"cannot serialize {shape.__name__} into a report")
+    if isinstance(value, dict):
+        keys, template = _plan(shape, indent)
+        return template % tuple(_texts(map(value.__getitem__, keys), indent + 1, scalars, rendered))
     child = "  " * (indent + 1)
-    return tuple((key, f"{child}{_quote(str(key))}: ") for key in sorted(keys))
+    items = _texts(value, indent + 1, scalars, rendered)
+    return f"[\n{child}" + f",\n{child}".join(items) + "\n" + "  " * indent + "]" if items else "[]"
 
 
-def _render_container(value, indent: int, rendered: dict) -> str:
-    """A value whose type is not in ``_SCALARS``: a container, or a scalar
-    of a subclass or another numpy type (bool and numpy.bool_ have none)."""
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return _format_float(float(value))
-    if isinstance(value, str):
-        return _quote(value)
-    if is_dataclass(value):
-        plan, value = _plan(type(value), indent), vars(value)
-    elif isinstance(value, dict):
-        plan = _plan(tuple(value), indent)
-    elif isinstance(value, (list, tuple)):
-        child = "  " * (indent + 1)
-        items = [child + _render(item, indent + 1, rendered) for item in value]
-        return "[\n" + ",\n".join(items) + "\n" + "  " * indent + "]" if items else "[]"
-    else:
-        raise TypeError(f"cannot serialize {type(value).__name__} into a report")
-    items = [line + _render(value[key], indent + 1, rendered) for key, line in plan]
-    return "{\n" + ",\n".join(items) + "\n" + "  " * indent + "}" if items else "{}"
+def _texts(items, indent: int, scalars: dict, rendered: dict) -> list:
+    """Each item's text: a scalar's from ``scalars``, a container's from ``rendered``
+    (the text of each (identity, depth) so far), or rendered into it."""
+    texts = []
+    for item in items:
+        scalar = scalars.get(type(item))
+        if scalar is None:
+            key = (id(item), indent)
+            text = rendered.get(key)
+            if text is None:
+                text = rendered[key] = _render_container(item, indent, scalars, rendered)
+        else:
+            text = scalar(item)
+        texts.append(text)
+    return texts
 
 
 #: the report type of each certificate record
@@ -190,17 +214,22 @@ def emit_distribution_csv(state: ComplexVector, setup: MeasurementSetup) -> str:
     """CSV of the joint (pointer position, outcome branch) distribution.
 
     Header ``zeta,branch_lambda,probability``; one row per (grid point,
-    eigenvalue) pair, degeneracy labels summed; LF line endings.
+    eigenvalue) pair, degeneracy labels summed; LF line endings. The
+    probabilities fill a template of every row's zeta and eigenvalue texts.
     """
     per_eigenvalue = branch_distribution(state, setup)
     total = float(per_eigenvalue.sum())
     if abs(total - 1.0) > 1e-9:
         raise ValueError(f"branch probabilities sum to {total}; the state must be normalized")
-    lines = ["zeta,branch_lambda,probability"]
-    for grid_index, zeta in enumerate(setup.grid.zeta):
-        for eig_index, eigenvalue in enumerate(setup.observable.eigenvalues):
-            lines.append(
-                f"{_format_float(float(zeta))},{_format_float(eigenvalue)},"
-                f"{_format_float(float(per_eigenvalue[eig_index, grid_index]))}"
-            )
-    return "\n".join(lines) + "\n"
+    zeta, eigenvalues = setup.grid.zeta, setup.observable.eigenvalues
+    if not all(np.isfinite(column).all() for column in (zeta, eigenvalues, per_eigenvalue)):
+        for z, row in zip(zeta.tolist(), per_eigenvalue.T.tolist()):  # names the first in row order
+            _format_float(z)
+            for eigenvalue, probability in zip(eigenvalues, row):
+                _format_float(eigenvalue)
+                _format_float(probability)
+    zeta_texts = ("%.17g,\n" * zeta.size % tuple(zeta.tolist())).split("\n")
+    # "<zeta>,<eigenvalue>,%.17g\n" per row, zeta-major, joined with no Python loop per row
+    tails = [["%.17g,%%.17g\n" % eigenvalue] * zeta.size for eigenvalue in eigenvalues]
+    template = "".join(map("".join, zip(*[part for tail in tails for part in (zeta_texts, tail)])))
+    return "zeta,branch_lambda,probability\n" + template % tuple(per_eigenvalue.T.ravel().tolist())

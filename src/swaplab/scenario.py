@@ -14,21 +14,16 @@ Three runs are provided:
 
 One world engine (``_worlds(config, factor, k)``) builds every report: the
 2^k worlds of k copies of one ``Factor`` record (``qubit_factor`` or
-``ladder_factor``): spectrum, swap and inverse, pointer ``block`` size and
-``ready`` amplitudes (the zeta = 0 ket; 1/sqrt(2L) everywhere on the
-ladder), the system kets that ``starts`` the two worlds, their ``outcomes``,
-``distinct_required``, and the ``frame`` as local diagonals. Prince-pauper is
-multiworld's k = 1 case, and classical-level runs the engine at k = 1 on the
-ladder. Every run evolves the sum of its start kets once (``evolved_ready``),
-rows split per system block: both worlds, and for the qubit at T lemma 1's
-swap residual; a classical-level run at r = 5 exponentiates its 22 levels at
-5 times, 110 elements, and the certificates none: they read the weights'
-drift. Every Hamiltonian is a ``Spectrum``, and no run builds a dim x dim
-operator or a product-space state. At k >= 2 the pair residuals come from
-one stacked pass over each sample time's per-factor inner products
-(``_pair_residuals``), the Hamiltonian-conjugation residuals from the exact
-per-factor Frobenius factorization (each factor deviation is traceless), and
-a pair's witnesses, gaps and ``distinct`` flag from its factors' parts.
+``ladder_factor``). Prince-pauper is multiworld's k = 1 case, and
+classical-level runs the engine at k = 1 on the ladder. Every run evolves the
+sum of its start kets once (``evolved_ready``), rows split per system block:
+both worlds, and for the qubit at T lemma 1's swap residual; the certificates
+read the weights' drift. Every Hamiltonian is a ``Spectrum``, and no run
+builds a dim x dim operator or a product-space state. At k >= 2 the pair
+residuals come from one stacked pass over each sample time's per-factor inner
+products (``_pair_residuals``), the Hamiltonian-conjugation residuals from the
+exact per-factor Frobenius factorization (each factor deviation is traceless),
+and a pair's witnesses, gaps and ``distinct`` flag from its factors' parts.
 """
 
 from __future__ import annotations
@@ -175,7 +170,7 @@ def _worlds(config: RunConfig, factor: Factor, k: int) -> ScenarioReport:
     # swap (certify_lemma1 checks a pointer's; the ladder's is the identity)
     deviation = frobenius_norm(weights[inverse] - weights)
     start_a, start_b = (factor.ready_sum([s]).reshape(-1) for s in factor.starts)
-    start_residual = float(np.linalg.norm(start_a[inverse] - start_b))
+    start_residual = frobenius_norm(start_a[inverse] - start_b)
     del start_a, start_b
 
     # T evolves in the same batch as the sample times, once when it is the last

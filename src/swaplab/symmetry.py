@@ -6,17 +6,14 @@ Every swap is a basis permutation and is stored as an integer index array:
 unitary exactly when the index array is a bijection.
 
 Certificates are computed on the spectrum H = W^dag diag(w) W. When W carries
-S onto the same index array (``Spectrum.carried_factor``), both residuals read
-one drift array d = w[perm] - w: H S - S H = W^dag (diag(w) S - S diag(w)) W
-has the Frobenius norm |d|, and U(t) S - S U(t) the norm |2 sin(d t / (2 hbar))|,
-since |exp(-i a t / hbar) - exp(-i b t / hbar)| = 2 |sin((a - b) t / (2 hbar))|;
-no dim x dim Hamiltonian or propagator and no phase array is formed. One certificate function
-(``_spectral_certificate``) reads both off the weights for both lemmas; each
-lemma adds its own swap residual, lemma 1 from the rows U(T) ready(s) of one
-evolution of the summed ready kets (``evolved_ready``), which a pointer run
-shares with its worlds. Each family's swap, spectrum and worlds form one
-``Factor`` record (``sign_flip_factor``, ``scaling_factor``), which the lemma
-and the world engine share. Two families are certified:
+S onto the same index array (``Spectrum.carried_factor``), one certificate
+function (``_spectral_certificate``) reads both residuals of both lemmas off
+one drift array d = w[perm] - w: |HS - SH|_F = |d| and
+|U(t)S - SU(t)|_F = |2 sin(d t / (2 hbar))|; no dim x dim operator and no phase
+array is formed. Each lemma adds its own swap residual, lemma 1 from the rows
+U(T) ready(s) of one evolution of the summed ready kets (``evolved_ready``),
+which a pointer run shares with its worlds in one ``Factor`` record
+(``sign_flip_factor``, ``scaling_factor``). Two families are certified:
 
 * the sign-flip swap (``parity_swap``): the basis permutation sending
   (lambda, a, zeta) to (-lambda, a, -zeta). It commutes with H = -g A x p_Z
@@ -31,13 +28,12 @@ and the world engine share. Two families are certified:
 
 The scaling family is verified in the diagonal (eigenbasis) representation:
 scaling is not a bijection of a uniform grid, but the exponent shift with
-cyclic wrap is an exact bijection of a geometric ladder. Exponents live on a
-cyclic group: the diagonal weight depends on the total exponent reduced modulo
-the cycle length (canonicalized into [exponent_min, exponent_max]), so mapped
-basis entries are bitwise identical and the commutator vanishes exactly. The
-unbounded ladder is recovered as the cycle length grows; wrapped index pairs
-are this model's analogue of the pointer grid's periodic wraparound. The
-weights take 2 * cycle_length values, kept as the spectrum's level table.
+cyclic wrap is an exact bijection of a geometric ladder. The diagonal weight
+depends on the total exponent reduced modulo the cycle length (into
+[exponent_min, exponent_max]), so mapped basis entries are bitwise identical
+and the commutator vanishes exactly; wrapped index pairs are this model's
+analogue of the pointer grid's periodic wraparound. The weights take
+2 * cycle_length values, kept as the spectrum's level table.
 """
 
 from __future__ import annotations
@@ -47,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import Spectrum, _freeze, frobenius_norm, permutation_inverse
+from .linalg import EVOLVE_BATCH, Spectrum, _freeze, frobenius_norm, permutation_inverse
 from .measurement import (
     POINTER,
     SYSTEM,
@@ -101,9 +97,14 @@ def _spectral_certificate(
     commutator = frobenius_norm(drift)
     hnorm = frobenius_norm(weights)
     commutator_residual = commutator / hnorm if hnorm > 0 else commutator
-    # halved first, so an angle overflows no sooner than its phase w t / hbar
-    half = 0.5 * drift
-    deviations = [2.0 * frobenius_norm(np.sin(half * t / hbar)) for t in times]
+    # halved first, so an angle overflows no sooner than its phase w t / hbar. One
+    # sin call per stack of at most EVOLVE_BATCH angles, row i half * t_i / hbar; a
+    # row of +-0 drifts is all +-0 or all NaN, so its first entry has its norm
+    half = 0.5 * (drift if drift.any() else drift[:1])
+    times = np.array(times, dtype=float)
+    batch = max(1, EVOLVE_BATCH // half.size)
+    stacks = (np.multiply.outer(times[i : i + batch], half) for i in range(0, times.size, batch))
+    deviations = [2.0 * frobenius_norm(row) for stack in stacks for row in np.sin(stack / hbar)]
     intertwining_residual = float(np.max(deviations))
     residuals = (commutator_residual, swap_residual, intertwining_residual, cross_distance)
     return SwapCertificate(
@@ -203,22 +204,17 @@ def certify_lemma1(
     if evolved is None:
         evolved = next(evolved_ready(factor, (setup.duration,), range(negation.size)))
     # |S U(T) ready(lambda, a) - U(T) ready(-lambda, a)| per branch, in the position basis
-    residuals = [np.linalg.norm(evolved[s][inverse] - evolved[p]) for s, p in enumerate(negation)]
+    residuals = [frobenius_norm(evolved[s][inverse] - evolved[p]) for s, p in enumerate(negation)]
     swap_residual = float(np.max(residuals))  # max() would drop a NaN that is not first
     construction = "position-basis" if swap is None else "custom"
 
     carried = spectrum.carried_factor(factor.swap)
     if carried is None:
         return SwapCertificate(construction, swap_residual, passed=False, note=NOT_CARRIED_NOTE)
+    times = [fraction * setup.duration for fraction in SAMPLE_FRACTIONS]
     return _spectral_certificate(
-        construction,
-        spectrum.weights,
-        factor.swap,
-        [fraction * setup.duration for fraction in SAMPLE_FRACTIONS],
-        setup.grid.hbar,
-        swap_residual,
-        _cross_construction(spectrum, carried),
-        tol,
+        construction, spectrum.weights, factor.swap, times, setup.grid.hbar, swap_residual,
+        _cross_construction(spectrum, carried), tol,
     )
 
 
@@ -344,24 +340,30 @@ def locate_eigenvalue(model: GeometricDiagonalModel, value: float) -> tuple:
     return divmod(index, model.cycle_length)
 
 
+def _scaling_swap(model: GeometricDiagonalModel, values: tuple) -> tuple:
+    """(swap, inverse, the outcomes' label-0 system kets) of the scaling swap."""
+    sectors = [locate_eigenvalue(model, value) for value in values]
+    perm = scaling_permutation(model)
+    starts = tuple(model.degeneracy * (sign * model.cycle_length + m) for sign, m in sectors)
+    return perm, permutation_inverse(perm, model.dim), starts
+
+
 def scaling_factor(model: GeometricDiagonalModel, value_from: float, value_to: float) -> Factor:
     """The ladder as a factor under the scaling swap: system (sign_sys, m,
     label), pointer (sign_p, k), and worlds starting in the outcomes' label-0
     kets with the pointer spread evenly."""
     values = (value_from, value_to)
-    sectors = [locate_eigenvalue(model, value) for value in values]
-    perm = scaling_permutation(model)
+    perm, inverse, starts = _scaling_swap(model, values)
     block = 2 * model.cycle_length
     frame = (
         ("system_observable", np.repeat(model.a_eigenvalues, model.degeneracy), SYSTEM),
         ("pointer_momentum", np.outer([1.0, -1.0], model.powers).ravel(), POINTER),
     )
     ready = np.full(block, 1.0 / np.sqrt(block))
-    starts = tuple(model.degeneracy * (sign * model.cycle_length + m) for sign, m in sectors)
     outcomes = tuple(f"outcome {value:g}" for value in values)
     return Factor(
-        model.spectrum(), perm, permutation_inverse(perm, model.dim), block, ready, starts,
-        outcomes, value_from != value_to, frame, model.hbar,
+        model.spectrum(), perm, inverse, block, ready, starts, outcomes, value_from != value_to,
+        frame, model.hbar,
     )
 
 
@@ -377,9 +379,14 @@ def certify_lemma2(
     and intertwining with its evolution at ``sample_times``, and mapping of the
     eigenvalue_from branch family onto the eigenvalue_to family, for every
     degeneracy label (index-level and by the norm each sector keeps). A run
-    passes the ``scaling_factor`` its worlds share."""
-    factor = scaling_factor(model, eigenvalue_from, eigenvalue_to) if factor is None else factor
-    perm, inverse = factor.swap, factor.inverse
+    passes the ``scaling_factor`` its worlds share; alone, it builds only the
+    swap and the weights, as it reads no frame or ready block."""
+    if factor is None:
+        perm, inverse, starts = _scaling_swap(model, (eigenvalue_from, eigenvalue_to))
+        weights = model.diagonal_weights()
+    else:
+        perm, inverse, starts = factor.swap, factor.inverse, factor.starts
+        weights = factor.spectrum.weights
     note, swap_residual = NORMALIZATION_NOTE, 0.0
     if eigenvalue_from == eigenvalue_to:  # no ratio to check and no sector to map
         note = "identity automorphism: equal outcome eigenvalues leave nothing to swap; " + note
@@ -390,7 +397,7 @@ def certify_lemma2(
                 f"outcome ratio {requested_ratio} does not match the model ratio {model.ratio}"
             )
         (sign_from, m_from), (sign_to, m_to) = (
-            divmod(start // model.degeneracy, model.cycle_length) for start in factor.starts
+            divmod(start // model.degeneracy, model.cycle_length) for start in starts
         )
         index = model.basis_indices()
         # index[sign_to, m_to, label, sign_p, k - 1], for every label, sign_p and k
@@ -398,11 +405,10 @@ def certify_lemma2(
         mapping_exact = np.array_equal(perm[index[sign_from, m_from]], targets)
         # the norm each swapped source sector keeps inside its target sector
         sector_deficits = [
-            abs(1.0 - np.linalg.norm(model.sector_state(sign_from, m_from, label)[inverse[sector]]))
+            abs(1.0 - frobenius_norm(model.sector_state(sign_from, m_from, label)[inverse[sector]]))
             for label, sector in enumerate(index[sign_to, m_to].reshape(model.degeneracy, -1))
         ]
         swap_residual = float(np.max([0.0 if mapping_exact else 1.0, *sector_deficits]))
     return _spectral_certificate(
-        "scaling", factor.spectrum.weights, perm, sample_times, model.hbar, swap_residual, None,
-        tol, note,
+        "scaling", weights, perm, sample_times, model.hbar, swap_residual, None, tol, note
     )

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from swaplab import reporting
 from swaplab.cli import build_parser, main
-from swaplab.config import SCENARIOS, parse_config
+from swaplab.config import SCENARIOS, RunConfig, parse_config
 from swaplab.measurement import evolve, ready_state, system_basis_state
 from swaplab.isomorphism import IsomorphismReport, Witness
 from swaplab.reporting import emit_distribution_csv, emit_report, failed_checks, render_json
@@ -340,6 +340,44 @@ class TestCliCommands:
         assert str(blocker) in captured.err
         assert blocker.read_text() == "not a directory"
 
+    @pytest.mark.parametrize(
+        "command, filename",
+        [(("run",), "report.json"), (("export-distribution", "--time", "0.5"), "distribution.csv")],
+    )
+    def test_empty_out_writes_into_the_working_directory(
+        self, tmp_path, monkeypatch, capsys, command, filename
+    ):
+        # --out "" names the working directory, as Path("") is "."
+        argv = [command[0], write_config(tmp_path, {}), *command[1:], "--out", ""]
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 0
+        assert (tmp_path / filename).read_text() == capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", [("certify", "lemma1"), ("certify", "lemma2")])
+    def test_certify_out_naming_a_file_exits_2(self, tmp_path, capsys, command):
+        blocker = tmp_path / "taken"
+        blocker.write_text("not a directory")
+        assert main([*command, write_config(tmp_path, {}), "--out", str(blocker)]) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert blocker.read_text() == "not a directory"
+
+    @pytest.mark.parametrize(
+        "command, payload",
+        [
+            # the file's own tol is replaced before the one validation
+            (("run", "--tol", "1e-10"), {"tol": -1.0}),
+            # each command runs its own scenario, so only its guards apply:
+            # lemma 1 and the export read no ladder, lemma 2 no pointer
+            (("certify", "lemma1"), {"scenario": "classical-level", "lambda1": 0.0}),
+            (("export-distribution", "--time", "0.5"), {"scenario": "prince-pauper", "k": 2}),
+            (("certify", "lemma2"), {"scenario": "prince-pauper", "M": 131072}),
+        ],
+    )
+    def test_overrides_are_validated_as_the_job_runs(self, tmp_path, command, payload):
+        split = 2 if command[0] == "certify" else 1
+        argv = [*command[:split], write_config(tmp_path, payload), *command[split:]]
+        assert main(argv) == 0
+
     def test_certify_subcommand(self, tmp_path):
         config_path = write_config(tmp_path, {})
         assert main(["certify", "lemma1", config_path]) == 0
@@ -471,3 +509,47 @@ def test_every_config_exits_0_2_or_3(config_dir, command, config, expected):
     assert code in (0, 2, 3)
     if expected is not None:
         assert code == expected
+
+
+@pytest.mark.parametrize(
+    "words, config",
+    [
+        (["run"], {"scenario": "prince-pauper"}),
+        (["certify", "lemma1"], {}),
+        (["certify", "lemma2"], {"scenario": "classical-level", "ratio_exponent_range": 2}),
+        (["export-distribution", "--time", "0.37"], {}),
+    ],
+)
+def test_config_validated_once_per_job(tmp_path, monkeypatch, words, config):
+    # the command's overrides (--tol, the certify target, the export's
+    # pointer scenario) go into the one RunConfig the job runs, which is
+    # built and validated once
+    path = write_config(tmp_path, config)
+    counted = []
+    validate = RunConfig.__post_init__
+    monkeypatch.setattr(
+        RunConfig, "__post_init__", lambda self: counted.append(1) or validate(self)
+    )
+    split = 2 if words[0] == "certify" else 1
+    assert main([*words[:split], path, *words[split:], "--tol", "1e-10"]) == 0
+    assert len(counted) == 1
+
+
+@pytest.mark.parametrize(
+    "words, config",
+    [
+        (["run"], {"scenario": "prince-pauper"}),
+        (["export-distribution", "--time", "0.37"], {}),
+    ],
+)
+def test_finite_outputs_format_no_float_one_call_at_a_time(tmp_path, monkeypatch, words, config):
+    # finite floats are formatted through the renderers' templates and memo;
+    # the per-value formatter is left for the error path and rare types
+    path = write_config(tmp_path, config)
+    counted = []
+    format_float = reporting._format_float
+    monkeypatch.setattr(
+        reporting, "_format_float", lambda value: counted.append(1) or format_float(value)
+    )
+    assert main([words[0], path, *words[1:]]) == 0
+    assert counted == []

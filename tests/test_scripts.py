@@ -18,6 +18,8 @@ ROOT = Path(__file__).resolve().parents[1]
         ["scripts/multiworld_growth.py", "--max-k", "2", "--half-width", "4", "--spacing", "0.5"],
         ["scripts/ccr_sweep.py"],  # exits 1 when the defect stops decreasing
         ["scripts/report_audit.py"],
+        # this checkout against itself: both sides' output bytes must agree
+        ["scripts/ab_jobs.py", ".", ".", "--workload", "desk-batch", "--rounds", "2"],
     ],
 )
 def test_script_runs(argv):
