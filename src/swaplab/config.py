@@ -4,7 +4,7 @@
 its fields directly, each field's annotation picks the reader of its JSON key,
 and every guard lives in ``RunConfig._validate``, so a config that violates
 one fails at parse time with a field-named message, before any operator is
-built.
+built. A leaf module: it imports no swaplab module at module level.
 """
 
 from __future__ import annotations
@@ -14,8 +14,10 @@ import math
 import sys
 from dataclasses import dataclass, fields
 
-from .reporting import render_json
-from .scenario import MODEL_DEGENERACY, QUBIT_EIGENVALUES
+#: the measured qubits have outcomes +-1
+QUBIT_EIGENVALUES = (1.0, -1.0)
+#: degeneracy labels per eigenvalue of the classical-level ladder model
+MODEL_DEGENERACY = 2
 
 SCENARIOS = (
     "prince-pauper",
@@ -254,5 +256,6 @@ def parse_config(text: str, **overrides) -> RunConfig:
 
 def serialize_config(config: RunConfig) -> str:
     """Canonical JSON for a config; parse_config(serialize_config(c)) == c."""
+    from .reporting import render_json  # imported here: config imports no swaplab module
     return render_json(config) + "\n"
 

@@ -13,11 +13,12 @@ criterion 3: a triple's Hamiltonian is a dense operator, evolved through its
 own dense exponential and conjugated by gather, S H S^dag =
 H[inverse][:, inverse]. The runs build no triple: their world engine
 (``scenario``) reads the same state residual and report rule off one
-spectral evolution of its worlds, and the Hamiltonian residual off the
-weights, |w[inverse] - w|.
+spectral evolution of its worlds, and the Hamiltonian residual off the swap
+certificate's weight drift, |w[perm] - w|.
 
 Distinctness is operationalized against fixed, named reference observables,
-each given as its real diagonal in the working basis: two states describe
+each given as its real diagonal in the working basis and read on amplitude
+arrays (a ``ComplexVector`` converts to one): two states describe
 observably different situations exactly when some reference expectation
 value differs beyond tolerance. Keeping that frame explicit is the point - it
 is the extra structure the triple itself does not supply.
@@ -152,35 +153,29 @@ def check_isomorphism(
     return IsomorphismReport.judged(times, residuals, residual, tolerance)
 
 
-def distinctness_witness(
-    state_a: ComplexVector,
-    state_b: ComplexVector,
-    observables,
-    tolerance: float = 1e-10,
-) -> tuple:
-    """Expectation values and gaps of named reference observables, each given
-    as its real diagonal ``values`` in the working basis, so that
-    <psi|A|psi> = sum_i values[i] |psi_i|^2. A diagonal of the wrong shape
-    raises DimensionError; a complex one (not Hermitian) raises KindError."""
-    if state_a.dim != state_b.dim:
-        raise DimensionError(f"state dims differ: {state_a.dim} vs {state_b.dim}")
+def distinctness_witness(state_a, state_b, observables, tolerance: float = 1e-10) -> tuple:
+    """Expectation values and gaps of named reference observables in two
+    amplitude arrays, each observable given as its real diagonal ``values``
+    in the working basis, so that <psi|A|psi> = sum_i values[i] |psi_i|^2.
+    States that are not 1-d arrays of one length, or a diagonal of the wrong
+    shape, raise DimensionError; a complex diagonal (not Hermitian) KindError."""
+    state_a, state_b = np.asarray(state_a, dtype=complex), np.asarray(state_b, dtype=complex)
+    if state_a.ndim != 1 or state_a.size == 0 or state_a.shape != state_b.shape:
+        raise DimensionError(
+            f"states must be nonempty 1-d arrays of one length: {state_a.shape} vs {state_b.shape}"
+        )
     witnesses = []
     for name, values in observables:
         values = np.asarray(values)
-        if values.shape != (state_a.dim,):
+        if values.shape != state_a.shape:
             raise DimensionError(
-                f"observable {name!r} must be a diagonal of {state_a.dim} values, "
+                f"observable {name!r} must be a diagonal of {state_a.size} values, "
                 f"got shape {values.shape}"
             )
         if np.iscomplexobj(values):
             raise KindError(f"observable {name!r} is not hermitian: its diagonal is complex")
-        expectation_a = float(np.vdot(state_a.amplitudes, values * state_a.amplitudes).real)
-        expectation_b = float(np.vdot(state_b.amplitudes, values * state_b.amplitudes).real)
+        expectation_a = float(np.vdot(state_a, values * state_a).real)
+        expectation_b = float(np.vdot(state_b, values * state_b).real)
         gap = abs(expectation_a - expectation_b)
         witnesses.append(Witness(name, expectation_a, expectation_b, gap, gap > tolerance))
     return tuple(witnesses)
-
-
-def is_distinct(witnesses) -> bool:
-    """A pair of worlds is distinct when any reference gap exceeds tolerance."""
-    return any(w.distinct for w in witnesses)

@@ -2,11 +2,11 @@
 
 Every Hamiltonian on a production path is a ``Spectrum``: real weights in
 a basis that is the identity on a leading factor times the centred DFT on a
-trailing one. Dense vectors and operators are thin immutable wrappers around
-numpy arrays. Operators carry an advisory kind tag (``general``,
-``hermitian``, ``unitary``) that is verified against its tolerance on
-construction; operations that rely on a tag recheck it instead of trusting
-it blindly.
+trailing one, and every state is an amplitude array. The dense oracles'
+vectors and operators are thin immutable wrappers around numpy arrays; a
+vector converts to its amplitude array. Operators carry an advisory kind tag
+(``general``, ``hermitian``, ``unitary``) that is verified against its
+tolerance on construction; operations that rely on a tag recheck it.
 
 Everything here is a pure function of its inputs; the wrapped buffers are
 frozen, so values are safe to share across threads.
@@ -84,8 +84,12 @@ class ComplexVector:
             raise ValueError(f"state vector is not normalized: |norm - 1| = {deviation:.3e}")
         return self
 
-    def __repr__(self) -> str:
-        return f"ComplexVector(dim={self.dim})"
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        """The frozen amplitudes, so that an array function takes the vector;
+        a copy only when numpy 2 passes ``copy=True`` (numpy 1 passes none)."""
+        if copy:
+            return np.array(self.amplitudes, dtype=dtype)
+        return np.asarray(self.amplitudes, dtype=dtype)
 
 
 class DenseOperator:
@@ -127,9 +131,6 @@ class DenseOperator:
                 raise DimensionError(f"operator dim {self.dim} vs vector dim {other.dim}")
             return ComplexVector(self.entries @ other.amplitudes)
         return NotImplemented
-
-    def __repr__(self) -> str:
-        return f"DenseOperator(dim={self.dim}, kind={self.kind!r})"
 
 
 def basis_vector(dim: int, index: int) -> ComplexVector:

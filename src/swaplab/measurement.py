@@ -271,33 +271,31 @@ def translation_map(grid: PointerGrid, steps: int) -> DenseOperator:
     return DenseOperator(shift, UNITARY)
 
 
-def _require_window(setup: MeasurementSetup, t: float) -> None:
-    if not 0 <= t <= setup.duration:
-        raise ValueError(
-            f"time {t} outside [0, {setup.duration}]: the coupling is only defined there"
-        )
-
-
 def evolve(setup: MeasurementSetup, state: ComplexVector, t: float) -> ComplexVector:
     """Premeasurement evolution: each branch's pointer moves by -coupling*t*lambda."""
     if state.dim != setup.total_dim:
         raise DimensionError(f"state dim {state.dim} != setup dim {setup.total_dim}")
-    _require_window(setup, t)
+    if not 0 <= t <= setup.duration:
+        raise ValueError(
+            f"time {t} outside [0, {setup.duration}]: the coupling is only defined there"
+        )
     return ComplexVector(pointer_spectrum(setup).evolve(state.amplitudes, t, setup.grid.hbar))
 
 
-def branch_distribution(state: ComplexVector, setup: MeasurementSetup) -> np.ndarray:
-    """The joint (outcome branch, pointer position) distribution |psi|^2,
-    degeneracy labels summed, as an (n_eigenvalues, N) array."""
-    if state.dim != setup.total_dim:
-        raise DimensionError(f"state dim {state.dim} != setup dim {setup.total_dim}")
+def branch_distribution(state, setup: MeasurementSetup) -> np.ndarray:
+    """|psi|^2 of the amplitude array ``state`` as an (n_eigenvalues, N) array
+    over (outcome branch, pointer position), degeneracy labels summed."""
+    amplitudes = np.asarray(state, dtype=complex)
+    if amplitudes.shape != (setup.total_dim,):
+        raise DimensionError(f"state shape {amplitudes.shape} != setup dim ({setup.total_dim},)")
     observable = setup.observable
-    weights = np.abs(state.amplitudes.reshape(observable.system_dim, setup.grid.n_points)) ** 2
+    weights = np.abs(amplitudes.reshape(observable.system_dim, setup.grid.n_points)) ** 2
     return weights.reshape(observable.n_eigenvalues, observable.degeneracy, -1).sum(axis=1)
 
 
-def readout(state: ComplexVector, setup: MeasurementSetup) -> tuple:
-    """Per-eigenvalue branch probability, pointer mean, and inferred outcome.
+def readout(state, setup: MeasurementSetup) -> tuple:
+    """Per-eigenvalue branch probability, pointer mean, and inferred outcome
+    of the amplitude array ``state``.
 
     The inferred outcome is -<Z>_branch / (coupling * duration); it is reported
     as None (not NaN) for branches with probability below ZERO_BRANCH_TOL, and

@@ -17,7 +17,6 @@ import numpy as np
 
 from . import __version__
 from .isomorphism import IsomorphismReport
-from .linalg import ComplexVector
 from .measurement import MeasurementSetup, branch_distribution
 from .scenario import PairCertificate, ScenarioReport
 from .symmetry import SwapCertificate
@@ -140,6 +139,7 @@ _TYPES = {
 def _doc(record) -> dict:
     doc = dict(vars(record))  # a copy: popping from the record's own dict would corrupt it
     doc.pop("witnesses", None)  # a pair's witnesses live in the distinctness array
+    doc.pop("drift_norm", None)  # a pair's hamiltonian_residual reports it
     doc["type"] = _TYPES[type(record)]
     return doc
 
@@ -210,8 +210,9 @@ def emit_report(report: ScenarioReport, config) -> str:
     return render_json(document) + "\n"
 
 
-def emit_distribution_csv(state: ComplexVector, setup: MeasurementSetup) -> str:
-    """CSV of the joint (pointer position, outcome branch) distribution.
+def emit_distribution_csv(state, setup: MeasurementSetup) -> str:
+    """CSV of the joint (pointer position, outcome branch) distribution of the
+    amplitude array ``state``.
 
     Header ``zeta,branch_lambda,probability``; one row per (grid point,
     eigenvalue) pair, degeneracy labels summed; LF line endings. The

@@ -13,8 +13,8 @@ Three runs are provided:
   exactly H-preserving scaling swap.
 
 One world engine (``_worlds(config, factor, k)``) builds every report: the
-2^k worlds of k copies of one ``Factor`` record (``qubit_factor`` or
-``ladder_factor``). Prince-pauper is multiworld's k = 1 case, and
+2^k worlds of k copies of one ``Factor`` record (``sign_flip_factor`` of
+``qubit_setup``, or ``ladder_factor``). Prince-pauper is multiworld's k = 1 case, and
 classical-level runs the engine at k = 1 on the ladder. Every run evolves the
 sum of its start kets once (``evolved_ready``), rows split per system block:
 both worlds, and for the qubit at T lemma 1's swap residual; the certificates
@@ -32,13 +32,12 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .isomorphism import IsomorphismReport, Witness, distinctness_witness, is_distinct
-from .isomorphism import _state_residual
-from .linalg import ComplexVector, frobenius_norm
+from .config import MODEL_DEGENERACY, QUBIT_EIGENVALUES, RunConfig
+from .isomorphism import IsomorphismReport, Witness, _state_residual, distinctness_witness
+from .linalg import frobenius_norm
 from .measurement import (
     Factor,
     MeasurementSetup,
@@ -54,14 +53,6 @@ from .symmetry import (
     scaling_factor,
     sign_flip_factor,
 )
-
-if TYPE_CHECKING:  # config imports this module, so the type is named in annotations only
-    from .config import RunConfig
-
-#: the measured qubits have outcomes +-1
-QUBIT_EIGENVALUES = (1.0, -1.0)
-#: degeneracy labels per eigenvalue of the classical-level ladder model
-MODEL_DEGENERACY = 2
 
 
 @dataclass(frozen=True)
@@ -165,10 +156,7 @@ def _worlds(config: RunConfig, factor: Factor, k: int) -> ScenarioReport:
     times = config.sample_times
     patterns, pair_worlds, factor_outcomes, differing, _ = _pair_plan(k)
     labels = ["".join(factor.outcomes[s] for s in pattern) for pattern in patterns]
-    inverse, weights = factor.inverse, factor.spectrum.weights
-    # |S H S^dag - H|_F on one factor: the spectrum's basis map carries the
-    # swap (certify_lemma1 checks a pointer's; the ladder's is the identity)
-    deviation = frobenius_norm(weights[inverse] - weights)
+    inverse = factor.inverse
     start_a, start_b = (factor.ready_sum([s]).reshape(-1) for s in factor.starts)
     start_residual = frobenius_norm(start_a[inverse] - start_b)
     del start_a, start_b
@@ -191,17 +179,21 @@ def _worlds(config: RunConfig, factor: Factor, k: int) -> ScenarioReport:
     certificate = factor.certificate
     if certificate is None:  # lemma 1 reads the rows at T
         certificate = certify_lemma1(factor.setup, tol=tolerance, factor=factor, evolved=states)
-    final_states = [ComplexVector(state) for state in states]
-    del states
+    # |S H S^dag - H|_F on one factor is the certificate's |w[perm] - w|: the
+    # spectrum's basis map carries the swap (certify_lemma1 checks a pointer's;
+    # the ladder's is the identity); an uncarried swap has no drift to read
+    deviation = certificate.drift_norm
+    if deviation is None:
+        raise ValueError(f"no Hamiltonian residual for this swap: {certificate.note}")
     setup = factor.setup  # only a pointer has branch readouts
-    readout_tables = [() if setup is None else (readout(s, setup),) for s in final_states]
+    readout_tables = [() if setup is None else (readout(s, setup),) for s in states]
     frame = factor.reference_frame()
     # one witness call per outcome pair serves every pair; factor f's part of
     # it holds the witnesses named for f, their gaps by name (the ladder's
     # frame lists its system observable first) and whether any is distinct
     parts = {}
     for a, b in sorted(set(itertools.chain.from_iterable(factor_outcomes))):
-        found = distinctness_witness(final_states[a], final_states[b], frame, tolerance)
+        found = distinctness_witness(states[a], states[b], frame, tolerance)
         gaps = [
             tuple(w.gap for w in found if w.observable.startswith(o)) for o in ("pointer", "system")
         ]
@@ -210,12 +202,12 @@ def _worlds(config: RunConfig, factor: Factor, k: int) -> ScenarioReport:
                 Witness(f"{w.observable}[{f}]", w.expectation_a, w.expectation_b, w.gap, w.distinct)
                 for w in found
             )
-            parts[f, (a, b)] = (named, *gaps, is_distinct(found))
+            parts[f, (a, b)] = (named, *gaps, any(w.distinct for w in found))
 
     # one maximum over the sample times, which keeps a NaN that max() would drop
     residuals = np.array(rows) if k == 1 else _pair_residuals(rows, k)
     state_residuals = residuals.max(axis=0)
-    factor_dim = final_states[0].dim
+    factor_dim = states.shape[1]
     pairs = []
     for n, ((i, j), pair) in enumerate(zip(pair_worlds, factor_outcomes)):
         state_residual = float(state_residuals[n])
@@ -246,7 +238,6 @@ def _worlds(config: RunConfig, factor: Factor, k: int) -> ScenarioReport:
     passed = (
         certificate.passed
         and start_residual <= tolerance
-        and len(patterns) == 2**k
         and all(p.isomorphic and (p.distinct or not factor.distinct_required) for p in pairs)
     )
     return ScenarioReport(
@@ -268,12 +259,7 @@ def run_prince_pauper(config: RunConfig) -> ScenarioReport:
 def run_multiworld(config: RunConfig) -> ScenarioReport:
     """k independent simultaneous measurements: 2^k isomorphic, distinct worlds.
     One evolution of the summed ready kets serves every world and lemma 1."""
-    return _worlds(config, qubit_factor(config), config.k)
-
-
-def qubit_factor(config: RunConfig) -> Factor:
-    """The measured qubit: the pointer factor of ``qubit_setup`` under the parity swap."""
-    return sign_flip_factor(qubit_setup(config))
+    return _worlds(config, sign_flip_factor(qubit_setup(config)), config.k)
 
 
 def ladder_factor(config: RunConfig) -> Factor:

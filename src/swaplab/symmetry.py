@@ -62,7 +62,9 @@ SAMPLE_FRACTIONS = (0.0, 0.25, 0.5, 0.75, 1.0)
 class SwapCertificate:
     """Residuals of one swap, each passing at most the one tolerance: the
     commutator relative to |H|_F, the others absolute (unit states). None
-    marks a residual that was not computed."""
+    marks a residual that was not computed. ``drift_norm`` is |w[perm] - w|,
+    the absolute commutator that the world engine reads as its Hamiltonian
+    residual; reports do not render it."""
 
     construction: str
     swap_residual: float
@@ -74,6 +76,7 @@ class SwapCertificate:
     # every swap is an index array that permutation_inverse checks is a
     # bijection, and a bijection's 0/1 matrix is exactly unitary
     unitarity_defect: float = 0.0
+    drift_norm: float | None = None
 
 
 def _spectral_certificate(
@@ -115,6 +118,7 @@ def _spectral_certificate(
         cross_construction_distance=cross_distance,
         passed=all(r <= tol for r in residuals if r is not None),
         note=note,
+        drift_norm=commutator,
     )
 
 

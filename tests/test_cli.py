@@ -248,6 +248,8 @@ class TestCliCommands:
             ({"scenario": "classical-level", "ratio_exponent_range": 128}, []),
             # a subnormal hbar turns the ladder's phase division into NaN
             ({"scenario": "classical-level", "hbar": 1e-310}, []),
+            # the seed guard's boundary: seeds are nonnegative
+            ({"seed": -1}, []),
         ],
     )
     def test_guard_violations_exit_2(self, tmp_path, capsys, payload, flags):

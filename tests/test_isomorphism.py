@@ -6,7 +6,6 @@ from swaplab.isomorphism import (
     _phase_minimized_distance,
     check_isomorphism,
     distinctness_witness,
-    is_distinct,
 )
 from swaplab.linalg import (
     HERMITIAN,
@@ -242,7 +241,7 @@ class TestDistinctness:
         state = plus.initial_state
         witnesses = distinctness_witness(state, state, [("anything", np.arange(plus.dim) - 7.5)])
         assert all(w.gap == 0.0 for w in witnesses)
-        assert not is_distinct(witnesses)
+        assert not any(w.distinct for w in witnesses)
 
     def test_pointer_gap_between_worlds(self, world_pair):
         setup, plus, minus = world_pair
@@ -251,7 +250,17 @@ class TestDistinctness:
         final_minus = minus.states_at(SAMPLE_TIMES)[-1]
         witnesses = distinctness_witness(final_plus, final_minus, [("pointer", pointer)])
         assert witnesses[0].gap == pytest.approx(2.0, abs=1e-9)
-        assert is_distinct(witnesses)
+        assert witnesses[0].distinct
+
+    def test_gap_equal_to_tol_is_not_distinct(self):
+        # distinct means a gap above tol: e_0 and e_1 under the diagonal
+        # (tol, 0) differ by exactly tol, and by one ulp more under nextafter
+        tol = 1e-10
+        states = np.eye(2, dtype=complex)
+        for value, distinct in ((tol, False), (np.nextafter(tol, 1.0), True)):
+            (witness,) = distinctness_witness(*states, [("edge", np.array([value, 0.0]))], tol)
+            assert witness.gap == value
+            assert witness.distinct is distinct
 
     def test_identity_observable_never_distinguishes(self, world_pair):
         _, plus, minus = world_pair

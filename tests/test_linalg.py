@@ -11,6 +11,7 @@ from swaplab.linalg import (
     DimensionError,
     KindError,
     hermitian_exponential,
+    permutation_inverse,
     random_unitary,
     tensor_product,
     unitarity_defect,
@@ -163,6 +164,15 @@ class TestHermitianExponential:
         composed = hermitian_exponential(herm, theta1) @ hermitian_exponential(herm, theta2)
         direct = hermitian_exponential(herm, theta1 + theta2)
         assert np.linalg.norm(composed.entries - direct.entries) <= 1e-10
+
+
+class TestPermutationInverse:
+    def test_one_duplicate_rejected(self):
+        # the identity with its last entry 0: index 0 twice, dim - 1 never
+        perm = np.arange(6)
+        perm[-1] = 0
+        with pytest.raises(KindError, match="bijection"):
+            permutation_inverse(perm, 6)
 
 
 class TestNorms:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from swaplab import measurement
 from swaplab.linalg import (
     ComplexVector,
     DimensionError,
@@ -265,6 +266,26 @@ class TestReadout:
         table = readout(state, setup)
         assert table[0].pointer_mean == pytest.approx(0.0, abs=1e-12)
         assert table[0].inferred_outcome is None
+
+    def test_probability_at_the_zero_branch_tol_keeps_statistics(self, monkeypatch):
+        # only a probability below ZERO_BRANCH_TOL drops its pointer statistics;
+        # with the bound at 2^-40, amplitude 2^-20 puts branch -1 exactly on it
+        # (and 2^-21 below it), and every product below is exact
+        monkeypatch.setattr(measurement, "ZERO_BRANCH_TOL", 2.0**-40)
+        setup = qubit_setup()
+        grid = setup.grid
+        j = grid.center_index + 3
+        for amplitude, kept in ((2.0**-20, True), (2.0**-21, False)):
+            state = np.zeros((2, grid.n_points), dtype=complex)
+            state[0, grid.center_index] = 1.0
+            state[1, j] = amplitude
+            branch = readout(state.reshape(-1), setup)[1]
+            assert branch.probability == amplitude**2
+            if kept:
+                assert branch.pointer_mean == grid.zeta[j]
+                assert branch.inferred_outcome == -grid.zeta[j] / (setup.coupling * setup.duration)
+            else:
+                assert branch.pointer_mean is None and branch.inferred_outcome is None
 
     def test_degenerate_observable(self):
         grid = make_pointer_grid(4, 0.5)

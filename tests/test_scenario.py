@@ -32,15 +32,21 @@ from swaplab.scenario import (
     _pair_residuals,
     build_diagonal_model,
     ladder_factor,
-    qubit_factor,
     qubit_setup,
     run_classical_level,
     run_multiworld,
     run_prince_pauper,
 )
 from swaplab.reporting import emit_report, render_json
-from swaplab.symmetry import GeometricDiagonalModel, certify_lemma1, parity_swap, scaling_factor
+from swaplab.symmetry import (
+    GeometricDiagonalModel,
+    certify_lemma1,
+    parity_swap,
+    scaling_factor,
+    sign_flip_factor,
+)
 
+import dense_reference
 from test_linalg import permutation_matrix
 
 
@@ -416,6 +422,63 @@ class TestMultiworld:
         with pytest.raises(ConfigError):
             multiworld_config(4)
 
+    @pytest.mark.parametrize("times", [None, [0.0]], ids=["default-times", "time-0"])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_non_commuting_swap_matches_dense_reference(self, monkeypatch, k, times):
+        # the sigma-only swap (system negated, pointer fixed) maps every weight
+        # to its negation, so |S H S^dag - H|_F = 2 |H|_F per differing factor.
+        # At time 0 alone it carries e_+ (x) ready onto e_- (x) ready exactly,
+        # so only that residual keeps a pair from being isomorphic
+        def sigma_only(setup):
+            n = setup.grid.n_points
+            perm = np.array([1, 0])[:, None] * n + np.arange(n)
+            return symmetry.sign_flip_factor(setup, perm.ravel())
+
+        dense_init = dense_reference._PointerFactor.__init__
+
+        def dense_sigma_only(factor, config):
+            dense_init(factor, config)
+            factor.swap = np.kron(np.eye(2)[::-1], np.eye(factor.n)).astype(complex)
+
+        monkeypatch.setattr(scenario, "sign_flip_factor", sigma_only)
+        monkeypatch.setattr(dense_reference._PointerFactor, "__init__", dense_sigma_only)
+        payload = {"scenario": "multiworld", "k": k, "M": 4, "delta": 0.5, "g": 0.8}
+        if times is not None:
+            payload["sample_times"] = times
+        config = parse_config(json.dumps(payload))
+        report = run_multiworld(config)
+        dense = dense_reference.dense_report(config)
+        dense_pairs = [doc for doc in dense["certificates"] if doc["type"] == "pair-certificate"]
+        assert len(report.pairs) == len(dense_pairs) == 2**k * (2**k - 1) // 2
+        for pair, twin in zip(report.pairs, dense_pairs):
+            assert twin["hamiltonian_residual"] > 1.0
+            expected = twin["hamiltonian_residual"]
+            assert pair.hamiltonian_residual == pytest.approx(expected, rel=1e-12)
+            assert (pair.state_residual == 0.0) == (times is not None)
+            assert pair.isomorphic is twin["isomorphic"] is False
+        assert report.passed is dense["pass"] is False
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_uncarried_swap_names_the_missing_residual(self, tmp_path, monkeypatch, k):
+        # the spectrum's basis map does not carry the corrupted swap, so its
+        # certificate has no drift and the engine has no Hamiltonian residual
+        # to report: the run raises with the certificate's note, and the CLI
+        # exits 4 with it on stderr and nothing on stdout
+        def corrupted(setup):
+            return symmetry.sign_flip_factor(setup, symmetry.corrupted_swap(setup))
+
+        monkeypatch.setattr(scenario, "sign_flip_factor", corrupted)
+        with pytest.raises(ValueError, match="no Hamiltonian residual") as raised:
+            run_multiworld(multiworld_config(k))
+        assert symmetry.NOT_CARRIED_NOTE in str(raised.value)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"scenario": "multiworld", "k": k}))
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            assert main(["run", str(path)]) == 4
+        assert symmetry.NOT_CARRIED_NOTE in stderr.getvalue()
+        assert stdout.getvalue() == ""
+
 
 class TestClassicalLevel:
     def test_default_run_passes(self):
@@ -555,7 +618,8 @@ def assert_witnesses_match_dense(state_a, state_b, frame):
 
 @pytest.mark.parametrize("M", [1, 8, 50])
 def test_pointer_frame_witnesses_match_dense_oracle(M):
-    factor = qubit_factor(RunConfig(M=M, delta=2.0 / M**0.5, g=0.7, T=1.3, hbar=0.9))
+    config = RunConfig(M=M, delta=2.0 / M**0.5, g=0.7, T=1.3, hbar=0.9)
+    factor = sign_flip_factor(qubit_setup(config))
     setup, spectrum = factor.setup, factor.spectrum
     # an unequal superposition, so both frames see nonzero expectations
     system = ComplexVector(np.array([0.6, 0.8j]))

@@ -18,6 +18,7 @@ ROOT = Path(__file__).resolve().parents[1]
         ["scripts/multiworld_growth.py", "--max-k", "2", "--half-width", "4", "--spacing", "0.5"],
         ["scripts/ccr_sweep.py"],  # exits 1 when the defect stops decreasing
         ["scripts/report_audit.py"],
+        ["scripts/unreached.py"],
         # this checkout against itself: both sides' output bytes must agree
         ["scripts/ab_jobs.py", ".", ".", "--workload", "desk-batch", "--rounds", "2"],
     ],
@@ -29,3 +30,34 @@ def test_script_runs(argv):
         [sys.executable, *argv], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120
     )
     assert result.returncode == 0, result.stderr
+
+
+def test_unreached_lists_the_functions_no_job_runs():
+    # a run, a lone certificate and an export reach the production path and
+    # none of the dense oracles; ComplexVector is one of them
+    sys.path.insert(0, str(ROOT / "scripts"))
+    import unreached
+
+    jobs = [
+        (("run",), {"scenario": "prince-pauper"}),
+        (("certify", "lemma2"), {}),
+        (("export-distribution", "--time", "0.5"), {}),
+    ]
+    lines = unreached.unreached(jobs, acceptance=False)
+    names = {line.split()[0] for line in lines}
+    assert all(line.split()[1].startswith("src/swaplab/") for line in lines)
+    for name in (
+        "linalg.ComplexVector.__init__",
+        "linalg.hermitian_exponential",
+        "measurement.interaction_hamiltonian",
+        "isomorphism.check_isomorphism",
+        "scenario.run_classical_level",
+    ):
+        assert name in names
+    for name in (
+        "cli.main",
+        "scenario._worlds",
+        "symmetry.certify_lemma2",
+        "reporting.emit_distribution_csv",
+    ):
+        assert name not in names

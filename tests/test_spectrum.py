@@ -8,7 +8,7 @@ from swaplab.cli import main
 from swaplab.config import RunConfig
 from swaplab import linalg
 from swaplab import measurement
-from swaplab.isomorphism import EvolutionTriple
+from swaplab.isomorphism import EvolutionTriple, distinctness_witness
 from swaplab.linalg import (
     HERMITIAN,
     DenseOperator,
@@ -26,9 +26,11 @@ from swaplab.measurement import (
     interaction_hamiltonian,
     make_pointer_grid,
     pointer_spectrum,
+    readout,
     ready_state,
     system_basis_state,
 )
+from swaplab.reporting import emit_distribution_csv
 from swaplab.scenario import build_diagonal_model, run_multiworld
 from swaplab.symmetry import (
     corrupted_swap,
@@ -43,6 +45,7 @@ from dense_reference import dft_matrix
 HBAR = 0.7
 SPACING = 0.3
 DURATION = 1.0
+WORLDS = ("plus", "minus", "superposition")
 
 
 def degenerate_setup(half_width, coupling=0.8):
@@ -391,6 +394,51 @@ def test_fft_calls_per_job(tmp_path, monkeypatch, words, extra, config, calls):
         )
     assert main([*words, str(path), *extra]) == 0
     assert len(counted) == calls
+
+
+@pytest.mark.parametrize(
+    "words, extra, config",
+    [
+        (["run"], [], {"scenario": "prince-pauper"}),
+        (["run"], [], {"scenario": "multiworld", "k": 2}),
+        (["run"], [], {"scenario": "classical-level"}),
+        (["certify", "lemma1"], [], {}),
+        (["certify", "lemma2"], [], {}),
+        *[(["export-distribution"], ["--time", "0.37", "--world", w], {}) for w in WORLDS],
+    ],
+)
+def test_complex_vectors_per_job(tmp_path, monkeypatch, words, extra, config):
+    # the production functions take amplitude arrays end to end: the evolved
+    # rows of a run and the evolved export state are read as they are, with
+    # no ComplexVector copy (a run made 2 and an export 1)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    counted = []
+    init = linalg.ComplexVector.__init__
+    monkeypatch.setattr(
+        linalg.ComplexVector, "__init__", lambda self, *a: counted.append(1) or init(self, *a)
+    )
+    assert main([*words, str(path), *extra]) == 0
+    assert len(counted) == 0
+
+
+@pytest.mark.parametrize("function", ["readout", "distinctness_witness", "emit_distribution_csv"])
+def test_state_arrays_must_be_one_dimensional(function):
+    # a (system, pointer) array holds the right number of amplitudes, so only
+    # the 1-d check rejects it; so does a witness pair of unequal lengths
+    setup = degenerate_setup(3)
+    state = ready_state(setup, system_basis_state(setup.observable, 0)).amplitudes
+    frame = [("pointer", np.ones(state.shape))]
+    call = {
+        "readout": lambda s: readout(s, setup),
+        "distinctness_witness": lambda s: distinctness_witness(s, s, frame),
+        "emit_distribution_csv": lambda s: emit_distribution_csv(s, setup),
+    }[function]
+    call(state)  # the 1-d state is read
+    with pytest.raises(DimensionError):
+        call(state.reshape(setup.observable.system_dim, -1))
+    with pytest.raises(DimensionError):
+        distinctness_witness(state, state[:-1], frame)
 
 
 @pytest.mark.parametrize(

@@ -389,6 +389,21 @@ class TestCertifyLemma2:
         assert certificate.swap_residual == 0.0
         assert certificate.passed
 
+    def test_outcome_off_a_rung_rejected(self):
+        # 1e-7 relative off the rung 2.0: past the lookup's 1e-9 reach
+        model = diagonal_model(ratio=2.0, span=1)
+        assert locate_eigenvalue(model, 2.0) == (0, 2)
+        with pytest.raises(ValueError, match="not an eigenvalue"):
+            locate_eigenvalue(model, 2.0 * (1 + 1e-7))
+
+    def test_rungs_two_apart_fail_the_ratio_check(self):
+        # both outcomes are rungs of the ratio-1.0001 ladder, but their
+        # ratio is 1.0001^2, 1e-4 off the model ratio
+        model = GeometricDiagonalModel(1.0001, -2, 2)
+        rung = {m: model.a_eigenvalues[m] for m in (2, 4)}  # exponents 0 and 2
+        with pytest.raises(ValueError, match="does not match the model ratio"):
+            certify_lemma2(model, rung[2], rung[4])
+
     def test_unknown_eigenvalue_rejected(self):
         with pytest.raises(ValueError, match="eigenvalue"):
             certify_lemma2(diagonal_model(ratio=2.0, span=1), 0.7, 1.4)
