@@ -1,10 +1,10 @@
-"""JSON run configuration: schema, guards, canonical serialization.
+"""JSON run configuration: schema, guards and parsing.
 
 ``RunConfig`` is the one config type and the one schema: every runner reads
 its fields directly, each field's annotation picks the reader of its JSON key,
 and every guard lives in ``RunConfig._validate``, so a config that violates
 one fails at parse time with a field-named message, before any operator is
-built. A leaf module: it imports no swaplab module at module level.
+built. A leaf module: it imports no swaplab module.
 """
 
 from __future__ import annotations
@@ -252,10 +252,3 @@ def parse_config(text: str, **overrides) -> RunConfig:
             raise ConfigError(f"unknown key {key!r}")
         kwargs[key] = _READERS[_FIELD_TYPES[key]](key, raw[key])
     return RunConfig(**{**kwargs, **overrides})
-
-
-def serialize_config(config: RunConfig) -> str:
-    """Canonical JSON for a config; parse_config(serialize_config(c)) == c."""
-    from .reporting import render_json  # imported here: config imports no swaplab module
-    return render_json(config) + "\n"
-

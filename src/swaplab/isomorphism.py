@@ -71,11 +71,11 @@ class EvolutionTriple:
         times = self.sample_times
         if len(times) == 0:
             raise ValueError("sample_times must be nonempty")
-        if any(t < 0 for t in times):
+        if not all(t >= 0 for t in times):
             raise ValueError("sample_times must be nonnegative")
         if any(b < a for a, b in zip(times, times[1:])):
             raise ValueError("sample_times must be sorted")
-        if self.hbar <= 0:
+        if not self.hbar > 0:
             raise ValueError(f"hbar must be positive, got {self.hbar}")
 
     @property

@@ -80,7 +80,7 @@ class ComplexVector:
 
     def require_unit(self) -> "ComplexVector":
         deviation = abs(self.norm() - 1.0)
-        if deviation > NORM_TOL:
+        if not deviation <= NORM_TOL:
             raise ValueError(f"state vector is not normalized: |norm - 1| = {deviation:.3e}")
         return self
 
@@ -110,11 +110,11 @@ class DenseOperator:
     def _verify_kind(self) -> None:
         if self.kind == HERMITIAN:
             defect = frobenius_norm(self.entries - self.entries.conj().T)
-            if defect > HERM_TOL * frobenius_norm(self.entries):
+            if not defect <= HERM_TOL * frobenius_norm(self.entries):
                 raise KindError(f"hermitian tag rejected: |M - M^dag|_F = {defect:.3e}")
         elif self.kind == UNITARY:
             defect = unitarity_defect_of(self.entries)
-            if defect > UNIT_TOL * np.sqrt(self.dim):
+            if not defect <= UNIT_TOL * np.sqrt(self.dim):
                 raise KindError(f"unitary tag rejected: |U^dag U - I|_F = {defect:.3e}")
 
     @property
@@ -301,7 +301,7 @@ def hermitian_exponential(hermitian: DenseOperator, angle: float) -> DenseOperat
         )
     entries = hermitian.entries
     defect = frobenius_norm(entries - entries.conj().T)
-    if defect > HERM_TOL * frobenius_norm(entries):
+    if not defect <= HERM_TOL * frobenius_norm(entries):
         raise KindError(f"operator is not numerically hermitian: defect {defect:.3e}")
     try:
         eigenvalues, eigenvectors = np.linalg.eigh(entries)

@@ -55,9 +55,9 @@ class PointerGrid:
     def __post_init__(self):
         if self.half_width < 1:
             raise ValueError("half_width must be >= 1 (a single-point pointer is degenerate)")
-        if self.spacing <= 0:
+        if not self.spacing > 0:
             raise ValueError(f"spacing must be positive, got {self.spacing}")
-        if self.hbar <= 0:
+        if not self.hbar > 0:
             raise ValueError(f"hbar must be positive, got {self.hbar}")
         n = 2 * self.half_width + 1
         index = np.arange(-self.half_width, self.half_width + 1)
@@ -135,9 +135,9 @@ class MeasurementSetup:
     duration: float
 
     def __post_init__(self):
-        if self.coupling < 0:
+        if not self.coupling >= 0:
             raise ValueError(f"coupling must be nonnegative, got {self.coupling}")
-        if self.duration <= 0:
+        if not self.duration > 0:
             raise ValueError(f"duration must be positive, got {self.duration}")
 
     @property
@@ -217,7 +217,7 @@ class Factor:
     needs the two distinct when ``distinct_required``. ``frame`` holds the
     reference observables as (name, local diagonal, SYSTEM or POINTER). Only
     the pointer has a ``setup``, for branch readouts and lemma 1 on the rows
-    at T; only the ladder has a ``certificate``, lemma 2's, which reads no state."""
+    at T; only the ladder a ``certificate``, lemma 2's, on no evolved state."""
 
     spectrum: Spectrum
     swap: np.ndarray

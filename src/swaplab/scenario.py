@@ -264,7 +264,7 @@ def run_multiworld(config: RunConfig) -> ScenarioReport:
 
 def ladder_factor(config: RunConfig) -> Factor:
     """The ladder factor of ``build_diagonal_model`` under the scaling swap,
-    with its lemma-2 certificate: it reads no state, so it is computed once."""
+    with its lemma-2 certificate: it reads no evolved state, so it is computed once."""
     model = build_diagonal_model(config)
     factor = scaling_factor(model, config.lambda1, config.lambda2)
     certificate = certify_lemma2(

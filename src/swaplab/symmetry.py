@@ -8,12 +8,12 @@ unitary exactly when the index array is a bijection.
 Certificates are computed on the spectrum H = W^dag diag(w) W. When W carries
 S onto the same index array (``Spectrum.carried_factor``), one certificate
 function (``_spectral_certificate``) reads both residuals of both lemmas off
-one drift array d = w[perm] - w: |HS - SH|_F = |d| and
+its ``Factor``'s one drift array d = w[perm] - w: |HS - SH|_F = |d| and
 |U(t)S - SU(t)|_F = |2 sin(d t / (2 hbar))|; no dim x dim operator and no phase
 array is formed. Each lemma adds its own swap residual, lemma 1 from the rows
 U(T) ready(s) of one evolution of the summed ready kets (``evolved_ready``),
-which a pointer run shares with its worlds in one ``Factor`` record
-(``sign_flip_factor``, ``scaling_factor``). Two families are certified:
+lemma 2 from the start rows; a run shares the one ``Factor`` record with its
+worlds (``sign_flip_factor``, ``scaling_factor``). Two families are certified:
 
 * the sign-flip swap (``parity_swap``): the basis permutation sending
   (lambda, a, zeta) to (-lambda, a, -zeta). It commutes with H = -g A x p_Z
@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import EVOLVE_BATCH, Spectrum, _freeze, frobenius_norm, permutation_inverse
+from .linalg import Spectrum, _freeze, frobenius_norm, permutation_inverse
 from .measurement import (
     POINTER,
     SYSTEM,
@@ -81,33 +81,28 @@ class SwapCertificate:
 
 def _spectral_certificate(
     construction: str,
-    weights: np.ndarray,
-    perm: np.ndarray,
+    factor: Factor,
     times,
-    hbar: float,
     swap_residual: float,
     cross_distance: float | None,
     tol: float,
     note: str = "",
 ) -> SwapCertificate:
-    """The certificate of a swap ``perm`` that the spectrum's basis map
-    carries onto the same index array, so that in the eigenbasis it is the
+    """The certificate of the ``factor``'s swap, which its spectrum's basis
+    map carries onto the same index array, so that in the eigenbasis it is the
     same permutation of diag(weights) (module docstring), read off the drift
-    d = weights[perm] - weights: the commutator |d| / |w|, and the
+    d = weights[swap] - weights: the commutator |d| / |w|, and the
     intertwining residual, the largest |2 sin(d t / (2 hbar))| over ``times``.
     Maxima and the pass rule keep a NaN, which max() would drop when not first."""
-    drift = weights[perm] - weights
+    weights = factor.spectrum.weights
+    drift = weights[factor.swap] - weights
     commutator = frobenius_norm(drift)
     hnorm = frobenius_norm(weights)
     commutator_residual = commutator / hnorm if hnorm > 0 else commutator
-    # halved first, so an angle overflows no sooner than its phase w t / hbar. One
-    # sin call per stack of at most EVOLVE_BATCH angles, row i half * t_i / hbar; a
+    # halved first, so an angle overflows no sooner than its phase w t / hbar; a
     # row of +-0 drifts is all +-0 or all NaN, so its first entry has its norm
     half = 0.5 * (drift if drift.any() else drift[:1])
-    times = np.array(times, dtype=float)
-    batch = max(1, EVOLVE_BATCH // half.size)
-    stacks = (np.multiply.outer(times[i : i + batch], half) for i in range(0, times.size, batch))
-    deviations = [2.0 * frobenius_norm(row) for stack in stacks for row in np.sin(stack / hbar)]
+    deviations = [2.0 * frobenius_norm(np.sin(t * half / factor.hbar)) for t in times]
     intertwining_residual = float(np.max(deviations))
     residuals = (commutator_residual, swap_residual, intertwining_residual, cross_distance)
     return SwapCertificate(
@@ -217,8 +212,7 @@ def certify_lemma1(
         return SwapCertificate(construction, swap_residual, passed=False, note=NOT_CARRIED_NOTE)
     times = [fraction * setup.duration for fraction in SAMPLE_FRACTIONS]
     return _spectral_certificate(
-        construction, spectrum.weights, factor.swap, times, setup.grid.hbar, swap_residual,
-        _cross_construction(spectrum, carried), tol,
+        construction, factor, times, swap_residual, _cross_construction(spectrum, carried), tol
     )
 
 
@@ -242,12 +236,12 @@ class GeometricDiagonalModel:
     hbar: float = 1.0
 
     def __post_init__(self):
-        if self.ratio <= 0:
+        if not self.ratio > 0:
             raise ValueError(
                 f"scaling ratio must be positive, got {self.ratio}; opposite-sign "
                 "outcome pairs are handled by the sign-flip swap"
             )
-        if self.base_eigenvalue <= 0:
+        if not self.base_eigenvalue > 0:
             raise ValueError(
                 "base_eigenvalue must be positive: zero is excluded (a null outcome "
                 "cannot be rescaled) and negative eigenvalues come from the sign sector"
@@ -256,7 +250,7 @@ class GeometricDiagonalModel:
             raise ValueError("exponent_min must not exceed exponent_max")
         if self.degeneracy < 1:
             raise ValueError(f"degeneracy must be >= 1, got {self.degeneracy}")
-        if self.hbar <= 0:
+        if not self.hbar > 0:
             raise ValueError(f"hbar must be positive, got {self.hbar}")
 
     @property
@@ -279,12 +273,6 @@ class GeometricDiagonalModel:
     def basis_indices(self) -> np.ndarray:
         """Every basis index, laid out over the axes."""
         return np.arange(self.dim).reshape(self.axes)
-
-    def sector_state(self, sign_sys: int, m_index: int, label: int) -> np.ndarray:
-        """Unit vector spread evenly over one (sign, exponent, label) sector."""
-        state = np.zeros(self.axes, dtype=complex)
-        state[sign_sys, m_index, label] = 1.0 / np.sqrt(2 * self.cycle_length)
-        return state.reshape(-1)
 
     @functools.cached_property
     def powers(self) -> np.ndarray:
@@ -344,20 +332,14 @@ def locate_eigenvalue(model: GeometricDiagonalModel, value: float) -> tuple:
     return divmod(index, model.cycle_length)
 
 
-def _scaling_swap(model: GeometricDiagonalModel, values: tuple) -> tuple:
-    """(swap, inverse, the outcomes' label-0 system kets) of the scaling swap."""
-    sectors = [locate_eigenvalue(model, value) for value in values]
-    perm = scaling_permutation(model)
-    starts = tuple(model.degeneracy * (sign * model.cycle_length + m) for sign, m in sectors)
-    return perm, permutation_inverse(perm, model.dim), starts
-
-
 def scaling_factor(model: GeometricDiagonalModel, value_from: float, value_to: float) -> Factor:
     """The ladder as a factor under the scaling swap: system (sign_sys, m,
     label), pointer (sign_p, k), and worlds starting in the outcomes' label-0
     kets with the pointer spread evenly."""
     values = (value_from, value_to)
-    perm, inverse, starts = _scaling_swap(model, values)
+    sectors = [locate_eigenvalue(model, value) for value in values]
+    perm = scaling_permutation(model)
+    starts = tuple(model.degeneracy * (sign * model.cycle_length + m) for sign, m in sectors)
     block = 2 * model.cycle_length
     frame = (
         ("system_observable", np.repeat(model.a_eigenvalues, model.degeneracy), SYSTEM),
@@ -366,8 +348,8 @@ def scaling_factor(model: GeometricDiagonalModel, value_from: float, value_to: f
     ready = np.full(block, 1.0 / np.sqrt(block))
     outcomes = tuple(f"outcome {value:g}" for value in values)
     return Factor(
-        model.spectrum(), perm, inverse, block, ready, starts, outcomes, value_from != value_to,
-        frame, model.hbar,
+        model.spectrum(), perm, permutation_inverse(perm, model.dim), block, ready, starts,
+        outcomes, value_from != value_to, frame, model.hbar,
     )
 
 
@@ -383,14 +365,10 @@ def certify_lemma2(
     and intertwining with its evolution at ``sample_times``, and mapping of the
     eigenvalue_from branch family onto the eigenvalue_to family, for every
     degeneracy label (index-level and by the norm each sector keeps). A run
-    passes the ``scaling_factor`` its worlds share; alone, it builds only the
-    swap and the weights, as it reads no frame or ready block."""
+    passes the ``scaling_factor`` its worlds share; alone, it builds its own."""
     if factor is None:
-        perm, inverse, starts = _scaling_swap(model, (eigenvalue_from, eigenvalue_to))
-        weights = model.diagonal_weights()
-    else:
-        perm, inverse, starts = factor.swap, factor.inverse, factor.starts
-        weights = factor.spectrum.weights
+        factor = scaling_factor(model, eigenvalue_from, eigenvalue_to)
+    starts = factor.starts
     note, swap_residual = NORMALIZATION_NOTE, 0.0
     if eigenvalue_from == eigenvalue_to:  # no ratio to check and no sector to map
         note = "identity automorphism: equal outcome eigenvalues leave nothing to swap; " + note
@@ -406,13 +384,12 @@ def certify_lemma2(
         index = model.basis_indices()
         # index[sign_to, m_to, label, sign_p, k - 1], for every label, sign_p and k
         targets = np.roll(index[sign_to, m_to], 1, axis=-1)
-        mapping_exact = np.array_equal(perm[index[sign_from, m_from]], targets)
+        mapping_exact = np.array_equal(factor.swap[index[sign_from, m_from]], targets)
         # the norm each swapped source sector keeps inside its target sector
+        sources = factor.inverse[index[sign_to, m_to]].reshape(model.degeneracy, -1)
         sector_deficits = [
-            abs(1.0 - frobenius_norm(model.sector_state(sign_from, m_from, label)[inverse[sector]]))
-            for label, sector in enumerate(index[sign_to, m_to].reshape(model.degeneracy, -1))
+            abs(1.0 - frobenius_norm(factor.ready_sum([starts[0] + label]).reshape(-1)[source]))
+            for label, source in enumerate(sources)
         ]
         swap_residual = float(np.max([0.0 if mapping_exact else 1.0, *sector_deficits]))
-    return _spectral_certificate(
-        "scaling", weights, perm, sample_times, model.hbar, swap_residual, None, tol, note
-    )
+    return _spectral_certificate("scaling", factor, sample_times, swap_residual, None, tol, note)

@@ -250,6 +250,21 @@ class TestCliCommands:
             ({"scenario": "classical-level", "hbar": 1e-310}, []),
             # the seed guard's boundary: seeds are nonnegative
             ({"seed": -1}, []),
+            ({"delta": 0}, []),
+            ({"g": -1}, []),
+            ({"tol": 0}, []),
+            ({"sample_times": [0.5, 0.25]}, []),
+            ({"sample_times": 1.0}, []),
+            ({"scenario": "classical-level", "ratio_exponent_range": 0}, []),
+            ({"scenario": "classical-level", "lambda2": 0}, []),
+            # ratio 1e-3 to the power -103 overflows Python's float power
+            (
+                {
+                    "scenario": "classical-level", "lambda1": 1000, "lambda2": 1,
+                    "ratio_exponent_range": 103,
+                },
+                [],
+            ),
         ],
     )
     def test_guard_violations_exit_2(self, tmp_path, capsys, payload, flags):

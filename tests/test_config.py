@@ -12,8 +12,8 @@ from swaplab.config import (
     ConfigError,
     RunConfig,
     parse_config,
-    serialize_config,
 )
+from swaplab.reporting import render_json
 from swaplab.scenario import build_diagonal_model, qubit_setup
 
 
@@ -244,10 +244,10 @@ class TestSizeBudget:
 class TestRoundTrip:
     def test_serialize_then_parse_is_identity(self):
         config = parse_config('{"M": 6, "delta": 0.5, "g": 0.8, "seed": 3}')
-        assert parse_config(serialize_config(config)) == config
+        assert parse_config(render_json(config)) == config
 
     def test_serialized_form_is_valid_json(self):
-        doc = json.loads(serialize_config(RunConfig()))
+        doc = json.loads(render_json(RunConfig()))
         assert doc["scenario"] == "prince-pauper"
         assert doc["M"] == 8
 
@@ -265,7 +265,7 @@ class TestRoundTrip:
             config = parse_config(json.dumps(raw))
         except ConfigError:
             return  # guard-rejected inputs are out of scope here
-        assert parse_config(serialize_config(config)) == config
+        assert parse_config(render_json(config)) == config
 
 
 class TestScenarioMapping:

@@ -3,6 +3,7 @@ import pytest
 
 from swaplab.isomorphism import (
     EvolutionTriple,
+    IsomorphismReport,
     _phase_minimized_distance,
     check_isomorphism,
     distinctness_witness,
@@ -20,13 +21,14 @@ from swaplab.linalg import (
 from swaplab.measurement import (
     MeasurementSetup,
     ObservableSpec,
+    PointerGrid,
     interaction_hamiltonian,
     make_pointer_grid,
     pointer_spectrum,
     ready_state,
     system_basis_state,
 )
-from swaplab.symmetry import parity_swap
+from swaplab.symmetry import GeometricDiagonalModel, parity_swap
 
 from dense_reference import basis_transport_check
 
@@ -87,13 +89,14 @@ class TestCheckIsomorphism:
         assert report.hamiltonian_residual == 0.0
 
     def test_nan_state_residual_fails(self):
-        # the phase 1e150 * 1e200 overflows, so the state at the second time is
-        # NaN; max() would drop it after the first residual
+        # the phase 1e150 * 1e200 overflows, so the evolution at the second time
+        # is NaN, which its unitary tag rejects before a residual is read
         hamiltonian = DenseOperator(np.diag([1e150, 1e150, 1.0, 1.0]), HERMITIAN)
         triple = EvolutionTriple(hamiltonian, ComplexVector(np.full(4, 0.5)), (0.0, 1e200))
-        with np.errstate(over="ignore", invalid="ignore"):
-            report = check_isomorphism(np.array([1, 0, 3, 2]), triple, triple)
-        assert report.state_residuals[0] == 0.0
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(KindError, match="unitary"):
+            check_isomorphism(np.array([1, 0, 3, 2]), triple, triple)
+        # a NaN residual after the first still fails the report; max() would drop it
+        report = IsomorphismReport.judged((0.0, 1.0), [0.0, np.nan], 0.0, 1e-10)
         assert np.isnan(report.state_residuals[1])
         assert not report.passed
 
@@ -296,3 +299,35 @@ class TestDistinctness:
             columns = random_unitary(plus.dim, seed=seed).entries
             basis = [ComplexVector(columns[:, i]) for i in range(plus.dim)]
             assert basis_transport_check(swap, basis, plus, minus, SAMPLE_TIMES, tolerance=1e-9)
+
+
+NAN = float("nan")
+QUBIT = ObservableSpec((1.0, -1.0))
+NAN_DIAGONAL = np.diag([NAN, 1.0])
+
+#: a NaN in each positivity guard and dense kind check; every one of these
+#: comparisons is written so that NaN fails it
+NAN_INPUTS = {
+    "grid-spacing": lambda: PointerGrid(8, NAN),
+    "grid-hbar": lambda: PointerGrid(8, 0.25, NAN),
+    "coupling": lambda: MeasurementSetup(QUBIT, PointerGrid(8, 0.25), NAN, 1.0),
+    "duration": lambda: MeasurementSetup(QUBIT, PointerGrid(8, 0.25), 1.0, NAN),
+    "ratio": lambda: GeometricDiagonalModel(NAN, -1, 1),
+    "base-eigenvalue": lambda: GeometricDiagonalModel(2.0, -1, 1, base_eigenvalue=NAN),
+    "ladder-hbar": lambda: GeometricDiagonalModel(2.0, -1, 1, hbar=NAN),
+    "sample-time": lambda: EvolutionTriple(
+        DenseOperator(np.eye(2), HERMITIAN), basis_vector(2, 0), (0.0, NAN)
+    ),
+    "triple-hbar": lambda: EvolutionTriple(
+        DenseOperator(np.eye(2), HERMITIAN), basis_vector(2, 0), (0.0,), NAN
+    ),
+    "hermitian": lambda: DenseOperator(NAN_DIAGONAL, HERMITIAN),
+    "unitary": lambda: DenseOperator(NAN_DIAGONAL, UNITARY),
+    "unit-vector": lambda: ComplexVector([NAN, 0.0]).require_unit(),
+}
+
+
+@pytest.mark.parametrize("build", NAN_INPUTS.values(), ids=NAN_INPUTS.keys())
+def test_nan_fails_every_guard(build):
+    with pytest.raises((ValueError, KindError)):
+        build()

@@ -90,6 +90,15 @@ class TestConstruction:
         with pytest.raises(KindError):
             DenseOperator(np.eye(2), "special")
 
+    def test_array_conversion(self):
+        # numpy 2 asks for a copy with copy=True; otherwise the frozen buffer is shared
+        vector = ComplexVector([1.0, 0.0])
+        copied = np.array(vector, copy=True)
+        copied[0] = 2.0
+        assert vector.amplitudes[0] == 1.0
+        shared = np.asarray(vector)
+        assert np.shares_memory(shared, vector.amplitudes) and not shared.flags.writeable
+
     def test_entries_frozen(self):
         op = DenseOperator(np.eye(2), HERMITIAN)
         with pytest.raises(ValueError):
@@ -173,6 +182,13 @@ class TestPermutationInverse:
         perm[-1] = 0
         with pytest.raises(KindError, match="bijection"):
             permutation_inverse(perm, 6)
+
+    @pytest.mark.parametrize(
+        "perm", [np.arange(4.0), np.array([0, 1, 2, 4])], ids=["float", "out-of-range"]
+    )
+    def test_non_index_array_rejected(self, perm):
+        with pytest.raises(DimensionError, match="integer indices"):
+            permutation_inverse(perm, 4)
 
 
 class TestNorms:

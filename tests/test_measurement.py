@@ -329,3 +329,19 @@ class TestSetupValidation:
 
     def test_total_dim(self):
         assert qubit_setup(half_width=8).total_dim == 34
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: ObservableSpec(()), "at least one eigenvalue"),
+            (lambda: ObservableSpec((1.0, -1.0), degeneracy=0), "degeneracy must be"),
+            (lambda: ObservableSpec((1.0, -1.0)).system_index(2), "eigenvalue index 2"),
+            (lambda: ObservableSpec((1.0, -1.0)).system_index(0, 1), "degeneracy label 1"),
+            (lambda: basis_vector(2, 2), "basis index 2"),
+            (lambda: ready_state(qubit_setup(), basis_vector(3, 0)), "system state dim 3"),
+        ],
+        ids=["no-eigenvalue", "no-label", "eigenvalue-index", "label", "basis-index", "ready-dim"],
+    )
+    def test_guard_violations_raise(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()

@@ -48,6 +48,7 @@ from swaplab.symmetry import (
 
 import dense_reference
 from test_linalg import permutation_matrix
+from test_symmetry import sector_state_loops
 
 
 def small_config(**overrides):
@@ -643,7 +644,7 @@ def test_ladder_frame_witnesses_match_dense_oracle(r):
     # a generic state spread over every basis ket, and one sector state
     generic = np.exp(0.3j * np.arange(model.dim) ** 2) * (1.0 + np.arange(model.dim) / model.dim)
     generic /= np.linalg.norm(generic)
-    sector = model.sector_state(0, r, 1)
+    sector = sector_state_loops(model, 0, r, 1)
     for t in (0.0, 0.41, config.T):
         state_a = ComplexVector(spectrum.evolve(generic, t, config.hbar))
         state_b = ComplexVector(spectrum.evolve(sector, t, config.hbar))

@@ -41,6 +41,7 @@ from swaplab.symmetry import (
 )
 
 from dense_reference import dft_matrix
+from test_symmetry import sector_state_loops
 
 HBAR = 0.7
 SPACING = 0.3
@@ -214,7 +215,7 @@ def ladder_rows_case(r, lambda1, lambda2):
     )
     model = build_diagonal_model(config)
     values = (lambda1, lambda2)
-    starts = [model.sector_state(*locate_eigenvalue(model, value), 0) for value in values]
+    starts = [sector_state_loops(model, *locate_eigenvalue(model, value), 0) for value in values]
     return scaling_factor(model, *values), None, starts
 
 

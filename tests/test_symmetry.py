@@ -9,10 +9,12 @@ from swaplab.linalg import (
     Spectrum,
     frobenius_norm,
     hermitian_exponential,
+    permutation_inverse,
     tensor_product,
     unitarity_defect,
 )
 from swaplab.measurement import (
+    Factor,
     MeasurementSetup,
     ObservableSpec,
     evolved_ready,
@@ -31,6 +33,7 @@ from swaplab.symmetry import (
     corrupted_swap,
     locate_eigenvalue,
     parity_swap,
+    scaling_factor,
     scaling_permutation,
 )
 
@@ -43,6 +46,14 @@ SWAP_BOUND = RESIDUAL_BOUNDS["swap_residual"]
 def qubit_setup(half_width=8, spacing=0.25, coupling=1.0, duration=1.0):
     grid = make_pointer_grid(half_width, spacing)
     return MeasurementSetup(ObservableSpec((1.0, -1.0)), grid, coupling, duration)
+
+
+def bare_factor(weights, perm, hbar=1.0):
+    """A factor with only what ``_spectral_certificate`` reads: the diagonal
+    spectrum ``weights``, the swap ``perm`` and hbar."""
+    perm = np.asarray(perm)
+    inverse = permutation_inverse(perm, perm.size)
+    return Factor(Spectrum(weights), perm, inverse, 1, np.ones(1), (0, 1), "ab", True, (), hbar)
 
 
 def circulant_columns(spectrum, t, hbar):
@@ -259,9 +270,9 @@ class TestCertifyLemma1:
         # the drift (2, -2, 0, 0) is finite, but its angle 1e300 / 1e-10
         # overflows at the second sample time only, so the NaN is not first
         with np.errstate(over="ignore", invalid="ignore"):
+            factor = bare_factor([1.0, 3.0, 2.0, 2.0], [1, 0, 3, 2], hbar=1e-10)
             certificate = symmetry._spectral_certificate(
-                "custom", np.array([1.0, 3.0, 2.0, 2.0]), np.array([1, 0, 3, 2]), (0.0, 1e300),
-                1e-10, 0.0, None, 1.0,
+                "custom", factor, (0.0, 1e300), 0.0, None, 1.0
             )
         assert certificate.commutator_residual <= 1.0
         assert np.isnan(certificate.intertwining_residual)
@@ -309,6 +320,19 @@ class TestGeometricDiagonalModel:
     def test_zero_base_rejected(self):
         with pytest.raises(ValueError):
             GeometricDiagonalModel(ratio=2.0, exponent_min=-1, exponent_max=1, base_eigenvalue=0.0)
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"exponent_min": 2}, "exponent_min must not exceed"),
+            ({"degeneracy": 0}, "degeneracy must be"),
+            ({"hbar": 0.0}, "hbar must be positive"),
+        ],
+    )
+    def test_invalid_parameters_rejected(self, overrides, message):
+        parameters = {"ratio": 2.0, "exponent_min": -1, "exponent_max": 1, **overrides}
+        with pytest.raises(ValueError, match=message):
+            GeometricDiagonalModel(**parameters)
 
 
 class TestScalingSwap:
@@ -409,14 +433,14 @@ class TestCertifyLemma2:
             certify_lemma2(diagonal_model(ratio=2.0, span=1), 0.7, 1.4)
 
     def test_nan_sector_deficit_fails(self, monkeypatch):
-        # a NaN in the second label's sector, after the first label's deficit
-        sector_state = GeometricDiagonalModel.sector_state
+        # a NaN in the second label's start row, after the first label's deficit
+        ready_sum = Factor.ready_sum
 
-        def nan_second_label(model, sign_sys, m_index, label):
-            state = sector_state(model, sign_sys, m_index, label)
-            return state * np.nan if label == 1 else state
+        def nan_second_label(factor, kets):
+            state = ready_sum(factor, kets)
+            return state * np.nan if list(kets) == [factor.starts[0] + 1] else state
 
-        monkeypatch.setattr(GeometricDiagonalModel, "sector_state", nan_second_label)
+        monkeypatch.setattr(Factor, "ready_sum", nan_second_label)
         certificate = certify_lemma2(diagonal_model(degeneracy=2), 1.0, 2.0)
         assert np.isnan(certificate.swap_residual)
         assert not certificate.passed
@@ -518,11 +542,14 @@ class TestLoopOracles:
 
     @pytest.mark.parametrize("model", ORACLE_MODELS)
     def test_sector_states(self, model):
+        # the ladder factor's start row of every system ket (sign, m, label)
+        factor = scaling_factor(model, *model.a_eigenvalues[:2])
         for sign in range(2):
             for m in range(model.cycle_length):
                 for label in range(model.degeneracy):
+                    ket = model.degeneracy * (sign * model.cycle_length + m) + label
                     expected = sector_state_loops(model, sign, m, label)
-                    assert np.array_equal(model.sector_state(sign, m, label), expected)
+                    assert np.array_equal(factor.ready_sum([ket]).reshape(-1), expected)
 
 
 class TestLevelTable:
@@ -768,7 +795,9 @@ class TestDenseOracle:
         perturbed[j] = np.nextafter(weights[j], np.inf)
         for t in SAMPLE_FRACTIONS[1:]:
             exact, nudged = (
-                symmetry._spectral_certificate("custom", w, perm, (t,), 1.0, 0.0, None, 1e-10)
+                symmetry._spectral_certificate(
+                    "custom", bare_factor(w, perm), (t,), 0.0, None, 1e-10
+                )
                 for w in (weights, perturbed)
             )
             assert exact.commutator_residual == exact.intertwining_residual == 0.0
