@@ -240,9 +240,15 @@ _FLOAT_FIELDS = tuple(name for name, kind in _FIELD_TYPES.items() if kind == "fl
 def parse_config(text: str, **overrides) -> RunConfig:
     """Parse and validate a JSON run configuration, filling defaults; ``overrides``
     replace the file's fields before the one validation."""
+    def unique(pairs):  # json.loads alone would keep a repeated key's last value
+        raw, seen = dict(pairs), set()
+        if len(raw) < len(pairs):  # name the first key met a second time
+            repeated = next(key for key, _ in pairs if key in seen or seen.add(key))
+            raise ConfigError(f"key {repeated!r} is given more than once")
+        return raw
     try:
-        raw = json.loads(text)
-    except ValueError as exc:  # a decode error, or an integer past the digit limit
+        raw = json.loads(text, object_pairs_hook=unique)
+    except ValueError as exc:  # a decode error, an integer past the digit limit or a repeated key
         raise ConfigError(f"invalid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError("the top level must be a JSON object")

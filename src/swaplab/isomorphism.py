@@ -17,11 +17,11 @@ spectral evolution of its worlds, and the Hamiltonian residual off the swap
 certificate's weight drift, |w[perm] - w|.
 
 Distinctness is operationalized against fixed, named reference observables,
-each given as its real diagonal in the working basis and read on amplitude
-arrays (a ``ComplexVector`` converts to one): two states describe
-observably different situations exactly when some reference expectation
-value differs beyond tolerance. Keeping that frame explicit is the point - it
-is the extra structure the triple itself does not supply.
+each a real diagonal read on amplitude arrays (a ``ComplexVector`` converts
+to one): two states describe observably different situations exactly when
+some expectation differs beyond tolerance. Keeping that frame explicit is the
+point - it is the extra structure the triple itself does not supply. The
+engine and ``distinctness_witness`` share one expectation pass and one rule.
 
 Isomorphism equalities are literal, including the global phase; a
 phase-insensitive mode minimizes the state residual over a global phase.
@@ -164,9 +164,8 @@ def distinctness_witness(state_a, state_b, observables, tolerance: float = 1e-10
         raise DimensionError(
             f"states must be nonempty 1-d arrays of one length: {state_a.shape} vs {state_b.shape}"
         )
-    witnesses = []
-    for name, values in observables:
-        values = np.asarray(values)
+    frame = [(name, np.asarray(values)) for name, values in observables]
+    for name, values in frame:
         if values.shape != state_a.shape:
             raise DimensionError(
                 f"observable {name!r} must be a diagonal of {state_a.size} values, "
@@ -174,8 +173,18 @@ def distinctness_witness(state_a, state_b, observables, tolerance: float = 1e-10
             )
         if np.iscomplexobj(values):
             raise KindError(f"observable {name!r} is not hermitian: its diagonal is complex")
-        expectation_a = float(np.vdot(state_a, values * state_a).real)
-        expectation_b = float(np.vdot(state_b, values * state_b).real)
-        gap = abs(expectation_a - expectation_b)
-        witnesses.append(Witness(name, expectation_a, expectation_b, gap, gap > tolerance))
-    return tuple(witnesses)
+    expectations = [_expectations(state, frame) for state in (state_a, state_b)]
+    return _witnesses([name for name, _ in frame], *expectations, tolerance)
+
+
+def _expectations(state, frame) -> list:
+    """sum_i values_i |psi_i|^2 per (name, values), values broadcast over ``state``."""
+    return [float(np.vdot(state, values * state).real) for _, values in frame]
+
+
+def _witnesses(names, expectations_a, expectations_b, tolerance) -> tuple:
+    """The witness rule: an observable's gap is |a - b|, distinct beyond tolerance."""
+    return tuple(
+        Witness(name, a, b, abs(a - b), abs(a - b) > tolerance)
+        for name, a, b in zip(names, expectations_a, expectations_b)
+    )

@@ -113,7 +113,7 @@ class DenseOperator:
             if not defect <= HERM_TOL * frobenius_norm(self.entries):
                 raise KindError(f"hermitian tag rejected: |M - M^dag|_F = {defect:.3e}")
         elif self.kind == UNITARY:
-            defect = unitarity_defect_of(self.entries)
+            defect = unitarity_defect(self)
             if not defect <= UNIT_TOL * np.sqrt(self.dim):
                 raise KindError(f"unitary tag rejected: |U^dag U - I|_F = {defect:.3e}")
 
@@ -315,14 +315,10 @@ def hermitian_exponential(hermitian: DenseOperator, angle: float) -> DenseOperat
     return DenseOperator(eigenvectors @ (phases[:, None] * eigenvectors.conj().T), UNITARY)
 
 
-def unitarity_defect_of(entries: np.ndarray) -> float:
-    dim = entries.shape[0]
-    return frobenius_norm(entries.conj().T @ entries - np.eye(dim))
-
-
 def unitarity_defect(operator: DenseOperator) -> float:
     """Frobenius norm of U^dag U - I."""
-    return unitarity_defect_of(operator.entries)
+    entries = operator.entries
+    return frobenius_norm(entries.conj().T @ entries - np.eye(operator.dim))
 
 
 def permutation_inverse(perm, dim: int) -> np.ndarray:

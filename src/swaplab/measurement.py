@@ -204,10 +204,6 @@ def pointer_spectrum(setup: MeasurementSetup) -> Spectrum:
     return Spectrum(weights.reshape(-1), setup.grid.n_points)
 
 
-#: the factor a reference observable's local diagonal acts on
-SYSTEM, POINTER = "system", "pointer"
-
-
 @dataclass(frozen=True, eq=False)
 class Factor:
     """One measured factor as data: H as ``spectrum``, and the swap S as the
@@ -215,7 +211,8 @@ class Factor:
     pointer) in C order, ``block`` pointer amplitudes per system ket. World w
     starts in e_{starts[w]} (x) ``ready``, labelled ``outcomes[w]``; a run
     needs the two distinct when ``distinct_required``. ``frame`` holds the
-    reference observables as (name, local diagonal, SYSTEM or POINTER). Only
+    reference observables as (name, local diagonal): a system (n_kets, 1)
+    column or a pointer (block,) row, broadcast over (system ket, block). Only
     the pointer has a ``setup``, for branch readouts and lemma 1 on the rows
     at T; only the ladder a ``certificate``, lemma 2's, on no evolved state."""
 
@@ -237,15 +234,6 @@ class Factor:
         state = np.zeros((self.spectrum.dim // self.block, self.block), dtype=complex)
         state[list(kets)] = self.ready
         return state
-
-    def reference_frame(self) -> tuple:
-        """(name, diagonal on the factor's basis) per reference observable:
-        a system diagonal repeated over each block, a pointer one tiled."""
-        blocks = self.spectrum.dim // self.block
-        return tuple(
-            (name, np.repeat(values, self.block) if axis == SYSTEM else np.tile(values, blocks))
-            for name, values, axis in self.frame
-        )
 
 
 def evolved_ready(factor: Factor, times, kets=None):

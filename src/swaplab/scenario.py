@@ -36,7 +36,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .config import MODEL_DEGENERACY, QUBIT_EIGENVALUES, RunConfig
-from .isomorphism import IsomorphismReport, Witness, _state_residual, distinctness_witness
+from .isomorphism import IsomorphismReport, Witness, _expectations, _state_residual, _witnesses
 from .linalg import frobenius_norm
 from .measurement import (
     Factor,
@@ -144,8 +144,8 @@ def _worlds(config: RunConfig, factor: Factor, k: int) -> ScenarioReport:
     """The report of the 2^k worlds of k copies of ``factor``, each ending in
     one of its two outcome states (a, b), compared under the swap
     S a = a[inverse]. The certificate is the factor's own (the ladder's) or
-    lemma 1 on the rows at T; the frame is expanded once the evolution is
-    freed, and only a factor with a pointer setup has branch readouts.
+    lemma 1 on the rows at T; expectations are read once per world, and only
+    a factor with a pointer setup has branch readouts.
 
     At k = 1 the pair's state residual is ``_state_residual`` (phase-minimized
     when the config asks), the isomorphism report is kept and witness names
@@ -187,13 +187,14 @@ def _worlds(config: RunConfig, factor: Factor, k: int) -> ScenarioReport:
         raise ValueError(f"no Hamiltonian residual for this swap: {certificate.note}")
     setup = factor.setup  # only a pointer has branch readouts
     readout_tables = [() if setup is None else (readout(s, setup),) for s in states]
-    frame = factor.reference_frame()
-    # one witness call per outcome pair serves every pair; factor f's part of
+    names = [name for name, _ in factor.frame]
+    expectations = [_expectations(s.reshape(-1, factor.block), factor.frame) for s in states]
+    # one witness set per outcome pair serves every pair; factor f's part of
     # it holds the witnesses named for f, their gaps by name (the ladder's
     # frame lists its system observable first) and whether any is distinct
     parts = {}
     for a, b in sorted(set(itertools.chain.from_iterable(factor_outcomes))):
-        found = distinctness_witness(states[a], states[b], frame, tolerance)
+        found = _witnesses(names, expectations[a], expectations[b], tolerance)
         gaps = [
             tuple(w.gap for w in found if w.observable.startswith(o)) for o in ("pointer", "system")
         ]
@@ -250,16 +251,14 @@ def _worlds(config: RunConfig, factor: Factor, k: int) -> ScenarioReport:
     )
 
 
-def run_prince_pauper(config: RunConfig) -> ScenarioReport:
-    """Single qubit: both outcome worlds share the triple, differ observably.
-    Multiworld's k = 1 case: the config guards force k = 1 here."""
-    return run_multiworld(config)
-
-
 def run_multiworld(config: RunConfig) -> ScenarioReport:
     """k independent simultaneous measurements: 2^k isomorphic, distinct worlds.
     One evolution of the summed ready kets serves every world and lemma 1."""
     return _worlds(config, sign_flip_factor(qubit_setup(config)), config.k)
+
+
+# a single qubit is multiworld's k = 1 case: the config guards force k = 1 here
+run_prince_pauper = run_multiworld
 
 
 def ladder_factor(config: RunConfig) -> Factor:

@@ -45,8 +45,6 @@ import numpy as np
 
 from .linalg import Spectrum, _freeze, frobenius_norm, permutation_inverse
 from .measurement import (
-    POINTER,
-    SYSTEM,
     Factor,
     MeasurementSetup,
     ObservableSpec,
@@ -175,8 +173,8 @@ def sign_flip_factor(setup: MeasurementSetup, swap: np.ndarray = None) -> Factor
     grid, observable = setup.grid, setup.observable
     partner = int(observable.negation_index()[0])
     frame = (
-        ("pointer_position", grid.zeta, POINTER),
-        ("system_observable", observable.values(), SYSTEM),
+        ("pointer_position", grid.zeta),
+        ("system_observable", observable.values()[:, None]),
     )
     ready = np.eye(1, grid.n_points, grid.center_index).ravel()
     starts = (observable.system_index(0), observable.system_index(partner))
@@ -342,8 +340,8 @@ def scaling_factor(model: GeometricDiagonalModel, value_from: float, value_to: f
     starts = tuple(model.degeneracy * (sign * model.cycle_length + m) for sign, m in sectors)
     block = 2 * model.cycle_length
     frame = (
-        ("system_observable", np.repeat(model.a_eigenvalues, model.degeneracy), SYSTEM),
-        ("pointer_momentum", np.outer([1.0, -1.0], model.powers).ravel(), POINTER),
+        ("system_observable", np.repeat(model.a_eigenvalues, model.degeneracy)[:, None]),
+        ("pointer_momentum", np.outer([1.0, -1.0], model.powers).ravel()),
     )
     ready = np.full(block, 1.0 / np.sqrt(block))
     outcomes = tuple(f"outcome {value:g}" for value in values)

@@ -322,6 +322,14 @@ class TestCliCommands:
         assert main(["run", config_path]) == 2
         assert "M must be >= 1" in capsys.readouterr().err
 
+    def test_repeated_config_key_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text('{"scenario": "prince-pauper", "tol": 1e-30, "tol": 1e-10}')
+        assert main(["run", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "config error: invalid JSON: key 'tol' is given more than once\n"
+
     def test_missing_file_exit_code(self, tmp_path):
         assert main(["run", str(tmp_path / "nope.json")]) == 2
 

@@ -41,6 +41,18 @@ class TestValidation:
         with pytest.raises(ConfigError, match="JSON"):
             parse_config("{not json")
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"scenario": "prince-pauper", "tol": 1e-30, "tol": 1e-10}',
+            '{"tol": 1e-10, "M": 8, "tol": 1e-10}',  # repeated with the same value too
+        ],
+    )
+    def test_repeated_key_is_rejected(self, text):
+        # json.loads alone keeps the last value: the run would silently use tol 1e-10
+        with pytest.raises(ConfigError, match="key 'tol' is given more than once"):
+            parse_config(text)
+
     def test_top_level_must_be_object(self):
         with pytest.raises(ConfigError, match="object"):
             parse_config("[1, 2]")

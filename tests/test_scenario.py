@@ -22,6 +22,7 @@ from swaplab.linalg import (
     tensor_product,
 )
 from swaplab.measurement import (
+    evolved_ready,
     interaction_hamiltonian,
     pointer_spectrum,
     ready_state,
@@ -597,9 +598,20 @@ def model_momentum_loops(model):
 )
 def test_model_observables_match_loop_oracles(model):
     value = model.base_eigenvalue
-    (_, observable), (_, momentum) = scaling_factor(model, value, value).reference_frame()
+    factor = scaling_factor(model, value, value)
+    (_, observable), (_, momentum) = factor.frame
+    assert observable.shape == (model.dim // factor.block, 1)
+    assert momentum.shape == (factor.block,)
+    (_, observable), (_, momentum) = expanded_frame(factor)
     assert np.array_equal(observable, model_observable_loops(model))
     assert np.array_equal(momentum, model_momentum_loops(model))
+
+
+def expanded_frame(factor) -> list:
+    """The factor's reference observables as diagonals on its whole basis:
+    each local diagonal broadcast over (system ket, block), in C order."""
+    shape = (factor.spectrum.dim // factor.block, factor.block)
+    return [(name, np.broadcast_to(values, shape).ravel()) for name, values in factor.frame]
 
 
 # Witness oracle: a reference observable is its real diagonal, and every
@@ -626,7 +638,10 @@ def test_pointer_frame_witnesses_match_dense_oracle(M):
     system = ComplexVector(np.array([0.6, 0.8j]))
     start = ready_state(setup, system).amplitudes
     plus = ready_state(setup, system_basis_state(setup.observable, 0)).amplitudes
-    frame = factor.reference_frame()
+    (_, position), (_, observable) = factor.frame
+    assert position.shape == (setup.grid.n_points,)
+    assert observable.shape == (setup.observable.system_dim, 1)
+    frame = expanded_frame(factor)
     assert [name for name, _ in frame] == ["pointer_position", "system_observable"]
     for t in (0.37, setup.duration):
         state_a = ComplexVector(spectrum.evolve(start, t, setup.grid.hbar))
@@ -639,7 +654,11 @@ def test_ladder_frame_witnesses_match_dense_oracle(r):
     config = RunConfig(scenario="classical-level", ratio_exponent_range=r, g=0.8, hbar=0.6)
     model = build_diagonal_model(config)
     spectrum = Spectrum(model.diagonal_weights())
-    frame = ladder_factor(config).reference_frame()
+    factor = ladder_factor(config)
+    (_, observable), (_, momentum) = factor.frame
+    assert observable.shape == (model.dim // factor.block, 1)
+    assert momentum.shape == (factor.block,)
+    frame = expanded_frame(factor)
     assert [name for name, _ in frame] == ["system_observable", "pointer_momentum"]
     # a generic state spread over every basis ket, and one sector state
     generic = np.exp(0.3j * np.arange(model.dim) ** 2) * (1.0 + np.arange(model.dim) / model.dim)
@@ -649,6 +668,48 @@ def test_ladder_frame_witnesses_match_dense_oracle(r):
         state_a = ComplexVector(spectrum.evolve(generic, t, config.hbar))
         state_b = ComplexVector(spectrum.evolve(sector, t, config.hbar))
         assert_witnesses_match_dense(state_a, state_b, frame)
+
+
+def witness_bits(witnesses) -> list:
+    return [
+        (w.observable, w.expectation_a.hex(), w.expectation_b.hex(), w.gap.hex(), w.distinct)
+        for w in witnesses
+    ]
+
+
+def assert_engine_witnesses_match_expanded(factor, report, config):
+    # the engine reads each world's expectations once, on its (system ket,
+    # block) view; they must equal distinctness_witness on the same final
+    # rows against the frame expanded to whole-basis diagonals, bit for bit
+    *_, states = evolved_ready(factor, config.sample_times)
+    expected = distinctness_witness(states[0], states[1], expanded_frame(factor), config.tol)
+    assert witness_bits(report.pairs[0].witnesses) == witness_bits(expected)
+
+
+@pytest.mark.parametrize(
+    "M, grid",
+    [
+        (1, {"delta": 2.0, "g": 0.0}),  # no travel: on the grid
+        (1, {"delta": 2.0, "g": 0.7, "T": 1.3, "hbar": 0.7}),
+        (8, {"delta": 0.25}),  # 4 grid steps
+        (8, {"delta": 0.3, "g": 0.7, "T": 1.3, "hbar": 0.7}),
+        (50, {"delta": 0.125}),
+        (50, {"delta": 0.3, "g": 0.7, "T": 1.3, "hbar": 0.7}),
+        (2000, {"delta": 1 / 64}),
+        (2000, {"delta": 0.3, "g": 0.7, "T": 1.3, "hbar": 0.7}),
+    ],
+)
+def test_engine_pointer_expectations_match_expanded_diagonals(M, grid):
+    config = RunConfig(M=M, **grid)
+    factor = sign_flip_factor(qubit_setup(config))
+    assert_engine_witnesses_match_expanded(factor, run_prince_pauper(config), config)
+
+
+@pytest.mark.parametrize("r", [1, 3, 12])
+def test_engine_ladder_expectations_match_expanded_diagonals(r):
+    config = RunConfig(scenario="classical-level", ratio_exponent_range=r, g=0.8, hbar=0.6)
+    factor = ladder_factor(config)
+    assert_engine_witnesses_match_expanded(factor, run_classical_level(config), config)
 
 
 def dense_operators_built(monkeypatch, run, config) -> list:

@@ -14,9 +14,7 @@ ROOT = Path(__file__).resolve().parents[1]
 #: the byte audit nor the acceptance suite runs, so new dead code fails here
 EXPECTED_STDOUT = {
     "scripts/unreached.py": (
-        "linalg.unitarity_defect src/swaplab/linalg.py:323\n"
         "reporting._format_float src/swaplab/reporting.py:31\n"
-        "scenario.run_prince_pauper src/swaplab/scenario.py:253\n"
     ),
 }
 

@@ -360,10 +360,11 @@ def test_production_paths_build_no_dense_operator(tmp_path, monkeypatch, words, 
 @PRODUCTION_JOBS
 def test_production_paths_make_no_unitarity_check(tmp_path, monkeypatch, words, extra, config):
     # swaps are index arrays and propagators are never tagged unitary in
-    # production, so no dim x dim U^dag U product is formed
+    # production, so no dim x dim U^dag U product is formed (only linalg binds
+    # the check, and DenseOperator's unitary tag calls it)
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
-    monkeypatch.setattr(linalg, "unitarity_defect_of", _no_unitarity_check)
+    monkeypatch.setattr(linalg, "unitarity_defect", _no_unitarity_check)
     assert main([*words, str(path), *extra]) == 0
 
 
@@ -476,10 +477,11 @@ def test_complex_exp_elements_per_job(tmp_path, monkeypatch, words, config, elem
 def test_inner_products_per_multiworld_run(monkeypatch, k):
     # at each of the 5 sample times the pairs read 18 distinct inner products
     # (two 3x3 tables; a factor whose worlds agree reads <y, y> of one of
-    # them), and the 4 outcome pairs' witnesses take 2 expectations per state
-    # of 2 observables: 18 * 5 + 16 = 106 calls, where 36 per time were 196
+    # them), and the witnesses read 2 observables once in each of the 2
+    # world states: 18 * 5 + 4 = 94 calls, where 36 per time were 196 and one
+    # witness call per outcome pair, 4 expectations each, made 106
     counted = []
     vdot = np.vdot
     monkeypatch.setattr(np, "vdot", lambda *a: counted.append(1) or vdot(*a))
     assert run_multiworld(RunConfig(scenario="multiworld", k=k)).passed
-    assert len(counted) == 18 * 5 + 16
+    assert len(counted) == 18 * 5 + 4
