@@ -11,6 +11,12 @@ of two checkouts and ``diff`` the outputs: identical lines mean identical
 report bytes, stderr lines and exit codes. The job list comes from this
 script's checkout, so both runs execute the same jobs.
 
+The first line is a header, ``# numpy <version> python <major.minor>
+<machine>``: rounding-level residuals depend on the FFT library and the CPU,
+so job digests are comparable only under one header. ``AUDIT.txt`` at the
+checkout root holds this output for the checkout itself; regenerate it with
+``python scripts/report_audit.py > AUDIT.txt`` when a change moves report bytes.
+
 The list covers the example configs, every benchmark job class (export
 classes at each benchmark time), exports at M = 8 and 100 for every world,
 off-grid pointer runs and the ladder with ``phase_insensitive`` both ways,
@@ -30,6 +36,7 @@ import contextlib
 import hashlib
 import io
 import json
+import platform
 import sys
 import tempfile
 from pathlib import Path
@@ -162,9 +169,12 @@ def main() -> int:
     checkout = Path(sys.argv[1] if len(sys.argv) > 1 else ROOT).resolve()
     job_list = jobs()
     sys.path.insert(0, str(checkout / "src"))
+    import numpy
     from swaplab import cli
 
     print(f"swaplab from {Path(cli.__file__).parent}", file=sys.stderr)
+    python = f"{sys.version_info.major}.{sys.version_info.minor}"
+    print(f"# numpy {numpy.__version__} python {python} {platform.machine()}")
     with tempfile.TemporaryDirectory() as workdir:
         path = str(Path(workdir) / "config.json")
         for index, (command, config) in enumerate(job_list):

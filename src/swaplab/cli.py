@@ -27,13 +27,13 @@ from .measurement import pointer_spectrum
 from .reporting import emit_distribution_csv, emit_report, failed_checks
 from .scenario import (
     ScenarioReport,
-    build_diagonal_model,
+    ladder_factor,
     qubit_setup,
     run_classical_level,
     run_multiworld,
     run_prince_pauper,  # unused here: perfbench/trace_checks.py reads this binding
 )
-from .symmetry import certify_lemma1, certify_lemma2
+from .symmetry import certify_lemma1
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -103,9 +103,7 @@ def _dispatch_run(config: RunConfig) -> ScenarioReport:
     if kind == "certify-lemma1":
         certificate = certify_lemma1(qubit_setup(config), tol=config.tol)
     else:
-        outcomes = (config.lambda1, config.lambda2)
-        model = build_diagonal_model(config)
-        certificate = certify_lemma2(model, *outcomes, config.tol, config.sample_times)
+        certificate = ladder_factor(config).certificate
     # a lone certificate is a report without worlds, isomorphisms or pairs
     return ScenarioReport(
         world_labels=(),

@@ -247,7 +247,8 @@ class Spectrum:
         rows = np.asarray(perm).reshape(-1, n)
         for tau in (np.arange(n), np.arange(n - 1, -1, -1)):
             offsets = rows[:, :1] - tau[0]
-            if np.array_equal(rows, offsets + tau) and not (offsets % n).any():
+            # runs of n indices that tile range(dim) start at multiples of n
+            if np.array_equal(rows, offsets + tau):
                 return tau
         return None
 

@@ -85,24 +85,14 @@ def _plan(shape, indent: int) -> tuple:
 
 
 def _render_container(value, indent: int, scalars: dict, rendered: dict) -> str:
-    """A container, or a scalar of a subclass or another numpy type (bool and
-    numpy.bool_ have none); plain dicts, lists and tuples go first."""
+    """A plain dict, list or tuple, or a dataclass record."""
     shape = type(value)
     if shape is dict:
         shape = tuple(value)
     elif shape is not list and shape is not tuple:
-        if isinstance(value, (int, np.integer)):
-            return str(int(value))
-        if isinstance(value, (float, np.floating)):
-            return _format_float(float(value))
-        if isinstance(value, str):
-            return _quote(value)
-        if is_dataclass(value):  # its plan is its record type's
-            value = vars(value)
-        elif isinstance(value, dict):
-            shape = tuple(value)
-        elif not isinstance(value, (list, tuple)):
+        if isinstance(value, type) or not is_dataclass(value):  # a record, not its class
             raise TypeError(f"cannot serialize {shape.__name__} into a report")
+        value = vars(value)  # its plan is its record type's
     if isinstance(value, dict):
         keys, template = _plan(shape, indent)
         return template % tuple(_texts(map(value.__getitem__, keys), indent + 1, scalars, rendered))

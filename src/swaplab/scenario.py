@@ -37,7 +37,6 @@ import numpy as np
 
 from .config import MODEL_DEGENERACY, QUBIT_EIGENVALUES, RunConfig
 from .isomorphism import IsomorphismReport, Witness, _expectations, _state_residual, _witnesses
-from .linalg import frobenius_norm
 from .measurement import (
     Factor,
     MeasurementSetup,
@@ -157,9 +156,6 @@ def _worlds(config: RunConfig, factor: Factor, k: int) -> ScenarioReport:
     patterns, pair_worlds, factor_outcomes, differing, _ = _pair_plan(k)
     labels = ["".join(factor.outcomes[s] for s in pattern) for pattern in patterns]
     inverse = factor.inverse
-    start_a, start_b = (factor.ready_sum([s]).reshape(-1) for s in factor.starts)
-    start_residual = frobenius_norm(start_a[inverse] - start_b)
-    del start_a, start_b
 
     # T evolves in the same batch as the sample times, once when it is the last
     stream = evolved_ready(factor, times if times[-1] == config.T else times + (config.T,))
@@ -238,7 +234,6 @@ def _worlds(config: RunConfig, factor: Factor, k: int) -> ScenarioReport:
         reports = (IsomorphismReport.judged(times, residuals[:, 0].tolist(), deviation, tolerance),)
     passed = (
         certificate.passed
-        and start_residual <= tolerance
         and all(p.isomorphic and (p.distinct or not factor.distinct_required) for p in pairs)
     )
     return ScenarioReport(

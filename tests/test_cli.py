@@ -330,6 +330,12 @@ class TestCliCommands:
         assert captured.out == ""
         assert captured.err == "config error: invalid JSON: key 'tol' is given more than once\n"
 
+    def test_subnormal_hbar_exits_2_naming_hbar(self, tmp_path, capsys):
+        assert main(["run", write_config(tmp_path, {"hbar": 1e-310})]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "config error: hbar must be positive and not subnormal, got 1e-310\n"
+
     def test_missing_file_exit_code(self, tmp_path):
         assert main(["run", str(tmp_path / "nope.json")]) == 2
 

@@ -179,6 +179,12 @@ class TestValidation:
     def test_pointer_weights_may_vanish_without_coupling(self):
         assert parse_config('{"g": 0}').g == 0.0
 
+    @pytest.mark.parametrize("scenario", ["prince-pauper", "classical-level"])
+    def test_subnormal_hbar_names_hbar(self, scenario):
+        # the per-scenario scale guards reject it too, but name other fields
+        with pytest.raises(ConfigError, match="^hbar must be positive and not subnormal"):
+            parse_config(json.dumps({"scenario": scenario, "hbar": 1e-310}))
+
 
 #: MAX_DIM keeps every run under 200 MB RSS, of which 29 MB is the interpreter
 #: with numpy loaded; the largest CLI run at the limit peaked at 171 MB

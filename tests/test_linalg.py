@@ -184,7 +184,10 @@ class TestPermutationInverse:
             permutation_inverse(perm, 6)
 
     @pytest.mark.parametrize(
-        "perm", [np.arange(4.0), np.array([0, 1, 2, 4])], ids=["float", "out-of-range"]
+        "perm",
+        # -1 would index from the end, and np.bincount raises a bare ValueError on it
+        [np.arange(4.0), np.array([0, 1, 2, 4]), np.array([-1, 0, 1, 2])],
+        ids=["float", "out-of-range", "negative"],
     )
     def test_non_index_array_rejected(self, perm):
         with pytest.raises(DimensionError, match="integer indices"):

@@ -547,6 +547,50 @@ class TestClassicalLevel:
         assert not report.passed
 
 
+#: the byte audit's off-grid pointer and ladder outcome pairs
+OFF_GRID = {"M": 7, "delta": 0.3, "g": 0.7, "hbar": 0.7, "T": 1.3}
+LAMBDA_PAIRS = ((1.0, 1.0), (-1.0, -2.0), (3.0, 7.0), (2.0, 1.0), (1.0, 1.01))
+
+
+def assert_starts_swap_bitwise(factor):
+    a0, b0 = (factor.ready_sum([s]).reshape(-1) for s in factor.starts)
+    assert np.array_equal(a0[factor.inverse], b0)
+
+
+class TestStartSwap:
+    """A run checks no t = 0 residual: each factor's swap carries its first
+    start onto its second bitwise, and when it does not, the sample-time
+    residuals fail the run."""
+
+    @pytest.mark.parametrize(
+        "fields",
+        # the wraparound guard rejects M = 1 at the default delta
+        [{"M": 8}, {"M": 150}, {"M": 1, "delta": 4.0}, OFF_GRID],
+        ids=["M8", "M150", "M1", "off-grid"],
+    )
+    def test_pointer_starts(self, fields):
+        assert_starts_swap_bitwise(sign_flip_factor(qubit_setup(RunConfig(**fields))))
+
+    @pytest.mark.parametrize("span", [1, 2, 12])
+    @pytest.mark.parametrize("lambda1, lambda2", LAMBDA_PAIRS)
+    def test_ladder_starts(self, lambda1, lambda2, span):
+        config = RunConfig(
+            scenario="classical-level", lambda1=lambda1, lambda2=lambda2,
+            ratio_exponent_range=span,
+        )
+        assert_starts_swap_bitwise(ladder_factor(config))
+
+    def test_mis_started_pointer_factor_fails_at_every_time(self):
+        config = RunConfig()
+        factor = sign_flip_factor(qubit_setup(config))
+        start = factor.starts[0]
+        report = scenario._worlds(config, replace(factor, starts=(start, start)), 1)
+        residuals = report.isomorphism_reports[0].state_residuals
+        assert len(residuals) == len(config.sample_times)
+        assert all(r > config.tol for r in residuals)
+        assert not report.passed
+
+
 class TestWorldEnumeration:
     def test_labels_are_sign_patterns(self):
         report = run_multiworld(multiworld_config(3, M=2))

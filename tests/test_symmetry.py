@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -443,6 +444,20 @@ class TestCertifyLemma2:
         monkeypatch.setattr(Factor, "ready_sum", nan_second_label)
         certificate = certify_lemma2(diagonal_model(degeneracy=2), 1.0, 2.0)
         assert np.isnan(certificate.swap_residual)
+        assert not certificate.passed
+
+    def test_swap_scrambled_inside_a_target_sector_fails(self):
+        # two label-0 sources exchange their targets: still a bijection, and
+        # every sector keeps its norm, so only the index-level map sees it
+        model = diagonal_model(ratio=2.0, span=4)
+        factor = scaling_factor(model, 1.0, 2.0)
+        sign, m = locate_eigenvalue(model, 1.0)
+        first, second = model.basis_indices()[sign, m, 0, 0, :2]
+        swap = factor.swap.copy()
+        swap[[first, second]] = swap[[second, first]]
+        scrambled = replace(factor, swap=swap, inverse=permutation_inverse(swap, model.dim))
+        certificate = certify_lemma2(model, 1.0, 2.0, factor=scrambled)
+        assert certificate.swap_residual == 1.0
         assert not certificate.passed
 
     def test_normalization_note_present(self):
