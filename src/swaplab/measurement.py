@@ -210,7 +210,7 @@ class Factor:
     index array ``swap`` with S v = v[inverse]. The basis is (system ket,
     pointer) in C order, ``block`` pointer amplitudes per system ket. World w
     starts in e_{starts[w]} (x) ``ready``, labelled ``outcomes[w]``; a run
-    needs the two distinct when ``distinct_required``. ``frame`` holds the
+    needs the two distinct when the starts differ. ``frame`` holds the
     reference observables as (name, local diagonal): a system (n_kets, 1)
     column or a pointer (block,) row, broadcast over (system ket, block). Only
     the pointer has a ``setup``, for branch readouts and lemma 1 on the rows
@@ -223,27 +223,21 @@ class Factor:
     ready: np.ndarray
     starts: tuple
     outcomes: tuple
-    distinct_required: bool
     frame: tuple
     hbar: float
     setup: MeasurementSetup | None = None
     certificate: object = None
 
-    def ready_sum(self, kets) -> np.ndarray:
-        """The sum of e_s (x) ready over the distinct kets s, one row per system ket."""
-        state = np.zeros((self.spectrum.dim // self.block, self.block), dtype=complex)
-        state[list(kets)] = self.ready
-        return state
-
 
 def evolved_ready(factor: Factor, times, kets=None):
     """Row i: U(t) (e_s (x) ready) for s = kets[i] (the world starts by
-    default) at each of ``times``, from one evolution of ``ready_sum(kets)``.
+    default) at each of ``times``, from one evolution of their sum.
     H never mixes system blocks and a zero block stays zero through FFT,
     phase and inverse FFT, so each row, full length kept, is the evolution
     of its own ket: bitwise on its block, and +0.0 off it."""
     kets = factor.starts if kets is None else tuple(kets)
-    start = factor.ready_sum(kets)
+    start = np.zeros((factor.spectrum.dim // factor.block, factor.block), dtype=complex)
+    start[list(kets)] = factor.ready  # the sum of e_s (x) ready over the distinct kets s
     for state in factor.spectrum.evolutions(start.reshape(-1), times, factor.hbar):
         blocks = state.reshape(start.shape)
         rows = np.zeros((len(kets), *start.shape), dtype=complex)

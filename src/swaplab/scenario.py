@@ -232,9 +232,8 @@ def _worlds(config: RunConfig, factor: Factor, k: int) -> ScenarioReport:
     reports = ()
     if k == 1:
         reports = (IsomorphismReport.judged(times, residuals[:, 0].tolist(), deviation, tolerance),)
-    passed = (
-        certificate.passed
-        and all(p.isomorphic and (p.distinct or not factor.distinct_required) for p in pairs)
+    passed = certificate.passed and all(  # equal starts need no distinct pair
+        p.isomorphic and (p.distinct or factor.starts[0] == factor.starts[1]) for p in pairs
     )
     return ScenarioReport(
         world_labels=tuple(labels),

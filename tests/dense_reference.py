@@ -472,10 +472,12 @@ class _Ladder:
 def _classical_level(config) -> dict:
     ladder = _Ladder(config)
     values = (config.lambda1, config.lambda2)
+    # the shortest text that round-trips each outcome
+    labels = tuple(f"outcome {repr(float(value)).removesuffix('.0')}" for value in values)
     return _two_worlds(
         ladder.certificate(config), ladder.hamiltonian, ladder.swap, ladder.eigh,
         [ladder.sector_state(ladder.sector(value), 0) for value in values], config,
-        ladder.frame, tuple(f"outcome {value:g}" for value in values), lambda final: [],
+        ladder.frame, labels, lambda final: [],
         distinct_required=config.lambda1 != config.lambda2,
     )
 

@@ -279,13 +279,23 @@ class TestCliCommands:
         assert main([*command, write_config(tmp_path, payload)]) == 0
         assert capsys.readouterr().err == ""
 
+    @pytest.mark.parametrize("command", [("run",), ("certify", "lemma2")])
+    def test_ladder_passes_the_tiniest_tolerance(self, tmp_path, capsys, command):
+        # every lemma-2 residual is an exact 0.0, the swap residual an index
+        # check with no rounded norm in it, so no tol is too small
+        payload = {
+            "scenario": "classical-level", "lambda1": 1, "lambda2": 2, "ratio_exponent_range": 5
+        }
+        assert main([*command, write_config(tmp_path, payload), "--tol", "1e-30"]) == 0
+        assert capsys.readouterr().err == ""
+
     def test_rungs_closer_than_tol_fail_only_distinctness(self, tmp_path, capsys):
         # outcomes 2e-16 apart on neighbouring rungs: the swap carries one onto
         # the other exactly, but no reference gap can exceed tol
         payload = {**TWIN_RUNGS, "scenario": "classical-level"}
         assert main(["run", write_config(tmp_path, payload)]) == 3
         assert capsys.readouterr().err.splitlines() == [
-            "pair-certificate outcome 2 vs outcome 2 distinct false: "
+            "pair-certificate outcome 1.9999999999999998 vs outcome 2 distinct false: "
             "no reference gap exceeds tol 1e-10"
         ]
         assert main(["certify", "lemma2", write_config(tmp_path, payload)]) == 0

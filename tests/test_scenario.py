@@ -49,7 +49,7 @@ from swaplab.symmetry import (
 
 import dense_reference
 from test_linalg import permutation_matrix
-from test_symmetry import sector_state_loops
+from test_symmetry import sector_state_loops, start_row
 
 
 def small_config(**overrides):
@@ -552,8 +552,14 @@ OFF_GRID = {"M": 7, "delta": 0.3, "g": 0.7, "hbar": 0.7, "T": 1.3}
 LAMBDA_PAIRS = ((1.0, 1.0), (-1.0, -2.0), (3.0, 7.0), (2.0, 1.0), (1.0, 1.01))
 
 
+def ladder_config(lambda1, lambda2, span):
+    return RunConfig(
+        scenario="classical-level", lambda1=lambda1, lambda2=lambda2, ratio_exponent_range=span
+    )
+
+
 def assert_starts_swap_bitwise(factor):
-    a0, b0 = (factor.ready_sum([s]).reshape(-1) for s in factor.starts)
+    a0, b0 = (start_row(factor, s) for s in factor.starts)
     assert np.array_equal(a0[factor.inverse], b0)
 
 
@@ -574,11 +580,7 @@ class TestStartSwap:
     @pytest.mark.parametrize("span", [1, 2, 12])
     @pytest.mark.parametrize("lambda1, lambda2", LAMBDA_PAIRS)
     def test_ladder_starts(self, lambda1, lambda2, span):
-        config = RunConfig(
-            scenario="classical-level", lambda1=lambda1, lambda2=lambda2,
-            ratio_exponent_range=span,
-        )
-        assert_starts_swap_bitwise(ladder_factor(config))
+        assert_starts_swap_bitwise(ladder_factor(ladder_config(lambda1, lambda2, span)))
 
     def test_mis_started_pointer_factor_fails_at_every_time(self):
         config = RunConfig()
@@ -589,6 +591,60 @@ class TestStartSwap:
         assert len(residuals) == len(config.sample_times)
         assert all(r > config.tol for r in residuals)
         assert not report.passed
+
+
+class TestExactScalingCertificate:
+    """Lemma 2 and the ladder's worlds read no rounded norm: the swap is an
+    index bijection and w[perm] == w bitwise, so every residual is 0.0."""
+
+    @pytest.mark.parametrize("span", [1, 2, 5, 12])
+    @pytest.mark.parametrize("lambda1, lambda2", LAMBDA_PAIRS)
+    def test_every_residual_is_exactly_zero(self, lambda1, lambda2, span):
+        report = run_classical_level(ladder_config(lambda1, lambda2, span))
+        certificate = report.swap_certificates[0]
+        iso = report.isomorphism_reports[0]
+        pair = report.pairs[0]
+        residuals = [
+            certificate.commutator_residual,
+            certificate.swap_residual,
+            certificate.intertwining_residual,
+            *iso.state_residuals,
+            iso.hamiltonian_residual,
+            pair.state_residual,
+            pair.hamiltonian_residual,
+        ]
+        assert residuals == [0.0] * len(residuals)
+        assert report.passed
+
+
+class TestLadderLabels:
+    @pytest.mark.parametrize(
+        "lambda1, lambda2, span",
+        [
+            (1.0, 1.0000000005, 1),  # rungs within the eigenvalue lookup's reach
+            (1.9999999999999998, 2.0, 2),  # rungs 2e-16 apart
+            (1.0, float(np.nextafter(1.0, 2.0)), 1),
+            (2.0, float(np.nextafter(2.0, 0.0)), 1),
+            (3.0, float(np.nextafter(3.0, 4.0)), 2),
+            (-1.0, float(np.nextafter(-1.0, -2.0)), 1),
+        ],
+    )
+    def test_distinct_outcomes_get_distinct_labels(self, lambda1, lambda2, span):
+        config = ladder_config(lambda1, lambda2, span)
+        report = run_classical_level(config)
+        labels = [label.removeprefix("outcome ") for label in report.world_labels]
+        assert labels[0] != labels[1]
+        assert [float(label) for label in labels] == [lambda1, lambda2]
+        # a run waives the distinct pair only for equal starts; unequal
+        # outcomes on one rung (3 and its successor) fail lemma 2's index check
+        factor = ladder_factor(config)
+        assert factor.starts[0] != factor.starts[1] or factor.certificate.swap_residual == 1.0
+        assert report.pairs[0].distinct or not report.passed
+
+    def test_equal_outcomes_share_label_and_start(self):
+        factor = ladder_factor(ladder_config(2.0, 2.0, 1))
+        assert factor.outcomes == ("outcome 2", "outcome 2")
+        assert factor.starts[0] == factor.starts[1]
 
 
 class TestWorldEnumeration:
